@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -202,3 +203,29 @@ class TestEvals:
 def test_selftest_battery_passes():
     results = run_selftest()
     assert all(ok for _, ok, _ in results), [n for n, ok, _ in results if not ok]
+
+
+def _data_digest(path) -> str:
+    """sha256 of a curve file without its `# ` meta lines (build and config
+    hash change with every source edit; the column header and rows do not)."""
+    body = [line for line in path.read_text(encoding="utf-8").splitlines()
+            if not line.startswith("# ")]
+    return hashlib.sha256("\n".join(body).encode("utf-8")).hexdigest()
+
+
+# Data rows of the five curve files at tiny_config.  A change to one of these
+# changes a published number; re-pin only on purpose and say why.
+GOLDEN_ROWS = {
+    "ber.csv": "28a865a1d659d7e02ba8595b051e1c935e731dce9a05a832d078bf940aadecd0",
+    "ccdf.csv": "7593dbf8871563169d95ab9ea2f595d8cdce08f4d50ea9def75d008806637035",
+    "psd.csv": "632a2e4616bcd68b50393efc62b9bf9a90275818eea99e138bd37165e4fc77b2",
+    "table.csv": "998d4eab6995253f0671ba302d3570fac61e5ab516caa3a4c151ad68b14182bd",
+    "obo_acpr.csv": "6373a78370e40393f5e2970b63e2f1abe2652892e8614d396867382d75dafb75",
+}
+
+
+def test_golden_curve_rows(tmp_path):
+    cfg = tiny_config(tmp_path)
+    paths = [eval_ber(cfg), eval_ccdf(cfg), eval_psd(cfg), eval_table(cfg)[1],
+             eval_obo_vs_acpr(cfg)]
+    assert {p.name: _data_digest(p) for p in paths} == GOLDEN_ROWS
