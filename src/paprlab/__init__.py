@@ -6,10 +6,10 @@ clipping-and-filtering and selective-mapping baselines, and the metrics
 (PAPR, CCDF, PSD, ACPR, OBO, BER) to compare them.
 """
 
-from .baselines import CfParams, SlmParams, clip_filter, slm_select
-from .channel import ChannelParams, awgn, compensate
+from .baselines import CfParams, SlmParams, clip_filter, slm_select_batch
+from .channel import compensate, complex_noise, noise_std
 from .errors import ConfigError, DegenerateInputError, TrainingDivergedError
-from .frontend import HpaParams, apply_ibo, bussgang_alpha, rapp_amplify
+from .frontend import HpaParams, bussgang_alpha, rapp_amplify
 from .losses import LossWeights, joint_loss
 from .metrics import SpectralParams, acpr, ber, ccdf, obo, papr, papr_db, psd
 from .models import CaeModel, FcAeModel, load_checkpoint, save_checkpoint
@@ -19,7 +19,6 @@ from .ofdm import (
     ml_detect,
     ofdm_demodulate,
     ofdm_modulate,
-    power_normalize,
     qam4_constellation,
     qam4_map,
 )
@@ -28,15 +27,15 @@ from .training import TrainConfig, train
 __version__ = "0.1.0"
 
 __all__ = [
-    "CfParams", "SlmParams", "clip_filter", "slm_select",
-    "ChannelParams", "awgn", "compensate",
+    "CfParams", "SlmParams", "clip_filter", "slm_select_batch",
+    "compensate", "complex_noise", "noise_std",
     "ConfigError", "DegenerateInputError", "TrainingDivergedError",
-    "HpaParams", "apply_ibo", "bussgang_alpha", "rapp_amplify",
+    "HpaParams", "bussgang_alpha", "rapp_amplify",
     "LossWeights", "joint_loss",
     "SpectralParams", "acpr", "ber", "ccdf", "obo", "papr", "papr_db", "psd",
     "CaeModel", "FcAeModel", "load_checkpoint", "save_checkpoint",
     "ConstellationSpec", "bpf", "ml_detect", "ofdm_demodulate", "ofdm_modulate",
-    "power_normalize", "qam4_constellation", "qam4_map",
+    "qam4_constellation", "qam4_map",
     "TrainConfig", "train",
     "__version__",
 ]

@@ -18,7 +18,6 @@ __all__ = [
     "Tensor",
     "parameter",
     "constant",
-    "matmul",
     "linear",
     "conv1d",
     "batch_norm",
@@ -207,15 +206,6 @@ def reshape(x: Tensor, shape) -> Tensor:
             _accumulate(x, out.grad.reshape(x.data.shape))
         return fn
     return _make(x.data.reshape(shape), (x,), backward)
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    def backward(out):
-        def fn():
-            _accumulate(a, out.grad @ b.data.T)
-            _accumulate(b, a.data.T @ out.grad)
-        return fn
-    return _make(a.data @ b.data, (a, b), backward)
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -541,13 +531,12 @@ def papr_loss(z: Tensor) -> Tensor:
     return _make(np.mean(ratios), (z,), backward)
 
 
-def acpr_value(z: Tensor, bw_bins: int, smooth_temp: float | None = None) -> Tensor:
+def acpr_value(z: Tensor, bw_bins: int) -> Tensor:
     """Differentiable adjacent-channel power ratio (dB) of a complex batch.
 
     Band powers come from the batch-averaged periodogram.  The max over the
-    two adjacent bands is the plain subgradient max by default (ties favor
-    the upper band); smooth_temp enables a log-sum-exp softening of the max
-    over the two band levels in dB.
+    two adjacent bands is the plain subgradient max (ties favor the upper
+    band).
     """
     batch, total = z.data.shape
     half = bw_bins // 2
@@ -569,18 +558,8 @@ def acpr_value(z: Tensor, bw_bins: int, smooth_temp: float | None = None) -> Ten
 
     up_db = 10.0 * np.log10(up / main)
     lo_db = 10.0 * np.log10(lo / main)
-    if smooth_temp is None:
-        upper_wins = up >= lo
-        value = max(up_db, lo_db)
-        w_up, w_lo = (1.0, 0.0) if upper_wins else (0.0, 1.0)
-    else:
-        tau = float(smooth_temp)
-        hi = max(up_db, lo_db)
-        eu = np.exp((up_db - hi) / tau)
-        el = np.exp((lo_db - hi) / tau)
-        value = hi + tau * np.log(eu + el)
-        w_up = eu / (eu + el)
-        w_lo = el / (eu + el)
+    value = max(up_db, lo_db)
+    w_up, w_lo = (1.0, 0.0) if up >= lo else (0.0, 1.0)
 
     def backward(out):
         def fn():

@@ -14,7 +14,6 @@ __all__ = [
     "clip_amplitude",
     "clip_filter",
     "slm_phase_bank",
-    "slm_select",
     "slm_select_batch",
 ]
 
@@ -90,36 +89,22 @@ def slm_phase_bank(n_subcarriers: int, slm: SlmParams) -> np.ndarray:
     return bank
 
 
-def slm_select(block: np.ndarray, slm: SlmParams = SlmParams(),
-               oversampling: int = 4) -> tuple[np.ndarray, int]:
-    """Pick the lowest-PAPR candidate among phase-rotated versions of a block.
-
-    Returns the selected time-domain waveform and the candidate index; the
-    receiver is assumed to know the index.  Ties go to the lowest index.
-    """
-    block = np.asarray(block, dtype=complex)
-    bank = slm_phase_bank(block.shape[-1], slm)
-    candidates = ofdm_modulate(block[None, :] * bank, oversampling)
-    idx = int(np.argmin(papr(candidates)))
-    return candidates[idx], idx
-
-
 def slm_select_batch(blocks: np.ndarray, slm: SlmParams = SlmParams(),
-                     oversampling: int = 4, chunk: int = 256) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized :func:`slm_select` over a batch of blocks.
+                     oversampling: int = 4) -> tuple[np.ndarray, np.ndarray]:
+    """Pick the lowest-PAPR candidate among phase-rotated versions of each block.
 
-    Candidate evaluation is chunked to bound memory; the selection per block
-    is identical to the single-block function.
+    blocks has shape (B, N).  Returns the selected time-domain waveforms and
+    the candidate index per block; the receiver is assumed to know the index.
+    Ties go to the lowest index.  Blocks are processed one at a time, which
+    bounds memory at U candidate waveforms.
     """
     blocks = np.atleast_2d(np.asarray(blocks, dtype=complex))
     batch, n = blocks.shape
     bank = slm_phase_bank(n, slm)
     waves = np.empty((batch, n * oversampling), dtype=complex)
     indices = np.empty(batch, dtype=np.int64)
-    for start in range(0, batch, chunk):
-        part = blocks[start:start + chunk]
-        candidates = ofdm_modulate(part[:, None, :] * bank[None, :, :], oversampling)
-        sel = np.argmin(papr(candidates), axis=-1)
-        waves[start:start + chunk] = candidates[np.arange(len(part)), sel]
-        indices[start:start + chunk] = sel
+    for i, block in enumerate(blocks):
+        candidates = ofdm_modulate(block * bank, oversampling)
+        indices[i] = np.argmin(papr(candidates))
+        waves[i] = candidates[indices[i]]
     return waves, indices

@@ -15,6 +15,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .channel import complex_noise
 from .frontend import HpaParams, bussgang_alpha, ibo_scale
 
 __all__ = ["ChainTaps", "run_chain"]
@@ -77,12 +78,9 @@ def run_chain(model, x_time: np.ndarray, hpa: HpaParams, p_snr_db: float = math.
         alpha = bussgang_alpha(x_f.data, x_p.data)
 
     if noise is None and not math.isinf(p_snr_db):
-        sigma = hpa.a0 * 10.0 ** (-p_snr_db / 20.0)
         if noise_rng is None:
             raise ValueError("noise_rng is required for a finite p_snr_db")
-        scale = sigma / np.sqrt(2.0)
-        noise = scale * noise_rng.standard_normal(x_time.shape) \
-            + 1j * (scale * noise_rng.standard_normal(x_time.shape))
+        noise = complex_noise(x_time.shape, p_snr_db, hpa, noise_rng)
     received = ad.add_constant(x_p, noise) if noise is not None else x_p
     y = ad.complex_scale(received, 1.0 / alpha)
     symbols = ad.dft_unpad(y, model.n)

@@ -1,48 +1,42 @@
-"""AWGN channel parameterized by peak-SNR, and receiver-side gain compensation."""
+"""AWGN channel parameterized by peak-SNR, and receiver-side gain compensation.
+
+This module is the only place noise is drawn: the training chain and the BER
+evaluation both call :func:`complex_noise`.
+"""
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateInputError
 from .frontend import HpaParams
 
-__all__ = ["ChannelParams", "noise_std", "awgn", "compensate"]
+__all__ = ["noise_std", "complex_noise", "compensate"]
 
 
-@dataclass(frozen=True)
-class ChannelParams:
-    """Peak signal-to-noise ratio a0^2/sigma_w^2 in dB; +inf disables noise."""
+def noise_std(p_snr_db: float, hpa: HpaParams) -> float:
+    """Total complex noise standard deviation sigma_w (variance a0^2/P_SNR).
 
-    p_snr_db: float
-    rng_seed: int = 0
-
-
-def noise_std(ch: ChannelParams, hpa: HpaParams) -> float:
-    """Total complex noise standard deviation sigma_w (variance a0^2/P_SNR)."""
-    if math.isinf(ch.p_snr_db):
-        return 0.0
-    return hpa.a0 * 10.0 ** (-ch.p_snr_db / 20.0)
-
-
-def awgn(wave: np.ndarray, ch: ChannelParams, hpa: HpaParams,
-         rng: np.random.Generator | None = None) -> np.ndarray:
-    """Add circularly-symmetric complex Gaussian noise of variance sigma_w^2.
-
-    Deterministic for a fixed seed: when no generator is supplied a fresh one
-    is built from ch.rng_seed, so repeated calls give bit-identical output.
+    p_snr_db is the peak signal-to-noise ratio a0^2/sigma_w^2 in dB; +inf
+    disables noise.
     """
-    wave = np.asarray(wave, dtype=complex)
-    sigma = noise_std(ch, hpa)
+    if math.isinf(p_snr_db):
+        return 0.0
+    return hpa.a0 * 10.0 ** (-p_snr_db / 20.0)
+
+
+def complex_noise(shape, p_snr_db: float, hpa: HpaParams,
+                  rng: np.random.Generator) -> np.ndarray:
+    """Circularly-symmetric complex Gaussian noise of total variance sigma_w^2.
+
+    The real part is drawn before the imaginary part.  At infinite peak SNR
+    the noise is zero and the generator is left untouched.
+    """
+    sigma = noise_std(p_snr_db, hpa)
     if sigma == 0.0:
-        return wave.copy()
-    if rng is None:
-        rng = np.random.default_rng(ch.rng_seed)
+        return np.zeros(shape, dtype=complex)
     scale = sigma / np.sqrt(2.0)
-    noise = rng.standard_normal(wave.shape) * scale \
-        + 1j * (rng.standard_normal(wave.shape) * scale)
-    return wave + noise
+    return scale * rng.standard_normal(shape) + 1j * (scale * rng.standard_normal(shape))
 
 
 def compensate(wave: np.ndarray, alpha: complex) -> np.ndarray:

@@ -13,7 +13,6 @@ from .errors import DegenerateInputError
 __all__ = [
     "HpaParams",
     "ibo_scale",
-    "apply_ibo",
     "rapp_gain",
     "rapp_amplify",
     "bussgang_alpha",
@@ -42,11 +41,6 @@ class HpaParams:
 def ibo_scale(hpa: HpaParams) -> float:
     """Linear amplitude factor applied to a unit-power signal before the PA."""
     return hpa.a0 * 10.0 ** (-hpa.ibo_db / 20.0)
-
-
-def apply_ibo(wave: np.ndarray, hpa: HpaParams) -> np.ndarray:
-    """Down-scale a unit-power waveform by the configured input back-off."""
-    return np.asarray(wave, dtype=complex) * ibo_scale(hpa)
 
 
 def rapp_gain(amplitude: np.ndarray, hpa: HpaParams) -> np.ndarray:

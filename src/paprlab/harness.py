@@ -4,10 +4,15 @@ Every public function takes an ExperimentConfig, derives its random streams
 from the config seed, and writes byte-reproducible outputs (curve files,
 checkpoints, JSON summaries) into the configured output directory.
 
-Monte-Carlo evaluation pairs the methods: within one evaluation point all
-methods see identical data and noise realizations, so ordinal comparisons are
-common-random-number comparisons.  Accumulation runs over fixed-size batches
-in a fixed order, so results do not depend on how work is chunked.
+Evaluation runs on one shared batch stream per command: batch bi draws its
+bits from the stream "<command>/data/<bi>" and every method transmits it
+exactly once.  The command's accumulator then reuses those waveforms at every
+point of its grid: BER adds one noise draw per (SNR point, batch), and the
+OBO/ACPR sweep reruns only the amplifier and the PSD per IBO point.  So all
+methods share data and noise at every point (common random numbers), and the
+points of an SNR or IBO grid share one data draw per batch.  Accumulation
+runs over fixed-size batches in a fixed order, so results do not depend on
+how work is chunked.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ import numpy as np
 
 from .autodiff import Tensor
 from .baselines import clip_filter, slm_phase_bank, slm_select_batch
+from .channel import compensate, complex_noise
 from .config import (
     NEURAL_METHODS,
     ExperimentConfig,
@@ -30,7 +36,6 @@ from .config import (
 from .curvefile import write_curve, write_summary
 from .errors import ConfigError
 from .frontend import HpaParams, bussgang_alpha, ibo_scale, rapp_amplify
-from .losses import LossWeights
 from .metrics import ACPR_FLOOR_DB, SpectralParams, acpr, band_bins, ccdf, papr_db, psd
 from .models import CaeModel, FcAeModel, load_checkpoint, save_checkpoint
 from .ofdm import bpf, ml_detect, ofdm_demodulate, ofdm_modulate, qam4_map
@@ -133,6 +138,8 @@ class _MethodBank:
                     raise ConfigError(f"method {method!r} needs a checkpoint (none supplied)")
                 model = load_checkpoint(checkpoints[method]).model
                 model.eval()
+                for param in model.parameters():
+                    param.requires_grad = False  # inference records no autodiff tape
                 expected = (config.system.n_subcarriers, config.system.oversampling)
                 if (model.n, model.oversampling) != expected:
                     raise ConfigError(
@@ -163,13 +170,10 @@ class _MethodBank:
         return ml_detect(symbols)
 
 
-def _frontend(x_unit: np.ndarray, hpa: HpaParams, linear_chain: bool,
-              ibo_db: float | None = None):
+def _frontend(x_unit: np.ndarray, hpa: HpaParams, linear_chain: bool):
     """Apply back-off and amplifier; returns (x_f, x_p, alpha)."""
     if linear_chain:
         return x_unit, x_unit, 1.0 + 0.0j
-    if ibo_db is not None:
-        hpa = replace(hpa, ibo_db=ibo_db)
     x_f = x_unit * ibo_scale(hpa)
     x_p = rapp_amplify(x_f, hpa)
     return x_f, x_p, bussgang_alpha(x_f, x_p)
@@ -179,6 +183,21 @@ def _num_batches(total: int, batch: int) -> int:
     return max(1, math.ceil(total / batch))
 
 
+def _batch_stream(config: ExperimentConfig, bank: _MethodBank, symbols: int, label: str):
+    """Yield (bits, {method: (x_unit, aux)}) for each data batch of one command.
+
+    Batch bi draws its bits from the stream f"{label}/data/{bi}" and every
+    method transmits it exactly once.
+    """
+    n = config.system.n_subcarriers
+    batch = config.eval.batch
+    for bi in range(_num_batches(symbols, batch)):
+        data_rng = derive_rng(config.seed, f"{label}/data/{bi}")
+        bits = data_rng.integers(0, 2, size=(batch, 2 * n), dtype=np.int64)
+        blocks = qam4_map(bits)
+        yield bits, {method: bank.transmit(method, blocks) for method in config.methods}
+
+
 def eval_ber(config: ExperimentConfig, checkpoints: dict | None = None) -> Path:
     """BER vs peak-SNR per method, with binomial confidence half-widths."""
     bank = _MethodBank(config, checkpoints)
@@ -186,32 +205,23 @@ def eval_ber(config: ExperimentConfig, checkpoints: dict | None = None) -> Path:
     ell = config.system.oversampling
     ev = config.eval
     batches = _num_batches(ev.ber_symbols, ev.batch)
+    n_bits = batches * ev.batch * 2 * n
 
     errors = {m: np.zeros(len(ev.p_snr_db), dtype=np.int64) for m in config.methods}
-    totals = np.zeros(len(ev.p_snr_db), dtype=np.int64)
-    for pi, p_snr in enumerate(ev.p_snr_db):
-        sigma = config.hpa.a0 * 10.0 ** (-p_snr / 20.0)
-        for bi in range(batches):
-            data_rng = derive_rng(config.seed, f"ber/data/{pi}/{bi}")
-            noise_rng = derive_rng(config.seed, f"ber/noise/{pi}/{bi}")
-            bits = data_rng.integers(0, 2, size=(ev.batch, 2 * n), dtype=np.int64)
-            blocks = qam4_map(bits)
-            scale = sigma / np.sqrt(2.0)
-            noise = scale * noise_rng.standard_normal((ev.batch, n * ell)) \
-                + 1j * (scale * noise_rng.standard_normal((ev.batch, n * ell)))
-            totals[pi] += bits.size
-            for method in config.methods:
-                x_unit, aux = bank.transmit(method, blocks)
-                x_f, x_p, alpha = _frontend(x_unit, config.hpa, ev.linear_chain)
-                received = (x_p + noise) / alpha
-                symbols = ofdm_demodulate(received, ell)
+    for bi, (bits, sent) in enumerate(_batch_stream(config, bank, ev.ber_symbols, "ber")):
+        noises = [complex_noise((ev.batch, n * ell), p_snr, config.hpa,
+                                derive_rng(config.seed, f"ber/noise/{pi}/{bi}"))
+                  for pi, p_snr in enumerate(ev.p_snr_db)]
+        for method, (x_unit, aux) in sent.items():
+            _, x_p, alpha = _frontend(x_unit, config.hpa, ev.linear_chain)
+            for pi, noise in enumerate(noises):
+                symbols = ofdm_demodulate(compensate(x_p + noise, alpha), ell)
                 decided = bank.receive_bits(method, symbols, aux)
                 errors[method][pi] += int(np.count_nonzero(decided != bits))
 
     rows = []
     for pi, p_snr in enumerate(ev.p_snr_db):
         for method in config.methods:
-            n_bits = int(totals[pi])
             p_hat = errors[method][pi] / n_bits
             half = 1.96 * math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / n_bits)
             rows.append((float(p_snr), float(p_hat), method, n_bits,
@@ -226,7 +236,7 @@ def eval_ber(config: ExperimentConfig, checkpoints: dict | None = None) -> Path:
         "command": "eval-ber",
         "build": build_id(),
         "config_hash": config_hash(config),
-        "ber": {m: {repr(float(p)): errors[m][i] / int(totals[i])
+        "ber": {m: {repr(float(p)): errors[m][i] / n_bits
                     for i, p in enumerate(ev.p_snr_db)} for m in config.methods},
         "outputs": [path.name],
     })
@@ -236,18 +246,14 @@ def eval_ber(config: ExperimentConfig, checkpoints: dict | None = None) -> Path:
 def eval_ccdf(config: ExperimentConfig, checkpoints: dict | None = None) -> Path:
     """CCDF of the PAPR of the amplifier input, per method."""
     bank = _MethodBank(config, checkpoints)
-    n = config.system.n_subcarriers
     ev = config.eval
     batches = _num_batches(ev.ccdf_symbols, ev.batch)
     thresholds = np.arange(ev.ccdf_min_db, ev.ccdf_max_db + ev.ccdf_step_db / 2,
                            ev.ccdf_step_db)
 
     values = {m: [] for m in config.methods}
-    for bi in range(batches):
-        data_rng = derive_rng(config.seed, f"ccdf/data/{bi}")
-        blocks = qam4_map(data_rng.integers(0, 2, size=(ev.batch, 2 * n), dtype=np.int64))
-        for method in config.methods:
-            x_unit, _ = bank.transmit(method, blocks)
+    for _, sent in _batch_stream(config, bank, ev.ccdf_symbols, "ccdf"):
+        for method, (x_unit, _) in sent.items():
             x_f, _, _ = _frontend(x_unit, config.hpa, ev.linear_chain)
             values[method].append(papr_db(x_f))
 
@@ -272,24 +278,26 @@ def eval_ccdf(config: ExperimentConfig, checkpoints: dict | None = None) -> Path
 
 
 def _accumulate_spectra(config: ExperimentConfig, bank: _MethodBank, symbols: int,
-                        label: str, ibo_db: float | None = None):
-    """Batch-averaged PSD of the PA output and mean PA-input power, per method."""
-    n = config.system.n_subcarriers
-    ev = config.eval
-    batches = _num_batches(symbols, ev.batch)
-    psd_sum = {m: 0.0 for m in config.methods}
-    power_sum = {m: 0.0 for m in config.methods}
-    for bi in range(batches):
-        data_rng = derive_rng(config.seed, f"{label}/data/{bi}")
-        blocks = qam4_map(data_rng.integers(0, 2, size=(ev.batch, 2 * n), dtype=np.int64))
-        for method in config.methods:
-            x_unit, _ = bank.transmit(method, blocks)
-            x_f, x_p, _ = _frontend(x_unit, config.hpa, ev.linear_chain, ibo_db=ibo_db)
-            psd_sum[method] = psd_sum[method] + psd(x_p)
-            power_sum[method] += float(np.mean(np.abs(x_f) ** 2))
-    spectra = {m: psd_sum[m] / batches for m in config.methods}
-    powers = {m: power_sum[m] / batches for m in config.methods}
-    return spectra, powers, batches * ev.batch
+                        label: str, ibo_grid):
+    """Batch-averaged PSD of the PA output and mean PA-input power.
+
+    Returns (spectra, powers, symbols); spectra and powers hold one
+    {method: value} dict per IBO point.  Each batch is transmitted once;
+    only the front-end and the PSD run per IBO point.
+    """
+    hpas = [replace(config.hpa, ibo_db=float(ibo_db)) for ibo_db in ibo_grid]
+    psd_sum = [dict.fromkeys(config.methods, 0.0) for _ in hpas]
+    power_sum = [dict.fromkeys(config.methods, 0.0) for _ in hpas]
+    for _, sent in _batch_stream(config, bank, symbols, label):
+        for method, (x_unit, _) in sent.items():
+            for i, hpa in enumerate(hpas):
+                x_f, x_p, _ = _frontend(x_unit, hpa, config.eval.linear_chain)
+                psd_sum[i][method] = psd_sum[i][method] + psd(x_p)
+                power_sum[i][method] += float(np.mean(np.abs(x_f) ** 2))
+    batches = _num_batches(symbols, config.eval.batch)
+    spectra = [{m: total / batches for m, total in point.items()} for point in psd_sum]
+    powers = [{m: total / batches for m, total in point.items()} for point in power_sum]
+    return spectra, powers, batches * config.eval.batch
 
 
 def eval_psd(config: ExperimentConfig, checkpoints: dict | None = None) -> Path:
@@ -301,7 +309,8 @@ def eval_psd(config: ExperimentConfig, checkpoints: dict | None = None) -> Path:
     bank = _MethodBank(config, checkpoints)
     n = config.system.n_subcarriers
     total_bins = n * config.system.oversampling
-    spectra, powers, symbols = _accumulate_spectra(config, bank, config.eval.psd_symbols, "psd")
+    (spectra,), (powers,), symbols = _accumulate_spectra(
+        config, bank, config.eval.psd_symbols, "psd", [config.hpa.ibo_db])
 
     freqs = (np.arange(total_bins) - total_bins // 2) / total_bins
     main_sl, _, _ = band_bins(total_bins, n)
@@ -333,18 +342,21 @@ def eval_psd(config: ExperimentConfig, checkpoints: dict | None = None) -> Path:
     return path
 
 
+def _acpr_obo(config: ExperimentConfig, spectrum: np.ndarray, power: float):
+    """(ACPR, OBO) in dB of one method at one back-off."""
+    return (float(acpr(spectrum, _spectral(config))),
+            float(10.0 * np.log10(config.hpa.a0 ** 2 / power)))
+
+
 def eval_table(config: ExperimentConfig, checkpoints: dict | None = None):
     """ACPR and OBO per method (the summary table of the operating point)."""
     bank = _MethodBank(config, checkpoints)
-    spectral = _spectral(config)
-    spectra, powers, symbols = _accumulate_spectra(config, bank, config.eval.table_symbols,
-                                                   "table")
+    (spectra,), (powers,), symbols = _accumulate_spectra(
+        config, bank, config.eval.table_symbols, "table", [config.hpa.ibo_db])
     table = {}
     for method in config.methods:
-        table[method] = {
-            "acpr_db": float(acpr(spectra[method], spectral)),
-            "obo_db": float(10.0 * np.log10(config.hpa.a0 ** 2 / powers[method])),
-        }
+        acpr_db, obo_db = _acpr_obo(config, spectra[method], powers[method])
+        table[method] = {"acpr_db": acpr_db, "obo_db": obo_db}
     rows = [(m, table[m]["acpr_db"], table[m]["obo_db"]) for m in sorted(table)]
     out = _outdir(config)
     path = write_curve(out / "table.csv", _meta(config, symbols=symbols),
@@ -363,18 +375,11 @@ def eval_table(config: ExperimentConfig, checkpoints: dict | None = None):
 def eval_obo_vs_acpr(config: ExperimentConfig, checkpoints: dict | None = None) -> Path:
     """Sweep the input back-off and record the (ACPR, OBO) operating curves."""
     bank = _MethodBank(config, checkpoints)
-    spectral = _spectral(config)
-    rows = []
-    for ibo_db in config.eval.obo_acpr_ibo_db:
-        spectra, powers, _ = _accumulate_spectra(config, bank, config.eval.table_symbols,
-                                                 f"obo_acpr/{ibo_db:g}", ibo_db=float(ibo_db))
-        for method in config.methods:
-            rows.append((
-                float(acpr(spectra[method], spectral)),
-                float(10.0 * np.log10(config.hpa.a0 ** 2 / powers[method])),
-                method,
-                float(ibo_db),
-            ))
+    grid = config.eval.obo_acpr_ibo_db
+    spectra, powers, _ = _accumulate_spectra(config, bank, config.eval.table_symbols,
+                                             "obo_acpr", grid)
+    rows = [(*_acpr_obo(config, spectra[i][method], powers[i][method]), method, float(ibo_db))
+            for i, ibo_db in enumerate(grid) for method in config.methods]
     rows.sort(key=lambda r: (r[0], r[2]))
     out = _outdir(config)
     path = write_curve(out / "obo_acpr.csv", _meta(config),
@@ -383,7 +388,7 @@ def eval_obo_vs_acpr(config: ExperimentConfig, checkpoints: dict | None = None) 
         "command": "eval-obo-acpr",
         "build": build_id(),
         "config_hash": config_hash(config),
-        "ibo_grid_db": list(config.eval.obo_acpr_ibo_db),
+        "ibo_grid_db": list(grid),
         "outputs": [path.name],
     })
     return path

@@ -28,7 +28,6 @@ class LossWeights:
 
 def joint_loss(taps: ChainTaps, target, weights: LossWeights, spectral: SpectralParams,
                stage: int, reg_params: list[Tensor] | None = None,
-               acpr_smooth_temp: float | None = None,
                acpr_hinge: bool = False) -> tuple[Tensor, dict[str, float]]:
     """Combine reconstruction, PAPR and spectral objectives for one batch.
 
@@ -52,8 +51,7 @@ def joint_loss(taps: ChainTaps, target, weights: LossWeights, spectral: Spectral
         return l1, parts
 
     l2 = ad.papr_loss(taps.x_f)
-    acpr_gap = ad.acpr_value(taps.x_p, spectral.bw_bins, smooth_temp=acpr_smooth_temp) \
-        - spectral.acpr_req_db
+    acpr_gap = ad.acpr_value(taps.x_p, spectral.bw_bins) - spectral.acpr_req_db
     l3 = ad.relu(acpr_gap) if acpr_hinge else acpr_gap
     total = l1 + weights.lambda2 * l2 + weights.lambda3 * l3
     parts["l2"] = l2.item()

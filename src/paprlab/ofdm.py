@@ -19,8 +19,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateInputError
-
 __all__ = [
     "ConstellationSpec",
     "qam4_constellation",
@@ -29,7 +27,6 @@ __all__ = [
     "ofdm_modulate",
     "ofdm_demodulate",
     "bpf",
-    "power_normalize",
 ]
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -174,12 +171,3 @@ def bpf(wave: np.ndarray, oversampling: int = 4) -> np.ndarray:
     spectrum = np.fft.fft(wave, axis=-1)
     spectrum[..., half:total - half] = 0.0
     return np.fft.ifft(spectrum, axis=-1)
-
-
-def power_normalize(batch: np.ndarray) -> np.ndarray:
-    """Scale a batch by one common real factor so its mean sample power is 1."""
-    batch = np.asarray(batch, dtype=complex)
-    power = np.mean(np.abs(batch) ** 2)
-    if power <= 0.0:
-        raise DegenerateInputError("cannot normalize an all-zero batch")
-    return batch / np.sqrt(power)

@@ -34,7 +34,6 @@ class TrainConfig:
     l2_mode: str = "decoupled"          # "decoupled" (AdamW decay) or "additive"
     snr_min_db: float = 6.0
     snr_max_db: float = 16.0
-    acpr_smooth_temp: float | None = None
     acpr_hinge: bool = False
 
     def __post_init__(self):
@@ -118,7 +117,6 @@ def train(model, cfg: TrainConfig, weights: LossWeights, hpa: HpaParams,
             taps = run_chain(model, x_time, hpa, p_snr_db=p_snr_db, noise_rng=noise_rng)
             loss, parts = joint_loss(taps, blocks, weights, spectral, stage,
                                      reg_params=reg_params,
-                                     acpr_smooth_temp=cfg.acpr_smooth_temp,
                                      acpr_hinge=cfg.acpr_hinge)
             value = loss.item()
             if not math.isfinite(value):

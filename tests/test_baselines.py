@@ -7,7 +7,6 @@ from paprlab.baselines import (
     clip_amplitude,
     clip_filter,
     slm_phase_bank,
-    slm_select,
     slm_select_batch,
 )
 from paprlab.errors import DegenerateInputError
@@ -130,17 +129,17 @@ class TestSlm:
     def test_u1_is_identity(self):
         rng = np.random.default_rng(5)
         block = qam4_map(rng.integers(0, 2, 16))
-        wave, idx = slm_select(block, SlmParams(num_sequences=1), 4)
-        assert idx == 0
-        np.testing.assert_array_equal(wave, ofdm_modulate(block, 4))
+        waves, indices = slm_select_batch(block[None], SlmParams(num_sequences=1), 4)
+        assert indices[0] == 0
+        np.testing.assert_array_equal(waves[0], ofdm_modulate(block, 4))
 
     def test_never_worse_than_identity(self):
         rng = np.random.default_rng(6)
         slm = SlmParams(num_sequences=16, rng_seed=3)
         for _ in range(10):
             block = qam4_map(rng.integers(0, 2, 32))
-            wave, _ = slm_select(block, slm, 4)
-            assert papr(wave) <= papr(ofdm_modulate(block, 4)) + 1e-12
+            waves, _ = slm_select_batch(block[None], slm, 4)
+            assert papr(waves[0]) <= papr(ofdm_modulate(block, 4)) + 1e-12
 
     def test_matches_exhaustive_oracle(self):
         rng = np.random.default_rng(7)
@@ -148,10 +147,10 @@ class TestSlm:
         bank = slm_phase_bank(8, slm)
         for _ in range(20):
             block = qam4_map(rng.integers(0, 2, 16))
-            wave, idx = slm_select(block, slm, 4)
+            waves, indices = slm_select_batch(block[None], slm, 4)
             want_wave, want_idx = oracle_slm(block, bank, 4)
-            assert idx == want_idx
-            np.testing.assert_array_equal(wave, want_wave)
+            assert indices[0] == want_idx
+            np.testing.assert_array_equal(waves[0], want_wave)
 
     def test_phase_bank_entries(self):
         bank = slm_phase_bank(16, SlmParams(num_sequences=8, rng_seed=0))
@@ -168,9 +167,9 @@ class TestSlm:
         rng = np.random.default_rng(8)
         for _ in range(10):
             block = qam4_map(rng.integers(0, 2, 32))
-            wave4, _ = slm_select(block, SlmParams(num_sequences=4, rng_seed=1), 4)
-            wave8, _ = slm_select(block, SlmParams(num_sequences=8, rng_seed=1), 4)
-            assert papr(wave8) <= papr(wave4) + 1e-12
+            wave4, _ = slm_select_batch(block[None], SlmParams(num_sequences=4, rng_seed=1), 4)
+            wave8, _ = slm_select_batch(block[None], SlmParams(num_sequences=8, rng_seed=1), 4)
+            assert papr(wave8[0]) <= papr(wave4[0]) + 1e-12
 
     def test_rotation_preserves_magnitudes(self):
         rng = np.random.default_rng(9)
@@ -183,17 +182,18 @@ class TestSlm:
         bits = rng.integers(0, 2, 64)
         block = qam4_map(bits)
         slm = SlmParams(num_sequences=8, rng_seed=4)
-        wave, idx = slm_select(block, slm, 4)
+        waves, indices = slm_select_batch(block[None], slm, 4)
         bank = slm_phase_bank(32, slm)
-        received = ofdm_demodulate(wave, 4) * np.conj(bank[idx])
+        received = ofdm_demodulate(waves[0], 4) * np.conj(bank[indices[0]])
         np.testing.assert_array_equal(ml_detect(received), bits)
 
     def test_batch_matches_single(self):
         rng = np.random.default_rng(11)
         blocks = qam4_map(rng.integers(0, 2, (30, 16)))
         slm = SlmParams(num_sequences=8, rng_seed=5)
-        waves, indices = slm_select_batch(blocks, slm, 4, chunk=7)
+        bank = slm_phase_bank(8, slm)
+        waves, indices = slm_select_batch(blocks, slm, 4)
         for i in range(len(blocks)):
-            wave, idx = slm_select(blocks[i], slm, 4)
+            wave, idx = oracle_slm(blocks[i], bank, 4)
             assert indices[i] == idx
             np.testing.assert_array_equal(waves[i], wave)

@@ -6,6 +6,7 @@ from gradcheck import numeric_grad, rel_error
 
 from paprlab import autodiff as ad
 from paprlab.chain import run_chain
+from paprlab.channel import complex_noise
 from paprlab.errors import DegenerateInputError
 from paprlab.frontend import HpaParams
 from paprlab.layers import Module
@@ -89,6 +90,17 @@ class TestChainWiring:
         np.testing.assert_array_equal(taps_a.y.data, taps_b.y.data)
         clean = run_chain(stub, x, HpaParams(), p_snr_db=math.inf)
         assert np.any(taps_a.y.data != clean.y.data)
+
+    def test_noise_comes_from_the_channel(self):
+        """The chain adds exactly channel.complex_noise drawn from its generator."""
+        rng_bits = np.random.default_rng(4)
+        x = ofdm_modulate(qam4_map(rng_bits.integers(0, 2, (2, 16))), 4)
+        stub = IdentityCodec(8, 4)
+        hpa = HpaParams()
+        drawn = run_chain(stub, x, hpa, p_snr_db=9.0, noise_rng=np.random.default_rng(5))
+        given = run_chain(stub, x, hpa, p_snr_db=9.0,
+                          noise=complex_noise(x.shape, 9.0, hpa, np.random.default_rng(5)))
+        np.testing.assert_array_equal(drawn.y.data, given.y.data)
 
 
 class TestToyGradientSweep:

@@ -1,9 +1,12 @@
 import hashlib
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from paprlab import harness
+from paprlab.autodiff import Tensor
 from paprlab.config import config_from_dict
 from paprlab.curvefile import read_curve, write_curve
 from paprlab.errors import ConfigError
@@ -216,11 +219,11 @@ def _data_digest(path) -> str:
 # Data rows of the five curve files at tiny_config.  A change to one of these
 # changes a published number; re-pin only on purpose and say why.
 GOLDEN_ROWS = {
-    "ber.csv": "28a865a1d659d7e02ba8595b051e1c935e731dce9a05a832d078bf940aadecd0",
+    "ber.csv": "bb8696119b6d7ef8a2ffe90ae40d3d0c461b96e6fbb00b07bc9e390a9907b84d",
     "ccdf.csv": "7593dbf8871563169d95ab9ea2f595d8cdce08f4d50ea9def75d008806637035",
     "psd.csv": "632a2e4616bcd68b50393efc62b9bf9a90275818eea99e138bd37165e4fc77b2",
     "table.csv": "998d4eab6995253f0671ba302d3570fac61e5ab516caa3a4c151ad68b14182bd",
-    "obo_acpr.csv": "6373a78370e40393f5e2970b63e2f1abe2652892e8614d396867382d75dafb75",
+    "obo_acpr.csv": "ba16239d71451d26fb6197e95e59e5fdeca8c88076d27cf087000fb0067ef056",
 }
 
 
@@ -229,3 +232,45 @@ def test_golden_curve_rows(tmp_path):
     paths = [eval_ber(cfg), eval_ccdf(cfg), eval_psd(cfg), eval_table(cfg)[1],
              eval_obo_vs_acpr(cfg)]
     assert {p.name: _data_digest(p) for p in paths} == GOLDEN_ROWS
+
+
+@pytest.mark.parametrize("command, symbols_key, grid_key", [
+    (eval_ber, "ber_symbols", "p_snr_db"),
+    (eval_ccdf, "ccdf_symbols", None),
+    (eval_psd, "psd_symbols", None),
+    (lambda cfg: eval_table(cfg)[1], "table_symbols", None),
+    (eval_obo_vs_acpr, "table_symbols", "obo_acpr_ibo_db"),
+], ids=["ber", "ccdf", "psd", "table", "obo_acpr"])
+def test_each_batch_is_transmitted_once(tmp_path, monkeypatch, command, symbols_key,
+                                        grid_key):
+    """Symbols transmitted per method are ceil(symbols / batch) * batch,
+    whatever the length of the command's SNR or IBO grid."""
+    counts = Counter()
+    transmit = harness._MethodBank.transmit
+
+    def counting(bank, method, blocks):
+        counts[method] += len(blocks)
+        return transmit(bank, method, blocks)
+
+    monkeypatch.setattr(harness._MethodBank, "transmit", counting)
+    grids = [[8.0], [2.0, 5.0, 8.0]] if grid_key else [None]
+    for grid in grids:
+        counts.clear()
+        overrides = {symbols_key: 450, "batch": 200}
+        if grid_key:
+            overrides[grid_key] = grid
+        command(tiny_config(tmp_path, eval=overrides))
+        assert counts == {m: math.ceil(450 / 200) * 200 for m in ("none", "cf", "slm")}
+
+
+def test_bank_models_record_no_tape(tmp_path):
+    cfg = tiny_config(tmp_path, methods=["none", "cae"],
+                      train={"epochs": 0, "stage1_epochs": 0})
+    ckpt, _ = run_train(cfg, arch="cae")
+    bank = harness._MethodBank(cfg, {"cae": ckpt})
+    x = np.ones((2, 32), dtype=complex)
+    encoded = bank.models["cae"].encode(Tensor(x))
+    assert encoded._backward is None
+    # the tape does not change the numbers
+    reference = load_checkpoint(ckpt).model.eval()
+    np.testing.assert_array_equal(encoded.data, reference.encode(Tensor(x)).data)

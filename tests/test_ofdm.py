@@ -3,13 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from paprlab.errors import DegenerateInputError
 from paprlab.ofdm import (
     bpf,
     ml_detect,
     ofdm_demodulate,
     ofdm_modulate,
-    power_normalize,
     qam4_constellation,
     qam4_map,
 )
@@ -177,28 +175,6 @@ class TestBpf:
         spectrum = np.abs(np.fft.fft(filtered)) ** 2
         out_of_band = spectrum[36:252].sum()
         assert out_of_band < 1e-20 * spectrum.sum()  # < -200 dBc
-
-
-class TestPowerNormalize:
-    def test_unit_power_is_identity(self):
-        rng = np.random.default_rng(11)
-        x = ofdm_modulate(qam4_map(rng.integers(0, 2, (4, 144))), 4)
-        np.testing.assert_allclose(power_normalize(x), x, atol=1e-12)
-
-    def test_scale_invariance(self):
-        rng = np.random.default_rng(12)
-        x = rng.standard_normal((3, 32)) + 1j * rng.standard_normal((3, 32))
-        np.testing.assert_allclose(power_normalize(7 * x), power_normalize(x), atol=1e-12)
-
-    def test_output_power_is_one(self):
-        rng = np.random.default_rng(13)
-        x = 5 * (rng.standard_normal((6, 64)) + 1j * rng.standard_normal((6, 64)))
-        out = power_normalize(x)
-        assert abs(np.mean(np.abs(out) ** 2) - 1.0) < 1e-12
-
-    def test_zero_batch_rejected(self):
-        with pytest.raises(DegenerateInputError):
-            power_normalize(np.zeros((2, 8), dtype=complex))
 
 
 def test_qam_constellation_unit_energy():
