@@ -7,9 +7,9 @@ clipping-and-filtering and selective-mapping baselines, and the metrics
 """
 
 from .baselines import CfParams, SlmParams, clip_filter, slm_select_batch
-from .channel import compensate, complex_noise, noise_std
+from .channel import complex_noise, noise_std
 from .errors import ConfigError, DegenerateInputError, TrainingDivergedError
-from .frontend import HpaParams, bussgang_alpha, rapp_amplify
+from .frontend import HpaParams, bussgang_alpha
 from .losses import LossWeights, joint_loss
 from .metrics import SpectralParams, acpr, ber, ccdf, obo, papr, papr_db, psd
 from .models import CaeModel, FcAeModel, load_checkpoint, save_checkpoint
@@ -28,9 +28,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CfParams", "SlmParams", "clip_filter", "slm_select_batch",
-    "compensate", "complex_noise", "noise_std",
+    "complex_noise", "noise_std",
     "ConfigError", "DegenerateInputError", "TrainingDivergedError",
-    "HpaParams", "bussgang_alpha", "rapp_amplify",
+    "HpaParams", "bussgang_alpha",
     "LossWeights", "joint_loss",
     "SpectralParams", "acpr", "ber", "ccdf", "obo", "papr", "papr_db", "psd",
     "CaeModel", "FcAeModel", "load_checkpoint", "save_checkpoint",

@@ -14,10 +14,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from .ofdm import bpf, ofdm_demodulate
+
 __all__ = [
     "Tensor",
     "parameter",
-    "constant",
     "linear",
     "conv1d",
     "batch_norm",
@@ -135,10 +136,6 @@ class Tensor:
 
 def parameter(data) -> Tensor:
     return Tensor(np.asarray(data, dtype=np.float64), requires_grad=True)
-
-
-def constant(data) -> Tensor:
-    return Tensor(data)
 
 
 def _as_tensor(value) -> Tensor:
@@ -408,33 +405,30 @@ def add_constant(z: Tensor, const: np.ndarray) -> Tensor:
     return _make(z.data + const, (z,), backward)
 
 
-def _project_inband(arr: np.ndarray, n_subcarriers: int) -> np.ndarray:
-    total = arr.shape[-1]
-    half = n_subcarriers // 2
-    spec = np.fft.fft(arr, axis=-1)
-    spec[..., half:total - half] = 0.0
-    return np.fft.ifft(spec, axis=-1)
-
-
-def bandpass(z: Tensor, n_subcarriers: int) -> Tensor:
-    """Differentiable rectangular band-pass projection (self-adjoint)."""
-    def backward(out):
-        def fn():
-            _accumulate(z, _project_inband(out.grad, n_subcarriers))
-        return fn
-    return _make(_project_inband(z.data, n_subcarriers), (z,), backward)
-
-
-def dft_unpad(z: Tensor, n_subcarriers: int) -> Tensor:
-    """Receiver DFT plus out-of-band bin removal: complex (B, LN) -> (B, N)."""
+def _oversampling(z: Tensor, n_subcarriers: int) -> int:
     total = z.data.shape[-1]
     if total % n_subcarriers != 0:
         raise ValueError(f"waveform length {total} is not a multiple of {n_subcarriers}")
+    return total // n_subcarriers
+
+
+def bandpass(z: Tensor, n_subcarriers: int) -> Tensor:
+    """Differentiable :func:`ofdm.bpf`; the projection is self-adjoint."""
+    ell = _oversampling(z, n_subcarriers)
+
+    def backward(out):
+        def fn():
+            _accumulate(z, bpf(out.grad, ell))
+        return fn
+    return _make(bpf(z.data, ell), (z,), backward)
+
+
+def dft_unpad(z: Tensor, n_subcarriers: int) -> Tensor:
+    """Differentiable :func:`ofdm.ofdm_demodulate`: receiver DFT plus
+    out-of-band bin removal, complex (B, LN) -> (B, N)."""
+    ell = _oversampling(z, n_subcarriers)
+    total = z.data.shape[-1]
     half = n_subcarriers // 2
-    ell = total // n_subcarriers
-    scale = 1.0 / (ell * np.sqrt(n_subcarriers))
-    spec = np.fft.fft(z.data, axis=-1) * scale
-    data = np.concatenate([spec[..., :half], spec[..., total - half:]], axis=-1)
 
     def backward(out):
         def fn():
@@ -444,11 +438,15 @@ def dft_unpad(z: Tensor, n_subcarriers: int) -> Tensor:
             padded[..., total - half:] = g[..., half:]
             _accumulate(z, np.fft.ifft(padded, axis=-1) * np.sqrt(n_subcarriers))
         return fn
-    return _make(data, (z,), backward)
+    return _make(ofdm_demodulate(z.data, ell), (z,), backward)
 
 
 def rapp_nonlinearity(z: Tensor, a0: float, v: float, p: float) -> Tensor:
-    """Differentiable RAPP AM/AM stage on a complex tensor."""
+    """Differentiable RAPP AM/AM stage on a complex tensor, phase-preserving.
+
+    Implemented through the squared amplitude so the map stays smooth at the
+    origin, where it reduces to multiplication by the small-signal gain v.
+    """
     u = z.data.real**2 + z.data.imag**2
     w = (v / a0) ** 2
     t = (w * u) ** p

@@ -1,9 +1,10 @@
-"""Differentiable end-to-end transmit chain around an autoencoder model.
+"""The end-to-end chain, one implementation per stage.
 
-The forward pass mirrors the evaluation chain: encoder with unit-power
-output, band-pass filter, input back-off, RAPP amplifier, AWGN, receiver
-compensation by the Bussgang gain, DFT plus out-of-band removal, decoder.
-Noise and the Bussgang gain are treated as constants during backpropagation.
+Training differentiates through :func:`transmit`, :func:`front_end` and
+:func:`receive`, and evaluation runs the same functions on tape-free tensors,
+so a model is judged by the amplifier and receiver it was trained through.
+:func:`run_chain` strings them together with AWGN and the decoder.  Noise and
+the Bussgang gain are treated as constants during backpropagation.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from .autodiff import Tensor
 from .channel import complex_noise
 from .frontend import HpaParams, bussgang_alpha, ibo_scale
 
-__all__ = ["ChainTaps", "run_chain"]
+__all__ = ["ChainTaps", "transmit", "front_end", "receive", "run_chain"]
 
 
 @dataclass
@@ -29,21 +30,38 @@ class ChainTaps:
     the spectral loss, and decoded the reconstruction loss.
     """
 
-    x_in: np.ndarray      # chain input waveform, (B, LN) complex
-    x_enc: Tensor         # encoder output after power normalization
     x_f: Tensor           # band-pass filtered, back-off scaled PA input
     x_p: Tensor           # PA output
-    y: Tensor             # received, Bussgang-compensated waveform
     decoded: Tensor       # reconstructed symbol block, (B, N)
     alpha: complex        # Bussgang gain used by the receiver
-    p_snr_db: float
+
+
+def transmit(model, x: Tensor) -> Tensor:
+    """Encode a (B, L*N) waveform batch and band-limit it to the data bins."""
+    return ad.bandpass(model.encode(x), model.n)
+
+
+def front_end(x: Tensor, hpa: HpaParams, linear_chain: bool = False):
+    """Back-off and RAPP amplifier; returns (x_f, x_p, alpha).
+
+    linear_chain models an ideal amplifier: x_f = x_p = x and alpha = 1.
+    """
+    if linear_chain:
+        return x, x, 1.0 + 0.0j
+    x_f = ad.complex_scale(x, ibo_scale(hpa))
+    x_p = ad.rapp_nonlinearity(x_f, hpa.a0, hpa.v, hpa.p)
+    return x_f, x_p, bussgang_alpha(x_f.data, x_p.data)
+
+
+def receive(received: Tensor, alpha: complex, n_subcarriers: int) -> Tensor:
+    """Divide by the Bussgang gain, then DFT and drop the out-of-band bins."""
+    return ad.dft_unpad(ad.complex_scale(received, 1.0 / alpha), n_subcarriers)
 
 
 def run_chain(model, x_time: np.ndarray, hpa: HpaParams, p_snr_db: float = math.inf,
               noise: np.ndarray | None = None,
               noise_rng: np.random.Generator | None = None,
-              linear_pa: bool = False,
-              alpha_override: complex | None = None) -> ChainTaps:
+              linear_chain: bool = False) -> ChainTaps:
     """Run one batch through encoder, front-end, channel and decoder.
 
     Parameters
@@ -54,9 +72,7 @@ def run_chain(model, x_time: np.ndarray, hpa: HpaParams, p_snr_db: float = math.
     noise : optional pre-drawn complex noise realization (overrides the rng);
         useful for finite-difference checks where the chain must be frozen
     noise_rng : generator used to draw noise when p_snr_db is finite
-    linear_pa : bypass the RAPP nonlinearity (ideal amplifier)
-    alpha_override : use this compensation gain instead of the per-batch
-        estimate (the estimate is a stop-gradient constant either way)
+    linear_chain : ideal amplifier, as in :func:`front_end`
     """
     x_time = np.asarray(x_time, dtype=complex)
     if x_time.ndim != 2 or x_time.shape[1] != model.n * model.oversampling:
@@ -64,26 +80,11 @@ def run_chain(model, x_time: np.ndarray, hpa: HpaParams, p_snr_db: float = math.
             f"expected waveform batch of shape (B, {model.n * model.oversampling}), "
             f"got {x_time.shape}"
         )
-    x_in = ad.constant(x_time)
-    x_enc = model.encode(x_in)
-    x_bpf = ad.bandpass(x_enc, model.n)
-    x_f = ad.complex_scale(x_bpf, ibo_scale(hpa))
-    if linear_pa:
-        x_p = x_f
-    else:
-        x_p = ad.rapp_nonlinearity(x_f, hpa.a0, hpa.v, hpa.p)
-    if alpha_override is not None:
-        alpha = complex(alpha_override)
-    else:
-        alpha = bussgang_alpha(x_f.data, x_p.data)
-
+    x_f, x_p, alpha = front_end(transmit(model, Tensor(x_time)), hpa, linear_chain)
     if noise is None and not math.isinf(p_snr_db):
         if noise_rng is None:
             raise ValueError("noise_rng is required for a finite p_snr_db")
         noise = complex_noise(x_time.shape, p_snr_db, hpa, noise_rng)
     received = ad.add_constant(x_p, noise) if noise is not None else x_p
-    y = ad.complex_scale(received, 1.0 / alpha)
-    symbols = ad.dft_unpad(y, model.n)
-    decoded = model.decode(symbols)
-    return ChainTaps(x_in=x_time, x_enc=x_enc, x_f=x_f, x_p=x_p, y=y,
-                     decoded=decoded, alpha=alpha, p_snr_db=p_snr_db)
+    decoded = model.decode(receive(received, alpha, model.n))
+    return ChainTaps(x_f=x_f, x_p=x_p, decoded=decoded, alpha=alpha)

@@ -1,4 +1,4 @@
-"""AWGN channel parameterized by peak-SNR, and receiver-side gain compensation.
+"""AWGN channel parameterized by peak-SNR.
 
 This module is the only place noise is drawn: the training chain and the BER
 evaluation both call :func:`complex_noise`.
@@ -8,10 +8,9 @@ import math
 
 import numpy as np
 
-from .errors import DegenerateInputError
 from .frontend import HpaParams
 
-__all__ = ["noise_std", "complex_noise", "compensate"]
+__all__ = ["noise_std", "complex_noise"]
 
 
 def noise_std(p_snr_db: float, hpa: HpaParams) -> float:
@@ -38,9 +37,3 @@ def complex_noise(shape, p_snr_db: float, hpa: HpaParams,
     scale = sigma / np.sqrt(2.0)
     return scale * rng.standard_normal(shape) + 1j * (scale * rng.standard_normal(shape))
 
-
-def compensate(wave: np.ndarray, alpha: complex) -> np.ndarray:
-    """Divide every sample by the Bussgang gain alpha."""
-    if alpha == 0:
-        raise DegenerateInputError("compensation gain alpha is zero")
-    return np.asarray(wave, dtype=complex) / alpha

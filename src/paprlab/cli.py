@@ -90,8 +90,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_train = sub.add_parser("train", help="train a model and write its checkpoint")
     p_train.add_argument("--arch", choices=("cae", "fc_ae"), default="cae")
-    p_train.add_argument("--schedule", choices=("gradual", "fixed"),
-                         help="override the loss schedule")
     p_train.add_argument("--tag", help="checkpoint/log name (default: the arch)")
 
     for name, help_text in (
@@ -126,10 +124,6 @@ def main(argv=None) -> int:
 
         config = _resolve_config(args)
         if args.command == "train":
-            if args.schedule:
-                data = config_to_dict(config)
-                data["train"]["schedule"] = args.schedule
-                config = config_from_dict(data)
             def progress(record):
                 print(f"epoch {record.epoch:4d} stage {record.stage} "
                       f"loss {record.loss:.6f} papr {record.mean_papr_db:.2f} dB "
@@ -160,7 +154,7 @@ def main(argv=None) -> int:
         print(f"config error: {err}", file=sys.stderr)
         return 2
     except TrainingDivergedError as err:
-        print(f"training diverged at epoch {err.epoch}", file=sys.stderr)
+        print(f"training diverged: {err}", file=sys.stderr)
         return 3
 
 

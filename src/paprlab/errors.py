@@ -10,11 +10,13 @@ class ConfigError(ValueError):
 
 
 class TrainingDivergedError(RuntimeError):
-    """Training produced a non-finite loss.
+    """Training produced a non-finite signal.
 
-    Carries the zero-based epoch index at which divergence was detected.
+    Carries the zero-based epoch index at which divergence was detected and
+    the name of the first non-finite signal ("x_f", "x_p", "alpha" or "loss").
     """
 
-    def __init__(self, epoch: int, message: str = ""):
+    def __init__(self, epoch: int, signal: str):
         self.epoch = epoch
-        super().__init__(message or f"non-finite loss at epoch {epoch}")
+        self.signal = signal
+        super().__init__(f"non-finite {signal} at epoch {epoch}")

@@ -1,9 +1,12 @@
-"""Nonlinear transmit front-end: input back-off, RAPP amplifier, Bussgang gain.
+"""Parameters and closed forms of the nonlinear transmit front-end.
 
 The RAPP model is a memoryless AM/AM nonlinearity: only the sample amplitude
-is compressed, the phase passes through unchanged.
+is compressed, the phase passes through unchanged.  ``chain.front_end``, the
+one front-end of training and evaluation, applies it as
+``autodiff.rapp_nonlinearity``; :func:`rapp_gain` is its closed form.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,7 +17,6 @@ __all__ = [
     "HpaParams",
     "ibo_scale",
     "rapp_gain",
-    "rapp_amplify",
     "bussgang_alpha",
 ]
 
@@ -50,18 +52,6 @@ def rapp_gain(amplitude: np.ndarray, hpa: HpaParams) -> np.ndarray:
     return hpa.v * a * (1.0 + t) ** (-1.0 / (2.0 * hpa.p))
 
 
-def rapp_amplify(wave: np.ndarray, hpa: HpaParams) -> np.ndarray:
-    """Apply the RAPP nonlinearity per sample, preserving phase.
-
-    Implemented through the squared amplitude so the map stays smooth at the
-    origin, where it reduces to multiplication by the small-signal gain v.
-    """
-    wave = np.asarray(wave, dtype=complex)
-    u = wave.real**2 + wave.imag**2
-    t = ((hpa.v / hpa.a0) ** 2 * u) ** hpa.p
-    return wave * (hpa.v * (1.0 + t) ** (-1.0 / (2.0 * hpa.p)))
-
-
 def bussgang_alpha(x: np.ndarray, x_pa: np.ndarray) -> complex:
     """Empirical Bussgang gain of the amplifier, referenced to its input.
 
@@ -69,12 +59,17 @@ def bussgang_alpha(x: np.ndarray, x_pa: np.ndarray) -> complex:
     nonlinearity alpha is real and equals the least-squares linear gain, so
     dividing the received signal by alpha minimizes the residual distortion
     power E|x_pa - alpha*x|^2.
+
+    A non-finite input batch (a diverged model) gives a NaN gain rather than
+    a division by it.
     """
     x = np.asarray(x, dtype=complex)
     x_pa = np.asarray(x_pa, dtype=complex)
     if x.shape != x_pa.shape:
         raise ValueError(f"input and output batches differ in shape: {x.shape} vs {x_pa.shape}")
     denom = np.mean(np.abs(x) ** 2)
+    if not (np.isfinite(denom) and np.isfinite(x_pa).all()):
+        return complex(math.nan, math.nan)
     if denom <= 0.0:
         raise DegenerateInputError("Bussgang gain is undefined for a zero input batch")
     return complex(np.mean(x * np.conj(x_pa)) / denom)

@@ -4,6 +4,9 @@ Every public function takes an ExperimentConfig, derives its random streams
 from the config seed, and writes byte-reproducible outputs (curve files,
 checkpoints, JSON summaries) into the configured output directory.
 
+Evaluation is the training chain: neural transmit, front-end and receiver
+are the stage functions of :mod:`paprlab.chain`, run on tape-free tensors.
+
 Evaluation runs on one shared batch stream per command: batch bi draws its
 bits from the stream "<command>/data/<bi>" and every method transmits it
 exactly once.  The command's accumulator then reuses those waveforms at every
@@ -23,9 +26,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import Tensor
+from . import chain
+from .autodiff import Tensor, add_constant
 from .baselines import clip_filter, slm_phase_bank, slm_select_batch
-from .channel import compensate, complex_noise
+from .channel import complex_noise
 from .config import (
     NEURAL_METHODS,
     ExperimentConfig,
@@ -35,10 +39,10 @@ from .config import (
 )
 from .curvefile import write_curve, write_summary
 from .errors import ConfigError
-from .frontend import HpaParams, bussgang_alpha, ibo_scale, rapp_amplify
+from .frontend import HpaParams, bussgang_alpha
 from .metrics import ACPR_FLOOR_DB, SpectralParams, acpr, band_bins, ccdf, papr_db, psd
 from .models import CaeModel, FcAeModel, load_checkpoint, save_checkpoint
-from .ofdm import bpf, ml_detect, ofdm_demodulate, ofdm_modulate, qam4_map
+from .ofdm import ml_detect, ofdm_demodulate, ofdm_modulate, qam4_map
 from .seeding import derive_rng, derive_seed
 from .training import train
 
@@ -158,9 +162,7 @@ class _MethodBank:
             return clip_filter(ofdm_modulate(blocks, ell), self.config.cf, ell), None
         if method == "slm":
             return slm_select_batch(blocks, self.config.slm, ell)
-        model = self.models[method]
-        encoded = model.encode(Tensor(ofdm_modulate(blocks, ell))).data
-        return bpf(encoded, ell), None
+        return chain.transmit(self.models[method], Tensor(ofdm_modulate(blocks, ell))).data, None
 
     def receive_bits(self, method: str, symbols: np.ndarray, aux) -> np.ndarray:
         if method in NEURAL_METHODS:
@@ -168,15 +170,6 @@ class _MethodBank:
         elif method == "slm":
             symbols = symbols * np.conj(self.slm_bank[aux])
         return ml_detect(symbols)
-
-
-def _frontend(x_unit: np.ndarray, hpa: HpaParams, linear_chain: bool):
-    """Apply back-off and amplifier; returns (x_f, x_p, alpha)."""
-    if linear_chain:
-        return x_unit, x_unit, 1.0 + 0.0j
-    x_f = x_unit * ibo_scale(hpa)
-    x_p = rapp_amplify(x_f, hpa)
-    return x_f, x_p, bussgang_alpha(x_f, x_p)
 
 
 def _num_batches(total: int, batch: int) -> int:
@@ -213,9 +206,9 @@ def eval_ber(config: ExperimentConfig, checkpoints: dict | None = None) -> Path:
                                 derive_rng(config.seed, f"ber/noise/{pi}/{bi}"))
                   for pi, p_snr in enumerate(ev.p_snr_db)]
         for method, (x_unit, aux) in sent.items():
-            _, x_p, alpha = _frontend(x_unit, config.hpa, ev.linear_chain)
+            _, x_p, alpha = chain.front_end(Tensor(x_unit), config.hpa, ev.linear_chain)
             for pi, noise in enumerate(noises):
-                symbols = ofdm_demodulate(compensate(x_p + noise, alpha), ell)
+                symbols = chain.receive(add_constant(x_p, noise), alpha, n).data
                 decided = bank.receive_bits(method, symbols, aux)
                 errors[method][pi] += int(np.count_nonzero(decided != bits))
 
@@ -254,8 +247,8 @@ def eval_ccdf(config: ExperimentConfig, checkpoints: dict | None = None) -> Path
     values = {m: [] for m in config.methods}
     for _, sent in _batch_stream(config, bank, ev.ccdf_symbols, "ccdf"):
         for method, (x_unit, _) in sent.items():
-            x_f, _, _ = _frontend(x_unit, config.hpa, ev.linear_chain)
-            values[method].append(papr_db(x_f))
+            x_f, _, _ = chain.front_end(Tensor(x_unit), config.hpa, ev.linear_chain)
+            values[method].append(papr_db(x_f.data))
 
     rows = []
     for method in config.methods:
@@ -291,9 +284,9 @@ def _accumulate_spectra(config: ExperimentConfig, bank: _MethodBank, symbols: in
     for _, sent in _batch_stream(config, bank, symbols, label):
         for method, (x_unit, _) in sent.items():
             for i, hpa in enumerate(hpas):
-                x_f, x_p, _ = _frontend(x_unit, hpa, config.eval.linear_chain)
-                psd_sum[i][method] = psd_sum[i][method] + psd(x_p)
-                power_sum[i][method] += float(np.mean(np.abs(x_f) ** 2))
+                x_f, x_p, _ = chain.front_end(Tensor(x_unit), hpa, config.eval.linear_chain)
+                psd_sum[i][method] = psd_sum[i][method] + psd(x_p.data)
+                power_sum[i][method] += float(np.mean(np.abs(x_f.data) ** 2))
     batches = _num_batches(symbols, config.eval.batch)
     spectra = [{m: total / batches for m, total in point.items()} for point in psd_sum]
     powers = [{m: total / batches for m, total in point.items()} for point in power_sum]

@@ -85,8 +85,9 @@ def train(model, cfg: TrainConfig, weights: LossWeights, hpa: HpaParams,
     batch from the configured range.  Deterministic for a given seed: one
     optimizer step per batch, single-threaded reduction order.
 
-    Raises TrainingDivergedError (carrying the epoch index) on the first
-    non-finite loss.
+    Raises TrainingDivergedError, carrying the epoch index and the signal
+    name, on the first non-finite PA input x_f, PA output x_p, Bussgang gain
+    alpha or loss, checked in that order.
     """
     n = model.n
     oversampling = model.oversampling
@@ -115,12 +116,16 @@ def train(model, cfg: TrainConfig, weights: LossWeights, hpa: HpaParams,
             x_time = ofdm_modulate(blocks, oversampling)
             p_snr_db = float(snr_rng.uniform(cfg.snr_min_db, cfg.snr_max_db))
             taps = run_chain(model, x_time, hpa, p_snr_db=p_snr_db, noise_rng=noise_rng)
+            for signal, tap in (("x_f", taps.x_f.data), ("x_p", taps.x_p.data),
+                                ("alpha", taps.alpha)):
+                if not np.all(np.isfinite(tap)):
+                    raise TrainingDivergedError(epoch, signal)
             loss, parts = joint_loss(taps, blocks, weights, spectral, stage,
                                      reg_params=reg_params,
                                      acpr_hinge=cfg.acpr_hinge)
             value = loss.item()
             if not math.isfinite(value):
-                raise TrainingDivergedError(epoch)
+                raise TrainingDivergedError(epoch, "loss")
             loss.backward()
             optimizer.step()
             sums += (value, parts["l1"], parts["l2"], parts["l3"],

@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from paprlab.channel import compensate, complex_noise, noise_std
-from paprlab.errors import DegenerateInputError
+from paprlab.channel import complex_noise, noise_std
 from paprlab.frontend import HpaParams
 
 HPA = HpaParams(a0=1.0)
@@ -55,21 +54,3 @@ class TestAwgn:
         second = complex_noise(64, 5.0, HPA, rng)
         assert np.any(first != second)
 
-
-class TestCompensate:
-    def test_unit_alpha_identity(self):
-        x = np.array([1 + 1j, 2.0])
-        np.testing.assert_array_equal(compensate(x, 1.0), x)
-
-    def test_scalar_division(self):
-        np.testing.assert_allclose(compensate(np.ones(4), 2.0), np.full(4, 0.5))
-
-    def test_inverse_pair(self):
-        rng = np.random.default_rng(12)
-        x = rng.standard_normal(32) + 1j * rng.standard_normal(32)
-        alpha = 0.8 - 0.3j
-        np.testing.assert_allclose(compensate(alpha * x, alpha), x, atol=1e-12)
-
-    def test_zero_alpha_rejected(self):
-        with pytest.raises(DegenerateInputError):
-            compensate(np.ones(4), 0.0)

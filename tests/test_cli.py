@@ -107,7 +107,7 @@ class TestCli:
 
     def test_schedule_override(self, tmp_path):
         cfg = write_tiny_config(tmp_path)
-        assert main(["--config", str(cfg), "train", "--schedule", "fixed",
+        assert main(["--config", str(cfg), "--set", "train.schedule=fixed", "train",
                      "--tag", "cae_fixed"]) == 0
         _, _, rows = read_curve(tmp_path / "out" / "train_cae_fixed.csv")
         assert rows[0][1] == "2"  # stage 2 from the first epoch

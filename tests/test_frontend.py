@@ -1,16 +1,20 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
+from paprlab import autodiff as ad
 from paprlab.errors import DegenerateInputError
-from paprlab.frontend import (
-    HpaParams,
-    bussgang_alpha,
-    ibo_scale,
-    rapp_amplify,
-    rapp_gain,
-)
+from paprlab.frontend import HpaParams, bussgang_alpha, ibo_scale, rapp_gain
 from paprlab.metrics import obo
 from paprlab.ofdm import ofdm_modulate, qam4_map
+
+
+def rapp_amplify(wave, hpa):
+    """The chain's amplifier stage, ad.rapp_nonlinearity, on a plain array."""
+    return ad.rapp_nonlinearity(ad.Tensor(np.asarray(wave, dtype=complex)),
+                                hpa.a0, hpa.v, hpa.p).data
 
 
 class TestHpaParams:
@@ -103,6 +107,15 @@ class TestBussgangAlpha:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="shape"):
             bussgang_alpha(np.zeros(4, complex), np.zeros(5, complex))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_input_gives_nan_without_warning(self, bad):
+        x = np.ones(4, complex)
+        x[1] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            alpha = bussgang_alpha(x, x)
+        assert math.isnan(alpha.real) and math.isnan(alpha.imag)
 
     def test_matches_monte_carlo_oracle(self):
         """Batch estimates agree with a large-sample Gaussian oracle at IBO 3 dB."""

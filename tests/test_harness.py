@@ -5,8 +5,10 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from paprlab import harness
+from paprlab import autodiff as ad
+from paprlab import chain, harness
 from paprlab.autodiff import Tensor
+from paprlab.channel import complex_noise
 from paprlab.config import config_from_dict
 from paprlab.curvefile import read_curve, write_curve
 from paprlab.errors import ConfigError
@@ -20,6 +22,7 @@ from paprlab.harness import (
     run_train,
 )
 from paprlab.models import load_checkpoint
+from paprlab.ofdm import ofdm_modulate, qam4_map
 
 
 def tiny_config(tmp_path, **overrides):
@@ -274,3 +277,28 @@ def test_bank_models_record_no_tape(tmp_path):
     # the tape does not change the numbers
     reference = load_checkpoint(ckpt).model.eval()
     np.testing.assert_array_equal(encoded.data, reference.encode(Tensor(x)).data)
+
+
+@pytest.mark.parametrize("linear_chain", [False, True])
+def test_eval_runs_the_training_chain(tmp_path, linear_chain):
+    """On one batch and one noise draw, the harness path (bank transmit,
+    front_end, receive, decode) equals run_chain bit for bit."""
+    cfg = tiny_config(tmp_path, methods=["cae"])
+    ckpt, _ = run_train(cfg, arch="cae")
+    bank = harness._MethodBank(cfg, {"cae": ckpt})
+    model = bank.models["cae"]
+    n, ell = cfg.system.n_subcarriers, cfg.system.oversampling
+    blocks = qam4_map(np.random.default_rng(3).integers(0, 2, (16, 2 * n)))
+    noise = complex_noise((16, n * ell), 10.0, cfg.hpa, np.random.default_rng(4))
+    taps = chain.run_chain(model, ofdm_modulate(blocks, ell), cfg.hpa, p_snr_db=10.0,
+                           noise=noise, linear_chain=linear_chain)
+
+    x_unit, _ = bank.transmit("cae", blocks)
+    x_f, x_p, alpha = chain.front_end(Tensor(x_unit), cfg.hpa, linear_chain)
+    symbols = chain.receive(ad.add_constant(x_p, noise), alpha, n).data
+    decoded = model.decode(Tensor(symbols)).data
+
+    assert alpha == taps.alpha
+    np.testing.assert_array_equal(x_f.data, taps.x_f.data)
+    np.testing.assert_array_equal(x_p.data, taps.x_p.data)
+    np.testing.assert_array_equal(decoded, taps.decoded.data)

@@ -122,6 +122,8 @@ class TestTrain:
         with pytest.raises(TrainingDivergedError) as err:
             train(model, toy_config(epochs=2), LossWeights(), HPA, SPECTRAL, seed=13)
         assert err.value.epoch == 0
+        assert err.value.signal == "x_f"
+        assert "x_f" in str(err.value)
 
     def test_additive_l2_mode_disables_decay(self):
         model = toy_model(seed=14)
