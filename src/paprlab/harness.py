@@ -191,8 +191,15 @@ def _batch_stream(config: ExperimentConfig, bank: _MethodBank, symbols: int, lab
         yield bits, {method: bank.transmit(method, blocks) for method in config.methods}
 
 
+def _wilson(errors: int, trials: int, z: float = 1.96) -> tuple[float, float]:
+    """Wilson score interval of a binomial rate; its lower end is 0 at 0 errors."""
+    spread = z * math.sqrt(errors * (trials - errors) / trials + z * z / 4.0)
+    center = errors + z * z / 2.0
+    return max(0.0, (center - spread) / (trials + z * z)), (center + spread) / (trials + z * z)
+
+
 def eval_ber(config: ExperimentConfig, checkpoints: dict | None = None) -> Path:
-    """BER vs peak-SNR per method, with binomial confidence half-widths."""
+    """BER vs peak-SNR per method, with 95% Wilson score intervals."""
     bank = _MethodBank(config, checkpoints)
     n = config.system.n_subcarriers
     ell = config.system.oversampling
@@ -215,16 +222,16 @@ def eval_ber(config: ExperimentConfig, checkpoints: dict | None = None) -> Path:
     rows = []
     for pi, p_snr in enumerate(ev.p_snr_db):
         for method in config.methods:
-            p_hat = errors[method][pi] / n_bits
-            half = 1.96 * math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / n_bits)
-            rows.append((float(p_snr), float(p_hat), method, n_bits,
-                         int(errors[method][pi]), float(half)))
+            count = int(errors[method][pi])
+            rows.append((float(p_snr), float(count / n_bits), method, n_bits, count,
+                         *_wilson(count, n_bits)))
     rows.sort(key=lambda r: (r[0], r[2]))
     out = _outdir(config)
     path = write_curve(out / "ber.csv",
                        _meta(config, symbols_per_point=batches * ev.batch,
-                             linear_chain=ev.linear_chain, ci="95% normal approx"),
-                       ["p_snr_db", "ber", "method", "bits", "errors", "ci_halfwidth"], rows)
+                             linear_chain=ev.linear_chain, ci="95% Wilson score"),
+                       ["p_snr_db", "ber", "method", "bits", "errors", "ci_low", "ci_high"],
+                       rows)
     write_summary(out / "ber_summary.json", {
         "command": "eval-ber",
         "build": build_id(),

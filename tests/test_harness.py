@@ -109,12 +109,24 @@ class TestEvals:
         cfg = tiny_config(tmp_path)
         path = eval_ber(cfg)
         meta, columns, rows = read_curve(path)
-        assert columns == ["p_snr_db", "ber", "method", "bits", "errors", "ci_halfwidth"]
+        assert columns == ["p_snr_db", "ber", "method", "bits", "errors", "ci_low", "ci_high"]
         assert len(rows) == 2 * 3  # two points, three methods
         xs = [float(r[0]) for r in rows]
         assert xs == sorted(xs)
         for row in rows:
             assert 0.0 <= float(row[1]) <= 1.0
+
+    def test_ber_wilson_interval_holds_at_zero_errors(self, tmp_path):
+        cfg = tiny_config(tmp_path, eval={"linear_chain": True, "p_snr_db": [-3.0, 40.0]})
+        meta, columns, rows = read_curve(eval_ber(cfg))
+        assert meta["ci"] == "95% Wilson score"
+        col = {name: i for i, name in enumerate(columns)}
+        zero = [r for r in rows if int(r[col["errors"]]) == 0]
+        assert zero and len(zero) < len(rows)
+        for r in zero:
+            assert float(r[col["ci_low"]]) == 0.0 < float(r[col["ci_high"]])
+        for r in rows:
+            assert float(r[col["ci_low"]]) <= float(r[col["ber"]]) <= float(r[col["ci_high"]])
 
     def test_ber_improves_with_snr(self, tmp_path):
         cfg = tiny_config(tmp_path, eval={"p_snr_db": [4.0, 16.0], "ber_symbols": 2000})
@@ -222,7 +234,7 @@ def _data_digest(path) -> str:
 # Data rows of the five curve files at tiny_config.  A change to one of these
 # changes a published number; re-pin only on purpose and say why.
 GOLDEN_ROWS = {
-    "ber.csv": "bb8696119b6d7ef8a2ffe90ae40d3d0c461b96e6fbb00b07bc9e390a9907b84d",
+    "ber.csv": "57c6dd5291aad99371148951a404a3bf3a7a645ed3ae0ff88d63cfc2469b8815",
     "ccdf.csv": "7593dbf8871563169d95ab9ea2f595d8cdce08f4d50ea9def75d008806637035",
     "psd.csv": "632a2e4616bcd68b50393efc62b9bf9a90275818eea99e138bd37165e4fc77b2",
     "table.csv": "998d4eab6995253f0671ba302d3570fac61e5ab516caa3a4c151ad68b14182bd",
