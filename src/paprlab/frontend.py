@@ -60,8 +60,8 @@ def bussgang_alpha(x: np.ndarray, x_pa: np.ndarray) -> complex:
     dividing the received signal by alpha minimizes the residual distortion
     power E|x_pa - alpha*x|^2.
 
-    A non-finite input batch (a diverged model) gives a NaN gain rather than
-    a division by it.
+    A non-finite batch, as from a diverged model, gives a NaN gain without
+    dividing.
     """
     x = np.asarray(x, dtype=complex)
     x_pa = np.asarray(x_pa, dtype=complex)

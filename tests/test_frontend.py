@@ -11,7 +11,7 @@ from paprlab.metrics import obo
 from paprlab.ofdm import ofdm_modulate, qam4_map
 
 
-def rapp_amplify(wave, hpa):
+def amplify(wave, hpa):
     """The chain's amplifier stage, ad.rapp_nonlinearity, on a plain array."""
     return ad.rapp_nonlinearity(ad.Tensor(np.asarray(wave, dtype=complex)),
                                 hpa.a0, hpa.v, hpa.p).data
@@ -77,14 +77,14 @@ class TestRapp:
     def test_phase_preserved(self):
         rng = np.random.default_rng(1)
         x = rng.standard_normal(500) + 1j * rng.standard_normal(500)
-        y = rapp_amplify(x, HpaParams())
+        y = amplify(x, HpaParams())
         np.testing.assert_allclose(np.angle(y), np.angle(x), atol=1e-12)
 
     def test_amplitude_matches_gain_curve(self):
         rng = np.random.default_rng(2)
         x = rng.standard_normal(100) + 1j * rng.standard_normal(100)
         hpa = HpaParams(a0=0.9, v=1.1, p=3.0)
-        np.testing.assert_allclose(np.abs(rapp_amplify(x, hpa)),
+        np.testing.assert_allclose(np.abs(amplify(x, hpa)),
                                    rapp_gain(np.abs(x), hpa), rtol=1e-12)
 
 
@@ -125,14 +125,14 @@ class TestBussgangAlpha:
         rng = np.random.default_rng(5)
         ref = scale * (rng.standard_normal(10 ** 6) + 1j * rng.standard_normal(10 ** 6)) \
             / np.sqrt(2.0)
-        oracle = (np.mean(ref * np.conj(rapp_amplify(ref, hpa)))
+        oracle = (np.mean(ref * np.conj(amplify(ref, hpa)))
                   / np.mean(np.abs(ref) ** 2)).real
 
         estimates = []
         for i in range(40):
             batch_rng = np.random.default_rng(100 + i)
             x = ofdm_modulate(qam4_map(batch_rng.integers(0, 2, (64, 144))), 4) * scale
-            estimates.append(bussgang_alpha(x, rapp_amplify(x, hpa)).real)
+            estimates.append(bussgang_alpha(x, amplify(x, hpa)).real)
         estimates = np.array(estimates)
         tol = 3 * estimates.std(ddof=1) / np.sqrt(len(estimates)) + 3e-4
         assert abs(estimates.mean() - oracle) < tol
@@ -142,7 +142,7 @@ class TestBussgangAlpha:
         rng = np.random.default_rng(6)
         hpa = HpaParams(ibo_db=3.0)
         x = ofdm_modulate(qam4_map(rng.integers(0, 2, (64, 144))), 4) * ibo_scale(hpa)
-        x_pa = rapp_amplify(x, hpa)
+        x_pa = amplify(x, hpa)
         alpha = bussgang_alpha(x, x_pa)
 
         def residual(a):
