@@ -405,30 +405,22 @@ def add_constant(z: Tensor, const: np.ndarray) -> Tensor:
     return _make(z.data + const, (z,), backward)
 
 
-def _oversampling(z: Tensor, n_subcarriers: int) -> int:
-    total = z.data.shape[-1]
-    if total % n_subcarriers != 0:
-        raise ValueError(f"waveform length {total} is not a multiple of {n_subcarriers}")
-    return total // n_subcarriers
-
-
-def bandpass(z: Tensor, n_subcarriers: int) -> Tensor:
+def bandpass(z: Tensor, oversampling: int) -> Tensor:
     """Differentiable :func:`ofdm.bpf`; the projection is self-adjoint."""
-    ell = _oversampling(z, n_subcarriers)
-
     def backward(out):
         def fn():
-            _accumulate(z, bpf(out.grad, ell))
+            _accumulate(z, bpf(out.grad, oversampling))
         return fn
-    return _make(bpf(z.data, ell), (z,), backward)
+    return _make(bpf(z.data, oversampling), (z,), backward)
 
 
-def dft_unpad(z: Tensor, n_subcarriers: int) -> Tensor:
+def dft_unpad(z: Tensor, oversampling: int) -> Tensor:
     """Differentiable :func:`ofdm.ofdm_demodulate`: receiver DFT plus
     out-of-band bin removal, complex (B, LN) -> (B, N)."""
-    ell = _oversampling(z, n_subcarriers)
+    symbols = ofdm_demodulate(z.data, oversampling)
     total = z.data.shape[-1]
-    half = n_subcarriers // 2
+    n = total // oversampling
+    half = n // 2
 
     def backward(out):
         def fn():
@@ -436,9 +428,9 @@ def dft_unpad(z: Tensor, n_subcarriers: int) -> Tensor:
             padded = np.zeros(z.data.shape, dtype=np.complex128)
             padded[..., :half] = g[..., :half]
             padded[..., total - half:] = g[..., half:]
-            _accumulate(z, np.fft.ifft(padded, axis=-1) * np.sqrt(n_subcarriers))
+            _accumulate(z, np.fft.ifft(padded, axis=-1) * np.sqrt(n))
         return fn
-    return _make(ofdm_demodulate(z.data, ell), (z,), backward)
+    return _make(symbols, (z,), backward)
 
 
 def rapp_nonlinearity(z: Tensor, a0: float, v: float, p: float) -> Tensor:

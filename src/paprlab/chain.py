@@ -38,7 +38,7 @@ class ChainTaps:
 
 def transmit(model, x: Tensor) -> Tensor:
     """Encode a (B, L*N) waveform batch and band-limit it to the data bins."""
-    return ad.bandpass(model.encode(x), model.n)
+    return ad.bandpass(model.encode(x), model.oversampling)
 
 
 def front_end(x: Tensor, hpa: HpaParams, linear_chain: bool = False):
@@ -53,9 +53,9 @@ def front_end(x: Tensor, hpa: HpaParams, linear_chain: bool = False):
     return x_f, x_p, bussgang_alpha(x_f.data, x_p.data)
 
 
-def receive(received: Tensor, alpha: complex, n_subcarriers: int) -> Tensor:
+def receive(received: Tensor, alpha: complex, oversampling: int) -> Tensor:
     """Divide by the Bussgang gain, then DFT and drop the out-of-band bins."""
-    return ad.dft_unpad(ad.complex_scale(received, 1.0 / alpha), n_subcarriers)
+    return ad.dft_unpad(ad.complex_scale(received, 1.0 / alpha), oversampling)
 
 
 def run_chain(model, x_time: np.ndarray, hpa: HpaParams, p_snr_db: float = math.inf,
@@ -86,5 +86,5 @@ def run_chain(model, x_time: np.ndarray, hpa: HpaParams, p_snr_db: float = math.
             raise ValueError("noise_rng is required for a finite p_snr_db")
         noise = complex_noise(x_time.shape, p_snr_db, hpa, noise_rng)
     received = ad.add_constant(x_p, noise) if noise is not None else x_p
-    decoded = model.decode(receive(received, alpha, model.n))
+    decoded = model.decode(receive(received, alpha, model.oversampling))
     return ChainTaps(x_f=x_f, x_p=x_p, decoded=decoded, alpha=alpha)

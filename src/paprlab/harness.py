@@ -191,8 +191,9 @@ def _batch_stream(config: ExperimentConfig, bank: _MethodBank, symbols: int, lab
         yield bits, {method: bank.transmit(method, blocks) for method in config.methods}
 
 
-def _wilson(errors: int, trials: int, z: float = 1.96) -> tuple[float, float]:
-    """Wilson score interval of a binomial rate; its lower end is 0 at 0 errors."""
+def _wilson(errors: int, trials: int) -> tuple[float, float]:
+    """95% Wilson score interval of a binomial rate; its lower end is 0 at 0 errors."""
+    z = 1.96
     spread = z * math.sqrt(errors * (trials - errors) / trials + z * z / 4.0)
     center = errors + z * z / 2.0
     return max(0.0, (center - spread) / (trials + z * z)), (center + spread) / (trials + z * z)
@@ -215,7 +216,7 @@ def eval_ber(config: ExperimentConfig, checkpoints: dict | None = None) -> Path:
         for method, (x_unit, aux) in sent.items():
             _, x_p, alpha = chain.front_end(Tensor(x_unit), config.hpa, ev.linear_chain)
             for pi, noise in enumerate(noises):
-                symbols = chain.receive(add_constant(x_p, noise), alpha, n).data
+                symbols = chain.receive(add_constant(x_p, noise), alpha, ell).data
                 decided = bank.receive_bits(method, symbols, aux)
                 errors[method][pi] += int(np.count_nonzero(decided != bits))
 

@@ -246,7 +246,7 @@ class TestChainOps:
     def test_bandpass_matches_ofdm_bpf(self):
         from paprlab.ofdm import bpf
         z = RNG.standard_normal((3, 32)) + 1j * RNG.standard_normal((3, 32))
-        out = ad.bandpass(Tensor(z), 8)
+        out = ad.bandpass(Tensor(z), 4)
         np.testing.assert_allclose(out.data, bpf(z, 4), atol=1e-13)
 
     def test_bandpass_grad(self):
@@ -256,7 +256,7 @@ class TestChainOps:
     def test_dft_unpad_matches_demodulate(self):
         from paprlab.ofdm import ofdm_demodulate
         z = RNG.standard_normal((3, 32)) + 1j * RNG.standard_normal((3, 32))
-        out = ad.dft_unpad(Tensor(z), 8)
+        out = ad.dft_unpad(Tensor(z), 4)
         np.testing.assert_allclose(out.data, ofdm_demodulate(z, 4), atol=1e-13)
 
     def test_dft_unpad_grad(self):

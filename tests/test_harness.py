@@ -307,7 +307,7 @@ def test_eval_runs_the_training_chain(tmp_path, linear_chain):
 
     x_unit, _ = bank.transmit("cae", blocks)
     x_f, x_p, alpha = chain.front_end(Tensor(x_unit), cfg.hpa, linear_chain)
-    symbols = chain.receive(ad.add_constant(x_p, noise), alpha, n).data
+    symbols = chain.receive(ad.add_constant(x_p, noise), alpha, ell).data
     decoded = model.decode(Tensor(symbols)).data
 
     assert alpha == taps.alpha
