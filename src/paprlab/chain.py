@@ -3,8 +3,10 @@
 Training differentiates through :func:`transmit`, :func:`front_end` and
 :func:`receive`, and evaluation runs the same functions on tape-free tensors,
 so a model is judged by the amplifier and receiver it was trained through.
-:func:`run_chain` strings them together with AWGN and the decoder.  Noise and
-the Bussgang gain are treated as constants during backpropagation.
+:func:`pa_input` is the front-end's back-off alone, for callers that need only
+the amplifier input.  :func:`run_chain` strings the stages together with AWGN
+and the decoder.  Noise and the Bussgang gain are treated as constants during
+backpropagation.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from .autodiff import Tensor
 from .channel import complex_noise
 from .frontend import HpaParams, bussgang_alpha, ibo_scale
 
-__all__ = ["ChainTaps", "transmit", "front_end", "receive", "run_chain"]
+__all__ = ["ChainTaps", "transmit", "pa_input", "front_end", "receive", "run_chain"]
 
 
 @dataclass
@@ -41,14 +43,20 @@ def transmit(model, x: Tensor) -> Tensor:
     return ad.bandpass(model.encode(x), model.oversampling)
 
 
+def pa_input(x: Tensor, hpa: HpaParams, linear_chain: bool = False) -> Tensor:
+    """The amplifier input x_f: x backed off to the IBO, or x itself when
+    linear_chain models an ideal amplifier."""
+    return x if linear_chain else ad.complex_scale(x, ibo_scale(hpa))
+
+
 def front_end(x: Tensor, hpa: HpaParams, linear_chain: bool = False):
     """Back-off and RAPP amplifier; returns (x_f, x_p, alpha).
 
     linear_chain models an ideal amplifier: x_f = x_p = x and alpha = 1.
     """
+    x_f = pa_input(x, hpa, linear_chain)
     if linear_chain:
-        return x, x, 1.0 + 0.0j
-    x_f = ad.complex_scale(x, ibo_scale(hpa))
+        return x_f, x_f, 1.0 + 0.0j
     x_p = ad.rapp_nonlinearity(x_f, hpa.a0, hpa.v, hpa.p)
     return x_f, x_p, bussgang_alpha(x_f.data, x_p.data)
 

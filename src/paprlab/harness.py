@@ -255,7 +255,7 @@ def eval_ccdf(config: ExperimentConfig, checkpoints: dict | None = None) -> Path
     values = {m: [] for m in config.methods}
     for _, sent in _batch_stream(config, bank, ev.ccdf_symbols, "ccdf"):
         for method, (x_unit, _) in sent.items():
-            x_f, _, _ = chain.front_end(Tensor(x_unit), config.hpa, ev.linear_chain)
+            x_f = chain.pa_input(Tensor(x_unit), config.hpa, ev.linear_chain)
             values[method].append(papr_db(x_f.data))
 
     rows = []
@@ -428,7 +428,7 @@ def run_selftest() -> list[tuple[str, bool, str]]:
     """Fast property battery: numerical bedrock and closed-form anchors."""
     from . import autodiff as ad
     from .models import transmitter_conv_weight_count
-    from .optim import adamw_update
+    from .optim import AdamW, adamw_update
 
     rng = np.random.default_rng(7)
     results = []
@@ -485,5 +485,10 @@ def run_selftest() -> list[tuple[str, bool, str]]:
     theta, _, _ = adamw_update(np.array([1.0]), np.zeros(1), np.zeros(1), np.zeros(1),
                                step=1, lr=0.1, weight_decay=0.5)
     check("adamw_decay_signature", abs(theta[0] - 0.95) < 1e-15)
+
+    trained = ad.parameter(np.array([1.0]))
+    trained.grad = np.zeros(1)
+    AdamW([trained], lr=0.1, weight_decay=0.5).step()
+    check("adamw_step_matches_oracle", trained.data[0] == theta[0], f"theta={trained.data[0]!r}")
 
     return results

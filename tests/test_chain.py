@@ -74,6 +74,15 @@ class TestChainWiring:
         # PA compresses peaks: output power strictly below input power
         assert np.mean(np.abs(taps.x_p.data) ** 2) < np.mean(np.abs(taps.x_f.data) ** 2)
 
+    @pytest.mark.parametrize("linear_chain", [False, True])
+    def test_pa_input_is_front_end_x_f(self, linear_chain):
+        rng = np.random.default_rng(5)
+        x = ad.Tensor(ofdm_modulate(qam4_map(rng.integers(0, 2, (3, 16))), 4))
+        hpa = HpaParams(ibo_db=3.0)
+        x_f = chain.pa_input(x, hpa, linear_chain)
+        np.testing.assert_array_equal(x_f.data, chain.front_end(x, hpa, linear_chain)[0].data)
+        assert (x_f is x) == linear_chain
+
     def test_noise_requires_rng(self):
         stub = IdentityCodec(8, 4)
         x = ofdm_modulate(qam4_map(np.zeros((1, 16), dtype=int)), 4)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from paprlab.autodiff import parameter
-from paprlab.optim import AdamW, adamw_update
+from paprlab.optim import _BLOCK, AdamW, adamw_update
 
 
 class TestAdamWUpdate:
@@ -67,21 +67,47 @@ class TestAdamWClass:
         opt.step()
         np.testing.assert_allclose(a.data, [4.0 * (1 - 0.5 * 0.2)])
 
-    def test_matches_functional_reference(self):
+    @pytest.mark.parametrize("shape", [(7,), (3 * _BLOCK + 5,), (5, 3)],
+                             ids=["n7", "three_blocks_plus_5", "5x3"])
+    def test_matches_functional_reference(self, shape):
+        """Bit-identical to adamw_update in theta, m and v, including a
+        parameter spanning several blocks and one that never gets a grad."""
         rng = np.random.default_rng(1)
-        data = rng.standard_normal(7)
-        p = parameter(data.copy())
-        opt = AdamW([p], lr=0.02, weight_decay=0.03)
-        ref_theta = data.copy()
-        ref_m = np.zeros(7)
-        ref_v = np.zeros(7)
+        data = rng.standard_normal(shape)
+        idle = rng.standard_normal(4)
+        p, q = parameter(data.copy()), parameter(idle.copy())
+        opt = AdamW([p, q], lr=0.02, weight_decay=0.03)
+        ref = [(data.copy(), np.zeros(shape), np.zeros(shape)),
+               (idle.copy(), np.zeros(4), np.zeros(4))]
         for step in range(1, 6):
-            grad = rng.standard_normal(7)
-            p.grad = grad.copy()
+            grad = rng.standard_normal(shape)
+            p.grad, q.grad = grad.copy(), None
             opt.step()
-            ref_theta, ref_m, ref_v = adamw_update(ref_theta, grad, ref_m, ref_v,
-                                                   step=step, lr=0.02, weight_decay=0.03)
-        np.testing.assert_allclose(p.data, ref_theta, atol=1e-15)
+            ref = [adamw_update(theta, g, m, v, step=step, lr=0.02, weight_decay=0.03)
+                   for (theta, m, v), g in zip(ref, (grad, np.zeros(4)))]
+        for i, (t, (theta, m, v)) in enumerate(zip((p, q), ref)):
+            np.testing.assert_array_equal(t.data, theta)
+            np.testing.assert_array_equal(opt.m[i], m)
+            np.testing.assert_array_equal(opt.v[i], v)
+
+    def test_non_contiguous_parameter_raises(self):
+        p = parameter(np.zeros((4, 3)))
+        opt = AdamW([p], lr=0.1)
+        p.data = np.asfortranarray(np.ones((4, 3)))
+        p.grad = np.ones((4, 3))
+        with pytest.raises(ValueError):
+            opt.step()
+
+    def test_state_dict_is_a_snapshot(self):
+        p = parameter(np.ones(3))
+        opt = AdamW([p], lr=0.1)
+        p.grad = np.ones(3)
+        opt.step()
+        state = opt.state_dict()
+        m, v = state["m"][0].copy(), state["v"][0].copy()
+        opt.step()
+        np.testing.assert_array_equal(state["m"][0], m)
+        np.testing.assert_array_equal(state["v"][0], v)
 
     def test_state_dict_roundtrip(self):
         p = parameter(np.ones(3))
