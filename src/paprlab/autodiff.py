@@ -46,6 +46,10 @@ SELU_ALPHA = 1.6732632423543772848170429916717
 
 _LOG10 = np.log(10.0)
 
+# Elements in conv1d's column buffer (2 MiB of float64).  Blocks of samples
+# are lowered into it one at a time, so no full-batch column copy exists.
+_COL_BLOCK = 1 << 18
+
 
 class Tensor:
     """A node in the reverse-mode graph wrapping a numpy array."""
@@ -142,15 +146,19 @@ def _as_tensor(value) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(np.asarray(value, dtype=np.float64))
 
 
+def _needs_grad(t: Tensor) -> bool:
+    return t.requires_grad or t._backward is not None
+
+
 def _accumulate(t: Tensor, g: np.ndarray):
-    if t.requires_grad or t._backward is not None:
+    if _needs_grad(t):
         t.grad = g if t.grad is None else t.grad + g
 
 
 def _make(data, parents, backward) -> Tensor:
     """Create a graph node; records the tape only when a parent needs it."""
     out = Tensor(data)
-    if any(p.requires_grad or p._backward is not None for p in parents):
+    if any(_needs_grad(p) for p in parents):
         out.requires_grad = any(p.requires_grad for p in parents)
         out._parents = tuple(parents)
         out._backward = backward(out)
@@ -217,14 +225,28 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 
 def selu(x: Tensor) -> Tensor:
-    pos = x.data > 0
-    expm = np.exp(np.minimum(x.data, 0.0)) - 1.0
-    data = SELU_SCALE * np.where(pos, x.data, SELU_ALPHA * expm)
+    """SCALE * (max(x, 0) + ALPHA * (exp(min(x, 0)) - 1)), built in place."""
+    data = np.minimum(x.data, 0.0)
+    np.exp(data, out=data)
+    data -= 1.0
+    data *= SELU_ALPHA
+    data += np.maximum(x.data, 0.0)
+    data *= SELU_SCALE
 
     def backward(out):
         def fn():
-            local = SELU_SCALE * np.where(pos, 1.0, SELU_ALPHA * (expm + 1.0))
-            _accumulate(x, out.grad * local)
+            # slope SCALE * (ALPHA * (expm + 1) if x <= 0 else 1); expm is
+            # recomputed rather than kept on the tape, and the 1 is taken off
+            # and added back so the slope rounds as it always has
+            local = np.minimum(x.data, 0.0)
+            np.exp(local, out=local)
+            local -= 1.0
+            local += 1.0
+            local *= SELU_ALPHA
+            np.putmask(local, x.data > 0, 1.0)
+            local *= SELU_SCALE
+            local *= out.grad
+            _accumulate(x, local)
         return fn
     return _make(data, (x,), backward)
 
@@ -248,11 +270,24 @@ def sq_norm(x: Tensor) -> Tensor:
     return _make(np.sum(x.data * x.data), (x,), backward)
 
 
+def _fill_columns(col: np.ndarray, x: np.ndarray, taps) -> np.ndarray:
+    """Lower the samples x (n, C, L) into col (>= n, C, K, Lout) and return
+    them as (n, C*K, Lout) columns.  Each tap copies one shifted slice; the
+    entries that fall in the zero padding are never written, so they keep the
+    zeros the buffer was created with."""
+    n = x.shape[0]
+    for kk, t0, t1, shift in taps:
+        col[:n, :, kk, t0:t1] = x[:, :, t0 + shift:t1 + shift]
+    return col[:n].reshape(n, -1, col.shape[3])
+
+
 def conv1d(x: Tensor, w: Tensor, b: Tensor, padding: int = 2) -> Tensor:
     """1-D cross-correlation with zero padding and stride 1.
 
     x: (B, C, L); w: (O, C, K); b: (O,).  Output length is L + 2*padding - K + 1.
-    Lowered to an im2col matmul so both passes ride BLAS.
+    Blocks of samples are lowered into one column buffer of at most
+    _COL_BLOCK elements, and each sample runs its own (O, C*K) @ (C*K, Lout)
+    GEMM, so a sample's output does not depend on the batch it came in.
     """
     if x.data.ndim != 3 or w.data.ndim != 3:
         raise ValueError("conv1d expects x of shape (B, C, L) and w of shape (O, C, K)")
@@ -262,26 +297,42 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor, padding: int = 2) -> Tensor:
         )
     batch, channels, length = x.data.shape
     out_ch, _, k = w.data.shape
-    xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding))) if padding else x.data
     out_len = length + 2 * padding - k + 1
-    windows = np.lib.stride_tricks.sliding_window_view(xp, k, axis=2)  # (B, C, Lout, K)
-    xcol = np.ascontiguousarray(windows.transpose(0, 2, 1, 3)).reshape(
-        batch, out_len, channels * k)
+    if out_len < 1:
+        raise ValueError(f"kernel of {k} does not fit an input of {length} padded by {padding}")
+    # output t of tap kk reads input t + kk - padding; [t0, t1) keeps it inside x
+    taps = [(kk, max(0, padding - kk), min(out_len, length + padding - kk), kk - padding)
+            for kk in range(k)]
+    per_block = max(1, min(batch, _COL_BLOCK // (channels * k * out_len)))
     wmat = w.data.reshape(out_ch, channels * k)
-    data = np.ascontiguousarray((xcol @ wmat.T + b.data).transpose(0, 2, 1))
+    col = np.zeros((per_block, channels, k, out_len))
+    data = np.empty((batch, out_ch, out_len))
+    for lo in range(0, batch, per_block):
+        hi = min(lo + per_block, batch)
+        np.matmul(wmat, _fill_columns(col, x.data[lo:hi], taps), out=data[lo:hi])
+        data[lo:hi] += b.data[:, None]
+    need_gx = _needs_grad(x)
 
     def backward(out):
         def fn():
             g = out.grad                                  # (B, O, Lout)
             _accumulate(b, g.sum(axis=(0, 2)))
-            gt = np.ascontiguousarray(g.transpose(0, 2, 1)).reshape(-1, out_ch)
-            gw = gt.T @ xcol.reshape(-1, channels * k)
+            cols = np.zeros((per_block, channels, k, out_len))
+            gw = np.zeros((out_ch, channels * k))
+            if need_gx:
+                gcol = np.empty_like(cols)
+                gx = np.zeros(x.data.shape)
+            for lo in range(0, batch, per_block):
+                hi = min(lo + per_block, batch)
+                xcol = _fill_columns(cols, x.data[lo:hi], taps)
+                gw += np.matmul(g[lo:hi], xcol.transpose(0, 2, 1)).sum(axis=0)
+                if need_gx:
+                    np.matmul(wmat.T, g[lo:hi], out=gcol[:hi - lo].reshape(xcol.shape))
+                    for kk, t0, t1, shift in taps:
+                        gx[lo:hi, :, t0 + shift:t1 + shift] += gcol[:hi - lo, :, kk, t0:t1]
             _accumulate(w, gw.reshape(out_ch, channels, k))
-            gcol = (gt @ wmat).reshape(batch, out_len, channels, k)
-            gxp = np.zeros((batch, channels, length + 2 * padding))
-            for kk in range(k):
-                gxp[:, :, kk:kk + out_len] += gcol[:, :, :, kk].transpose(0, 2, 1)
-            _accumulate(x, gxp[:, :, padding:padding + length] if padding else gxp)
+            if need_gx:
+                _accumulate(x, gx)
         return fn
     return _make(data, (x, w, b), backward)
 
@@ -296,35 +347,51 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
     """
     if x.data.ndim != 3:
         raise ValueError("batch_norm expects input of shape (B, C, L)")
+    axes = (0, 2)
+    n = x.data.shape[0] * x.data.shape[2]
+    # backward needs xhat; without a tape the affine step overwrites it
+    taped = any(_needs_grad(t) for t in (x, gamma, beta))
+    data = np.empty(x.data.shape) if taped else None
     if training:
         if x.data.shape[0] < 2:
             raise ValueError("batch normalization needs a batch of at least 2 in training mode")
-        mean = x.data.mean(axis=(0, 2))
-        var = x.data.var(axis=(0, 2))
+        mean = x.data.mean(axis=axes)
+        xhat = x.data - mean[:, None]
+        # the reduction np.var runs: the sum of squared deviations over n
+        var = np.square(xhat, out=data).sum(axis=axes) / n
         running_mean *= 1.0 - momentum
         running_mean += momentum * mean
         running_var *= 1.0 - momentum
         running_var += momentum * var
     else:
-        mean = running_mean
+        xhat = x.data - running_mean[:, None]
         var = running_var
     inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mean[:, None]) * inv_std[:, None]
-    data = gamma.data[:, None] * xhat + beta.data[:, None]
+    xhat *= inv_std[:, None]
+    if taped:
+        np.multiply(gamma.data[:, None], xhat, out=data)
+    else:
+        data = xhat
+        data *= gamma.data[:, None]
+    data += beta.data[:, None]
 
     def backward(out):
         def fn():
             g = out.grad
-            _accumulate(beta, g.sum(axis=(0, 2)))
-            _accumulate(gamma, (g * xhat).sum(axis=(0, 2)))
-            gxhat = g * gamma.data[:, None]
+            g_sum = g.sum(axis=axes)
+            gx = g * xhat
+            g_xhat_sum = gx.sum(axis=axes)
+            _accumulate(beta, g_sum)
+            _accumulate(gamma, g_xhat_sum)
+            scale = (gamma.data * inv_std)[:, None]
             if training:
-                n = x.data.shape[0] * x.data.shape[2]
-                s1 = gxhat.sum(axis=(0, 2))
-                s2 = (gxhat * xhat).sum(axis=(0, 2))
-                gx = inv_std[:, None] / n * (n * gxhat - s1[:, None] - xhat * s2[:, None])
+                # (gamma * inv_std) * (g - sum(g)/n - xhat * sum(g * xhat)/n)
+                np.multiply(xhat, (g_xhat_sum / n)[:, None], out=gx)
+                np.subtract(g, gx, out=gx)
+                gx -= (g_sum / n)[:, None]
+                gx *= scale
             else:
-                gx = gxhat * inv_std[:, None]
+                np.multiply(g, scale, out=gx)
             _accumulate(x, gx)
         return fn
     return _make(data, (x, gamma, beta), backward)

@@ -63,10 +63,17 @@ class Module:
     def eval(self):
         return self.train(False)
 
+    def named_state(self):
+        """(name, live array) for every parameter, then every buffer."""
+        for name, p in self.named_parameters():
+            yield name, p.data
+        yield from self.named_buffers()
+
     def state_dict(self) -> dict[str, np.ndarray]:
-        state = {name: p.data for name, p in self.named_parameters()}
-        state.update({name: buf for name, buf in self.named_buffers()})
-        return state
+        """Copies of the parameters and buffers.  AdamW updates parameters in
+        place and batch norm its running statistics, so live arrays would
+        not stay a snapshot."""
+        return {name: array.copy() for name, array in self.named_state()}
 
     def load_state_dict(self, state: dict[str, np.ndarray]):
         expected = dict(self.named_parameters())

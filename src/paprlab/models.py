@@ -193,7 +193,8 @@ def save_checkpoint(path, model, optimizer=None, epoch: int = 0, seed: int | Non
         "seed": seed,
         "extra": extra_meta or {},
     }
-    arrays = {"state/" + name: arr for name, arr in model.state_dict().items()}
+    # written at once, so the live arrays need no snapshot copy
+    arrays = {"state/" + name: arr for name, arr in model.named_state()}
     if optimizer is not None:
         opt_state = optimizer.state_dict()
         meta["optimizer"] = {"step": opt_state["step"]}

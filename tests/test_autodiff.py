@@ -1,6 +1,7 @@
 """Gradient and value checks for the autodiff engine, layer by layer."""
 
 import numpy as np
+import oracle_ops
 import pytest
 from gradcheck import numeric_grad, rel_error
 
@@ -83,11 +84,15 @@ class TestEngineBasics:
 
 class TestActivations:
     def test_selu_values(self):
-        x = Tensor(np.array([0.0, 1.0, -1000.0]))
+        x = Tensor(np.array([0.0, 1.0, -1000.0, -0.0, np.inf, -np.inf]))
         out = ad.selu(x).data
         assert out[0] == 0.0
         assert out[1] == pytest.approx(1.0507, abs=1e-4)
         assert out[2] == pytest.approx(-1.7581, abs=1e-4)
+        assert out[3] == 0.0 and not np.signbit(out[3])
+        assert out[4] == np.inf
+        assert out[5] == ad.SELU_SCALE * (ad.SELU_ALPHA * -1.0)
+        np.testing.assert_array_equal(out, oracle_ops.selu(x).data)
 
     def test_selu_grad(self):
         x = RNG.standard_normal((4, 7)) * 2

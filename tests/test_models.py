@@ -111,6 +111,23 @@ class TestCheckpoint:
         for m_got, m_want in zip(ck.optimizer_state["m"], opt.m):
             np.testing.assert_array_equal(m_got, m_want)
 
+    def test_state_dict_is_a_snapshot(self):
+        model = small_cae(seed=2)
+        state = model.state_dict()
+        before = {name: array.copy() for name, array in state.items()}
+        rng = np.random.default_rng(5)
+        x = ofdm_modulate(qam4_map(rng.integers(0, 2, (8, 16))), 4)
+        model.encode(Tensor(x))  # training mode: updates the BN running stats
+        opt = AdamW(model.parameters(), lr=1e-3)
+        for p in model.parameters():
+            p.grad = np.ones_like(p.data)
+        opt.step()
+        assert not np.array_equal(model.encoder.conv1.w.data, before["encoder.conv1.w"])
+        assert not np.array_equal(model.encoder.bn1.running_mean,
+                                  before["encoder.bn1.running_mean"])
+        for name, array in state.items():
+            np.testing.assert_array_equal(array, before[name], err_msg=name)
+
     def test_same_model_writes_identical_bytes(self, tmp_path):
         model = small_cae(seed=5)
         p1, p2 = tmp_path / "a.npz", tmp_path / "b.npz"
