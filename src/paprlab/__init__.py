@@ -13,15 +13,8 @@ from .frontend import HpaParams, bussgang_alpha
 from .losses import LossWeights, joint_loss
 from .metrics import SpectralParams, acpr, ber, ccdf, obo, papr, papr_db, psd
 from .models import CaeModel, FcAeModel, load_checkpoint, save_checkpoint
-from .ofdm import (
-    ConstellationSpec,
-    bpf,
-    ml_detect,
-    ofdm_demodulate,
-    ofdm_modulate,
-    qam4_constellation,
-    qam4_map,
-)
+from .ofdm import (QAM4_LABELS, QAM4_POINTS, bpf, ml_detect, ofdm_demodulate, ofdm_modulate,
+                   qam4_map)
 from .training import TrainConfig, train
 
 __version__ = "0.1.0"
@@ -34,8 +27,8 @@ __all__ = [
     "LossWeights", "joint_loss",
     "SpectralParams", "acpr", "ber", "ccdf", "obo", "papr", "papr_db", "psd",
     "CaeModel", "FcAeModel", "load_checkpoint", "save_checkpoint",
-    "ConstellationSpec", "bpf", "ml_detect", "ofdm_demodulate", "ofdm_modulate",
-    "qam4_constellation", "qam4_map",
+    "QAM4_LABELS", "QAM4_POINTS", "bpf", "ml_detect", "ofdm_demodulate", "ofdm_modulate",
+    "qam4_map",
     "TrainConfig", "train",
     "__version__",
 ]

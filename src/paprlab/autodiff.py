@@ -23,13 +23,10 @@ __all__ = [
     "conv1d",
     "batch_norm",
     "selu",
-    "relu",
     "reshape",
     "sq_norm",
     "interleaved_to_complex",
     "complex_to_interleaved",
-    "channels_to_complex",
-    "complex_to_channels",
     "complex_scale",
     "add_constant",
     "bandpass",
@@ -77,11 +74,13 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.real) if self.data.ndim == 0 else float(self.data)
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     def backward(self):
-        """Backpropagate from a scalar node through the recorded tape."""
+        """Backpropagate from a scalar node through the recorded tape.
+
+        The tape is freed as the walk proceeds: each node drops its closure
+        and parents once its gradient has been passed on, so the graph needs
+        no garbage-collector pass.  A second call on the same graph raises.
+        """
         if self.data.size != 1:
             raise ValueError("backward() requires a scalar node")
         topo: list[Tensor] = []
@@ -102,9 +101,12 @@ class Tensor:
         for node in topo:
             node.grad = None
         self.grad = np.ones_like(self.data, dtype=np.float64)
-        for node in reversed(topo):
+        while topo:
+            node = topo.pop()
             if node._backward is not None:
                 node._backward()
+                node._backward = _spent
+                node._parents = ()
 
     # -- arithmetic -------------------------------------------------------
 
@@ -136,6 +138,10 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
+
+
+def _spent():
+    raise RuntimeError("backward() already ran through this graph, which freed it")
 
 
 def parameter(data) -> Tensor:
@@ -249,16 +255,6 @@ def selu(x: Tensor) -> Tensor:
             _accumulate(x, local)
         return fn
     return _make(data, (x,), backward)
-
-
-def relu(x: Tensor) -> Tensor:
-    pos = x.data > 0
-
-    def backward(out):
-        def fn():
-            _accumulate(x, out.grad * pos)
-        return fn
-    return _make(np.where(pos, x.data, 0.0), (x,), backward)
 
 
 def sq_norm(x: Tensor) -> Tensor:
@@ -423,28 +419,6 @@ def complex_to_interleaved(z: Tensor) -> Tensor:
     def backward(out):
         def fn():
             _accumulate(z, out.grad[..., 0::2] + 1j * out.grad[..., 1::2])
-        return fn
-    return _make(data, (z,), backward)
-
-
-def channels_to_complex(x: Tensor) -> Tensor:
-    """Real (B, 2, M) with re/im channels -> complex (B, M)."""
-    data = x.data[:, 0, :] + 1j * x.data[:, 1, :]
-
-    def backward(out):
-        def fn():
-            _accumulate(x, np.stack([out.grad.real, out.grad.imag], axis=1))
-        return fn
-    return _make(data, (x,), backward)
-
-
-def complex_to_channels(z: Tensor) -> Tensor:
-    """Complex (B, M) -> real (B, 2, M) with re/im channels."""
-    data = np.stack([z.data.real, z.data.imag], axis=1)
-
-    def backward(out):
-        def fn():
-            _accumulate(z, out.grad[:, 0, :] + 1j * out.grad[:, 1, :])
         return fn
     return _make(data, (z,), backward)
 

@@ -42,11 +42,8 @@ NEURAL_METHODS = ("cae", "fc_ae")
 class SystemConfig:
     n_subcarriers: int = 72
     oversampling: int = 4
-    constellation: str = "qam4"
 
     def __post_init__(self):
-        if self.constellation != "qam4":
-            raise ValueError(f"only the qam4 constellation is wired up, got {self.constellation!r}")
         if self.oversampling < 3:
             raise ValueError("oversampling must be >= 3 so the adjacent bands fit the spectrum")
 
@@ -55,10 +52,6 @@ class SystemConfig:
 class ModelConfig:
     enc_channels: tuple[int, int] = (13, 11)
     dec_channels: tuple[int, int] = (11, 13)
-    kernel: int = 3
-    padding: int = 2
-    activation: str = "selu"
-    complex_layout: str = "interleaved"
     fc_hidden: tuple[int, int] = (2500, 3500)
 
 

@@ -81,11 +81,10 @@ def build_model_from_config(config: ExperimentConfig, arch: str):
     if arch == "cae":
         return CaeModel(n_subcarriers=sys_cfg.n_subcarriers, oversampling=sys_cfg.oversampling,
                         enc_channels=mdl.enc_channels, dec_channels=mdl.dec_channels,
-                        layout=mdl.complex_layout, activation=mdl.activation,
-                        kernel=mdl.kernel, padding=mdl.padding, seed=init_seed)
+                        seed=init_seed)
     if arch == "fc_ae":
         return FcAeModel(n_subcarriers=sys_cfg.n_subcarriers, oversampling=sys_cfg.oversampling,
-                         hidden=mdl.fc_hidden, activation=mdl.activation, seed=init_seed)
+                         hidden=mdl.fc_hidden, seed=init_seed)
     raise ConfigError(f"unknown architecture {arch!r} (expected 'cae' or 'fc_ae')")
 
 

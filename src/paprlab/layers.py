@@ -7,15 +7,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 
-__all__ = ["Module", "Linear", "Conv1d", "BatchNorm1d", "activation_fn"]
-
-
-def activation_fn(name: str):
-    if name == "selu":
-        return ad.selu
-    if name == "relu":
-        return ad.relu
-    raise ValueError(f"unknown activation {name!r} (expected 'selu' or 'relu')")
+__all__ = ["Module", "Linear", "Conv1d", "BatchNorm1d"]
 
 
 class Module:
@@ -99,10 +91,15 @@ def _lecun_normal(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
     return rng.standard_normal(shape) / np.sqrt(fan_in)
 
 
+def _weight(rng: np.random.Generator | None, shape, fan_in: int) -> Tensor:
+    """A LeCun-normal weight; with rng None an unset one, for a checkpoint to fill."""
+    return ad.parameter(np.empty(shape) if rng is None else _lecun_normal(rng, shape, fan_in))
+
+
 class Linear(Module):
-    def __init__(self, in_features: int, out_features: int, rng: np.random.Generator):
+    def __init__(self, in_features: int, out_features: int, rng: np.random.Generator | None):
         super().__init__()
-        self.w = ad.parameter(_lecun_normal(rng, (in_features, out_features), in_features))
+        self.w = _weight(rng, (in_features, out_features), in_features)
         self.b = ad.parameter(np.zeros(out_features))
 
     def __call__(self, x: Tensor) -> Tensor:
@@ -110,12 +107,11 @@ class Linear(Module):
 
 
 class Conv1d(Module):
-    def __init__(self, in_channels: int, out_channels: int, rng: np.random.Generator,
+    def __init__(self, in_channels: int, out_channels: int, rng: np.random.Generator | None,
                  kernel_size: int = 3, padding: int = 2):
         super().__init__()
         self.padding = padding
-        fan_in = in_channels * kernel_size
-        self.w = ad.parameter(_lecun_normal(rng, (out_channels, in_channels, kernel_size), fan_in))
+        self.w = _weight(rng, (out_channels, in_channels, kernel_size), in_channels * kernel_size)
         self.b = ad.parameter(np.zeros(out_channels))
 
     def __call__(self, x: Tensor) -> Tensor:

@@ -15,7 +15,12 @@ __all__ = ["LossWeights", "joint_loss"]
 @dataclass(frozen=True)
 class LossWeights:
     """Loss hyper-parameters: lambda1 scales the L2 weight penalty inside the
-    reconstruction term, lambda2 the PAPR term, lambda3 the spectral term."""
+    reconstruction term, lambda2 the PAPR term, lambda3 the spectral term.
+
+    lambda1 acts only under ``TrainConfig.l2_mode = "additive"``.  Under the
+    default "decoupled" mode no penalty is added to the loss, and AdamW's
+    ``weight_decay`` is the only regulariser.
+    """
 
     lambda1: float = 1e-4
     lambda2: float = 0.004
@@ -27,8 +32,8 @@ class LossWeights:
 
 
 def joint_loss(taps: ChainTaps, target, weights: LossWeights, spectral: SpectralParams,
-               stage: int, reg_params: list[Tensor] | None = None,
-               acpr_hinge: bool = False) -> tuple[Tensor, dict[str, float]]:
+               stage: int, reg_params: list[Tensor] | None = None
+               ) -> tuple[Tensor, dict[str, float]]:
     """Combine reconstruction, PAPR and spectral objectives for one batch.
 
     Stage 1 uses the reconstruction term only; stage 2 adds the weighted PAPR
@@ -51,8 +56,7 @@ def joint_loss(taps: ChainTaps, target, weights: LossWeights, spectral: Spectral
         return l1, parts
 
     l2 = ad.papr_loss(taps.x_f)
-    acpr_gap = ad.acpr_value(taps.x_p, spectral.bw_bins) - spectral.acpr_req_db
-    l3 = ad.relu(acpr_gap) if acpr_hinge else acpr_gap
+    l3 = ad.acpr_value(taps.x_p, spectral.bw_bins) - spectral.acpr_req_db
     total = l1 + weights.lambda2 * l2 + weights.lambda3 * l3
     parts["l2"] = l2.item()
     parts["l3"] = l3.item()

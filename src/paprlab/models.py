@@ -1,10 +1,9 @@
 """Autoencoder transmitter/receiver models and checkpoint I/O.
 
-Complex waveforms enter the networks as real tensors.  The default
-"interleaved" layout lays re/im pairs along a single channel (length 2M),
-which keeps the first transmitter convolution at one input channel and its
-two conv layers at 468 weights for the stock channel sizes; the alternative
-"channels" layout uses two channels of length M.
+Complex waveforms enter the networks as real tensors with re/im pairs
+interleaved along a single channel (length 2M).  This keeps the first
+transmitter convolution at one input channel and its two conv layers at 468
+weights for the stock channel sizes.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .layers import BatchNorm1d, Conv1d, Linear, Module, activation_fn
+from .layers import BatchNorm1d, Conv1d, Linear, Module
 
 __all__ = [
     "CaeModel",
@@ -29,85 +28,83 @@ __all__ = [
     "Checkpoint",
 ]
 
-CHECKPOINT_FORMAT = 1
+CHECKPOINT_FORMAT = 2
+
+# Every conv layer: kernel 3, zero padding 2, so each one grows its input by 2.
+_KERNEL = 3
+_PADDING = 2
 
 
 class _ConvCoder(Module):
-    """Two conv+BN+activation stages followed by a linear layer, on complex data."""
+    """Two conv+BN+SELU stages followed by a linear layer, on complex data."""
 
-    def __init__(self, seq_len: int, channels: tuple[int, int], rng: np.random.Generator,
-                 layout: str = "interleaved", activation: str = "selu",
-                 kernel: int = 3, padding: int = 2):
+    def __init__(self, seq_len: int, channels, rng: np.random.Generator | None):
         super().__init__()
-        if layout not in ("interleaved", "channels"):
-            raise ValueError(f"unknown complex layout {layout!r}")
         self.seq_len = seq_len
-        self.layout = layout
-        self.act = activation_fn(activation)
-        in_channels = 1 if layout == "interleaved" else 2
-        base_len = 2 * seq_len if layout == "interleaved" else seq_len
-        grown = base_len + 2 * (2 * padding - kernel + 1)
-        self.conv1 = Conv1d(in_channels, channels[0], rng, kernel, padding)
+        grown = 2 * seq_len + 2 * (2 * _PADDING - _KERNEL + 1)
+        self.conv1 = Conv1d(1, channels[0], rng, _KERNEL, _PADDING)
         self.bn1 = BatchNorm1d(channels[0])
-        self.conv2 = Conv1d(channels[0], channels[1], rng, kernel, padding)
+        self.conv2 = Conv1d(channels[0], channels[1], rng, _KERNEL, _PADDING)
         self.bn2 = BatchNorm1d(channels[1])
         self.fc = Linear(channels[1] * grown, 2 * seq_len, rng)
 
     def __call__(self, z: Tensor) -> Tensor:
         batch = z.shape[0]
-        if self.layout == "interleaved":
-            x = ad.reshape(ad.complex_to_interleaved(z), (batch, 1, 2 * self.seq_len))
-        else:
-            x = ad.complex_to_channels(z)
-        x = self.act(self.bn1(self.conv1(x)))
-        x = self.act(self.bn2(self.conv2(x)))
-        x = self.fc(ad.reshape(x, (batch, -1)))
-        if self.layout == "interleaved":
-            return ad.interleaved_to_complex(x)
-        return ad.channels_to_complex(ad.reshape(x, (batch, 2, self.seq_len)))
+        x = ad.reshape(ad.complex_to_interleaved(z), (batch, 1, 2 * self.seq_len))
+        x = ad.selu(self.bn1(self.conv1(x)))
+        x = ad.selu(self.bn2(self.conv2(x)))
+        return ad.interleaved_to_complex(self.fc(ad.reshape(x, (batch, -1))))
 
 
 class _FcCoder(Module):
     """Fully connected stack on complex data, interleaved real layout."""
 
-    def __init__(self, seq_len: int, hidden: tuple[int, int], rng: np.random.Generator,
-                 activation: str = "selu"):
+    def __init__(self, seq_len: int, hidden, rng: np.random.Generator | None):
         super().__init__()
-        self.seq_len = seq_len
-        self.act = activation_fn(activation)
         self.fc1 = Linear(2 * seq_len, hidden[0], rng)
         self.fc2 = Linear(hidden[0], hidden[1], rng)
         self.fc3 = Linear(hidden[1], 2 * seq_len, rng)
 
     def __call__(self, z: Tensor) -> Tensor:
         x = ad.complex_to_interleaved(z)
-        x = self.act(self.fc1(x))
-        x = self.act(self.fc2(x))
+        x = ad.selu(self.fc1(x))
+        x = ad.selu(self.fc2(x))
         return ad.interleaved_to_complex(self.fc3(x))
 
 
-class CaeModel(Module):
+class _Autoencoder(Module):
+    """An encoder/decoder pair built from its descriptor arguments.
+
+    With rng None no weight is drawn: the weights stay unset until
+    load_state_dict fills them.
+    """
+
+    def __init__(self, args: dict[str, Any], rng: np.random.Generator | None):
+        super().__init__()
+        self.n = args["n_subcarriers"]
+        self.oversampling = args["oversampling"]
+        self._args = args
+        self.encoder, self.decoder = self._coders(rng)
+
+    def descriptor(self) -> dict[str, Any]:
+        return {"kind": self.kind, **self._args}
+
+
+class CaeModel(_Autoencoder):
     """Convolutional autoencoder: waveform-domain encoder, symbol-domain decoder."""
 
     kind = "cae"
 
     def __init__(self, n_subcarriers: int = 72, oversampling: int = 4,
                  enc_channels: tuple[int, int] = (13, 11),
-                 dec_channels: tuple[int, int] = (11, 13),
-                 layout: str = "interleaved", activation: str = "selu",
-                 kernel: int = 3, padding: int = 2, seed: int = 0):
-        super().__init__()
-        self.n = n_subcarriers
-        self.oversampling = oversampling
-        self._args = dict(n_subcarriers=n_subcarriers, oversampling=oversampling,
-                          enc_channels=list(enc_channels), dec_channels=list(dec_channels),
-                          layout=layout, activation=activation, kernel=kernel,
-                          padding=padding, seed=seed)
-        rng = np.random.default_rng(seed)
-        self.encoder = _ConvCoder(n_subcarriers * oversampling, tuple(enc_channels), rng,
-                                  layout, activation, kernel, padding)
-        self.decoder = _ConvCoder(n_subcarriers, tuple(dec_channels), rng,
-                                  layout, activation, kernel, padding)
+                 dec_channels: tuple[int, int] = (11, 13), seed: int = 0):
+        super().__init__(dict(n_subcarriers=n_subcarriers, oversampling=oversampling,
+                              enc_channels=list(enc_channels), dec_channels=list(dec_channels),
+                              seed=seed), np.random.default_rng(seed))
+
+    def _coders(self, rng):
+        return (_ConvCoder(self.n * self.oversampling, self._args["enc_channels"], rng),
+                _ConvCoder(self.n, self._args["dec_channels"], rng))
 
     def encode(self, z: Tensor) -> Tensor:
         """Time waveform -> unit-mean-power transmit waveform."""
@@ -117,26 +114,20 @@ class CaeModel(Module):
         """Received symbol block -> reconstructed symbol block."""
         return self.decoder(z)
 
-    def descriptor(self) -> dict[str, Any]:
-        return {"kind": self.kind, **self._args}
 
-
-class FcAeModel(Module):
+class FcAeModel(_Autoencoder):
     """Fully connected autoencoder ablation with the same chain interface."""
 
     kind = "fc_ae"
 
     def __init__(self, n_subcarriers: int = 72, oversampling: int = 4,
-                 hidden: tuple[int, int] = (2500, 3500), activation: str = "selu",
-                 seed: int = 0):
-        super().__init__()
-        self.n = n_subcarriers
-        self.oversampling = oversampling
-        self._args = dict(n_subcarriers=n_subcarriers, oversampling=oversampling,
-                          hidden=list(hidden), activation=activation, seed=seed)
-        rng = np.random.default_rng(seed)
-        self.encoder = _FcCoder(n_subcarriers * oversampling, tuple(hidden), rng, activation)
-        self.decoder = _FcCoder(n_subcarriers, tuple(hidden), rng, activation)
+                 hidden: tuple[int, int] = (2500, 3500), seed: int = 0):
+        super().__init__(dict(n_subcarriers=n_subcarriers, oversampling=oversampling,
+                              hidden=list(hidden), seed=seed), np.random.default_rng(seed))
+
+    def _coders(self, rng):
+        return (_FcCoder(self.n * self.oversampling, self._args["hidden"], rng),
+                _FcCoder(self.n, self._args["hidden"], rng))
 
     def encode(self, z: Tensor) -> Tensor:
         return ad.power_norm(self.encoder(z))
@@ -144,22 +135,17 @@ class FcAeModel(Module):
     def decode(self, z: Tensor) -> Tensor:
         return self.decoder(z)
 
-    def descriptor(self) -> dict[str, Any]:
-        return {"kind": self.kind, **self._args}
-
 
 def build_model(descriptor: dict[str, Any]):
-    """Reconstruct a model from its checkpoint descriptor."""
-    args = {k: v for k, v in descriptor.items() if k != "kind"}
-    for key in ("enc_channels", "dec_channels", "hidden"):
-        if key in args:
-            args[key] = tuple(args[key])
-    kind = descriptor.get("kind")
-    if kind == "cae":
-        return CaeModel(**args)
-    if kind == "fc_ae":
-        return FcAeModel(**args)
-    raise ValueError(f"unknown model kind {kind!r}")
+    """A model of a checkpoint descriptor, its weights unset for
+    load_state_dict to fill: no weight is drawn."""
+    kinds = {cls.kind: cls for cls in (CaeModel, FcAeModel)}
+    cls = kinds.get(descriptor.get("kind"))
+    if cls is None:
+        raise ValueError(f"unknown model kind {descriptor.get('kind')!r}")
+    model = cls.__new__(cls)
+    _Autoencoder.__init__(model, {k: v for k, v in descriptor.items() if k != "kind"}, None)
+    return model
 
 
 def transmitter_conv_weight_count(model: CaeModel) -> int:

@@ -9,19 +9,17 @@ Conventions fixed here and relied on by the rest of the package:
 
 * the inverse transform carries a 1/sqrt(N) factor, the forward transform the
   matching 1/(L*sqrt(N)), so that modulate/demodulate is an exact inverse pair
-  and a unit-energy constellation yields unit mean sample power for any L;
+  and unit-energy 4-QAM symbols yield unit mean sample power for any L;
 * the N data subcarriers occupy the centered bins of the length L*N spectrum:
   symbols [0, N/2) ride the nonnegative-frequency bins [0, N/2) and symbols
   [N/2, N) the negative-frequency bins [L*N - N/2, L*N).
 """
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 __all__ = [
-    "ConstellationSpec",
-    "qam4_constellation",
+    "QAM4_POINTS",
+    "QAM4_LABELS",
     "qam4_map",
     "ml_detect",
     "ofdm_modulate",
@@ -29,41 +27,14 @@ __all__ = [
     "bpf",
 ]
 
-_INV_SQRT2 = 1.0 / np.sqrt(2.0)
+# Gray-labelled 4-QAM with unit mean energy:
+# 00->(1+j)/sqrt2, 01->(-1+j)/sqrt2, 11->(-1-j)/sqrt2, 10->(1-j)/sqrt2.
+QAM4_POINTS = np.array([1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j]) * (1.0 / np.sqrt(2.0))
+QAM4_LABELS = np.array([[0, 0], [0, 1], [1, 1], [1, 0]], dtype=np.int64)
+QAM4_POINTS.flags.writeable = False
+QAM4_LABELS.flags.writeable = False
 
-
-@dataclass(frozen=True)
-class ConstellationSpec:
-    """A finite constellation with Gray bit labels and unit average energy."""
-
-    points: np.ndarray            # (M,) complex
-    labels: np.ndarray            # (M, bits_per_symbol) ints in {0, 1}
-    name: str = field(default="", compare=False)
-
-    def __post_init__(self):
-        points = np.asarray(self.points, dtype=complex)
-        labels = np.asarray(self.labels, dtype=np.int64)
-        if labels.shape[0] != points.shape[0]:
-            raise ValueError("labels and points must have the same length")
-        energy = np.mean(np.abs(points) ** 2)
-        if abs(energy - 1.0) > 1e-12:
-            raise ValueError(f"constellation mean energy is {energy}, expected 1")
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "labels", labels)
-
-    @property
-    def bits_per_symbol(self) -> int:
-        return self.labels.shape[1]
-
-
-def qam4_constellation() -> ConstellationSpec:
-    """Gray-labelled 4-QAM: 00->(1+j)/sqrt2, 01->(-1+j)/sqrt2, 11->(-1-j)/sqrt2, 10->(1-j)/sqrt2."""
-    points = np.array([1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j]) * _INV_SQRT2
-    labels = np.array([[0, 0], [0, 1], [1, 1], [1, 0]])
-    return ConstellationSpec(points=points, labels=labels, name="qam4")
-
-
-# Bit pair (b0, b1) -> point index in qam4_constellation().points.
+# Bit pair (b0, b1) -> point index in QAM4_POINTS.
 _QAM4_INDEX = np.array([[0, 1], [3, 2]])
 
 
@@ -84,13 +55,13 @@ def qam4_map(bits: np.ndarray) -> np.ndarray:
     if bits.size and not np.isin(bits, (0, 1)).all():
         raise ValueError("bits must be 0 or 1")
     idx = _QAM4_INDEX[bits[..., 0::2], bits[..., 1::2]]
-    return qam4_constellation().points[idx]
+    return QAM4_POINTS[idx]
 
 
-def ml_detect(estimates: np.ndarray, constellation: ConstellationSpec | None = None) -> np.ndarray:
-    """Nearest-point symbol decision, returning the bit labels.
+def ml_detect(estimates: np.ndarray) -> np.ndarray:
+    """Nearest-point 4-QAM decision, returning the Gray bit labels.
 
-    Ties are broken toward the lowest constellation index.
+    Ties are broken toward the lowest index in QAM4_POINTS.
 
     Parameters
     ----------
@@ -98,14 +69,12 @@ def ml_detect(estimates: np.ndarray, constellation: ConstellationSpec | None = N
 
     Returns
     -------
-    int array of shape (..., N * bits_per_symbol)
+    int array of shape (..., 2*N)
     """
-    if constellation is None:
-        constellation = qam4_constellation()
     estimates = np.asarray(estimates, dtype=complex)
-    dist = np.abs(estimates[..., None] - constellation.points)
+    dist = np.abs(estimates[..., None] - QAM4_POINTS)
     idx = np.argmin(dist, axis=-1)
-    bits = constellation.labels[idx]                     # (..., N, bps)
+    bits = QAM4_LABELS[idx]                              # (..., N, 2)
     return bits.reshape(*estimates.shape[:-1], -1)
 
 

@@ -34,7 +34,6 @@ class TrainConfig:
     l2_mode: str = "decoupled"          # "decoupled" (AdamW decay) or "additive"
     snr_min_db: float = 6.0
     snr_max_db: float = 16.0
-    acpr_hinge: bool = False
 
     def __post_init__(self):
         if self.schedule not in ("gradual", "fixed"):
@@ -120,9 +119,7 @@ def train(model, cfg: TrainConfig, weights: LossWeights, hpa: HpaParams,
                                 ("alpha", taps.alpha)):
                 if not np.all(np.isfinite(tap)):
                     raise TrainingDivergedError(epoch, signal)
-            loss, parts = joint_loss(taps, blocks, weights, spectral, stage,
-                                     reg_params=reg_params,
-                                     acpr_hinge=cfg.acpr_hinge)
+            loss, parts = joint_loss(taps, blocks, weights, spectral, stage, reg_params=reg_params)
             value = loss.item()
             if not math.isfinite(value):
                 raise TrainingDivergedError(epoch, "loss")

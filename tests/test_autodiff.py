@@ -1,5 +1,8 @@
 """Gradient and value checks for the autodiff engine, layer by layer."""
 
+import gc
+import weakref
+
 import numpy as np
 import oracle_ops
 import pytest
@@ -81,6 +84,30 @@ class TestEngineBasics:
         with pytest.raises(ValueError):
             (x * 2.0).backward()
 
+    def test_backward_frees_the_tape(self):
+        # without a cycle collector, only dropping each closure frees the graph
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            x = Tensor(RNG.standard_normal((4, 5)), requires_grad=True)
+            hidden = ad.selu(x * 2.0)
+            ref = weakref.ref(hidden.data)
+            loss = ad.sq_norm(hidden)
+            del hidden
+            loss.backward()
+            assert ref() is None
+            assert x.grad is not None
+        finally:
+            if was_enabled:
+                gc.enable()
+
+    def test_second_backward_raises(self):
+        x = Tensor(np.array([3.0]), requires_grad=True)
+        loss = ad.sq_norm(x * x)
+        loss.backward()
+        with pytest.raises(RuntimeError, match="already ran"):
+            loss.backward()
+
 
 class TestActivations:
     def test_selu_values(self):
@@ -97,10 +124,6 @@ class TestActivations:
     def test_selu_grad(self):
         x = RNG.standard_normal((4, 7)) * 2
         check_grad(lambda t: ad.sq_norm(ad.selu(t)), [x])
-
-    def test_relu_grad(self):
-        x = RNG.standard_normal((4, 7)) + 0.1
-        check_grad(lambda t: ad.sq_norm(ad.relu(t)), [x])
 
 
 class TestConv1d:
@@ -214,19 +237,9 @@ class TestComplexBridging:
         back = ad.interleaved_to_complex(x)
         np.testing.assert_array_equal(back.data, z)
 
-    def test_channels_roundtrip(self):
-        z = RNG.standard_normal((3, 8)) + 1j * RNG.standard_normal((3, 8))
-        x = ad.complex_to_channels(Tensor(z))
-        assert x.data.shape == (3, 2, 8)
-        np.testing.assert_array_equal(ad.channels_to_complex(x).data, z)
-
     def test_interleaved_grads(self):
         z = RNG.standard_normal((2, 4)) + 1j * RNG.standard_normal((2, 4))
         check_grad(lambda t: scalarize(ad.complex_to_interleaved(t)), [z])
-
-    def test_channels_grads(self):
-        z = RNG.standard_normal((2, 4)) + 1j * RNG.standard_normal((2, 4))
-        check_grad(lambda t: scalarize(ad.complex_to_channels(t)), [z])
 
     def test_real_to_complex_grads(self):
         x = RNG.standard_normal((2, 8))

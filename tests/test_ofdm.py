@@ -4,11 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from paprlab.ofdm import (
+    QAM4_LABELS,
+    QAM4_POINTS,
     bpf,
     ml_detect,
     ofdm_demodulate,
     ofdm_modulate,
-    qam4_constellation,
     qam4_map,
 )
 
@@ -178,6 +179,11 @@ class TestBpf:
 
 
 def test_qam_constellation_unit_energy():
-    spec = qam4_constellation()
-    assert spec.bits_per_symbol == 2
-    assert abs(np.mean(np.abs(spec.points) ** 2) - 1.0) < 1e-15
+    assert QAM4_POINTS.shape == (4,) and QAM4_LABELS.shape == (4, 2)
+    assert abs(np.mean(np.abs(QAM4_POINTS) ** 2) - 1.0) < 1e-15
+    # the labels are the bits qam4_map sends to each point, and Gray-coded:
+    # neighbouring points differ in one bit
+    np.testing.assert_array_equal(qam4_map(QAM4_LABELS.reshape(-1)), QAM4_POINTS)
+    assert all(np.sum(QAM4_LABELS[i] != QAM4_LABELS[(i + 1) % 4]) == 1 for i in range(4))
+    with pytest.raises(ValueError):
+        QAM4_POINTS[0] = 0
