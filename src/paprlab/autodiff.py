@@ -1,16 +1,22 @@
 """Reverse-mode automatic differentiation over numpy arrays.
 
 A small tape-based engine specialized for training the autoencoder through
-the fixed transmit chain.  Tensors hold float64 or complex128 data; for
-complex tensors the gradient buffer packs the two real partials of the scalar
-loss as dL/dRe + 1j*dL/dIm, which makes the backward rule of any
-complex-linear stage simply its conjugate-transpose.
+the fixed transmit chain.  Tensors hold float32/complex64 data as given and
+coerce anything else to float64/complex128, the reference precision of
+gradient checks and evaluation.  Every op computes its output and gradients
+in the precision of its inputs, and a constant an op receives (a scalar, a
+noise draw, a target) is cast to that precision, so a float32 graph stays
+float32 end to end.  For complex tensors the gradient buffer packs the two
+real partials of the scalar loss as dL/dRe + 1j*dL/dIm, which makes the
+backward rule of any complex-linear stage simply its conjugate-transpose.
 
 The graph is built only along paths that require gradients, so inference on
 frozen models adds no tape overhead.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -41,11 +47,14 @@ __all__ = [
 SELU_SCALE = 1.0507009873554804934193349852946
 SELU_ALPHA = 1.6732632423543772848170429916717
 
-_LOG10 = np.log(10.0)
+_LOG10 = math.log(10.0)
 
-# Elements in conv1d's column buffer (2 MiB of float64).  Blocks of samples
-# are lowered into it one at a time, so no full-batch column copy exists.
+# Elements in conv1d's column buffer (2 MiB at float64, 1 MiB at float32).
+# Blocks of samples are lowered into it one at a time, so no full-batch column
+# copy exists.
 _COL_BLOCK = 1 << 18
+
+_KEPT_DTYPES = (np.float32, np.complex64)
 
 
 class Tensor:
@@ -54,10 +63,11 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False):
-        if np.iscomplexobj(data):
-            self.data = np.asarray(data, dtype=np.complex128)
-        else:
-            self.data = np.asarray(data, dtype=np.float64)
+        data = np.asarray(data)
+        if data.dtype not in _KEPT_DTYPES:
+            data = data.astype(np.complex128 if np.iscomplexobj(data) else np.float64,
+                               copy=False)
+        self.data = data
         self.grad = None
         self.requires_grad = requires_grad
         self._parents = ()
@@ -100,7 +110,7 @@ class Tensor:
                     stack.append((parent, False))
         for node in topo:
             node.grad = None
-        self.grad = np.ones_like(self.data, dtype=np.float64)
+        self.grad = np.ones(self.data.shape, dtype=self.data.real.dtype)
         while topo:
             node = topo.pop()
             if node._backward is not None:
@@ -111,7 +121,7 @@ class Tensor:
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other):
-        return _add(self, _as_tensor(other))
+        return _add(self, _as_tensor(other, self))
 
     __radd__ = __add__
 
@@ -119,10 +129,10 @@ class Tensor:
         return _mul_scalar(self, -1.0)
 
     def __sub__(self, other):
-        return _add(self, _mul_scalar(_as_tensor(other), -1.0))
+        return _add(self, _mul_scalar(_as_tensor(other, self), -1.0))
 
     def __rsub__(self, other):
-        return _add(_as_tensor(other), _mul_scalar(self, -1.0))
+        return _add(_as_tensor(other, self), _mul_scalar(self, -1.0))
 
     def __mul__(self, other):
         if isinstance(other, Tensor):
@@ -148,8 +158,12 @@ def parameter(data) -> Tensor:
     return Tensor(np.asarray(data, dtype=np.float64), requires_grad=True)
 
 
-def _as_tensor(value) -> Tensor:
-    return value if isinstance(value, Tensor) else Tensor(np.asarray(value, dtype=np.float64))
+def _as_tensor(value, like: Tensor) -> Tensor:
+    """value as a node; a real constant takes like's precision, since a
+    float64 0-d array would promote a float32 operand."""
+    if isinstance(value, Tensor):
+        return value
+    return Tensor(np.asarray(value, dtype=like.data.real.dtype))
 
 
 def _needs_grad(t: Tensor) -> bool:
@@ -301,8 +315,9 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor, padding: int = 2) -> Tensor:
             for kk in range(k)]
     per_block = max(1, min(batch, _COL_BLOCK // (channels * k * out_len)))
     wmat = w.data.reshape(out_ch, channels * k)
-    col = np.zeros((per_block, channels, k, out_len))
-    data = np.empty((batch, out_ch, out_len))
+    dtype = np.result_type(x.data, w.data)
+    col = np.zeros((per_block, channels, k, out_len), dtype)
+    data = np.empty((batch, out_ch, out_len), dtype)
     for lo in range(0, batch, per_block):
         hi = min(lo + per_block, batch)
         np.matmul(wmat, _fill_columns(col, x.data[lo:hi], taps), out=data[lo:hi])
@@ -313,11 +328,11 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor, padding: int = 2) -> Tensor:
         def fn():
             g = out.grad                                  # (B, O, Lout)
             _accumulate(b, g.sum(axis=(0, 2)))
-            cols = np.zeros((per_block, channels, k, out_len))
-            gw = np.zeros((out_ch, channels * k))
+            cols = np.zeros((per_block, channels, k, out_len), dtype)
+            gw = np.zeros((out_ch, channels * k), dtype)
             if need_gx:
                 gcol = np.empty_like(cols)
-                gx = np.zeros(x.data.shape)
+                gx = np.zeros(x.data.shape, dtype)
             for lo in range(0, batch, per_block):
                 hi = min(lo + per_block, batch)
                 xcol = _fill_columns(cols, x.data[lo:hi], taps)
@@ -347,7 +362,7 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
     n = x.data.shape[0] * x.data.shape[2]
     # backward needs xhat; without a tape the affine step overwrites it
     taped = any(_needs_grad(t) for t in (x, gamma, beta))
-    data = np.empty(x.data.shape) if taped else None
+    data = np.empty(x.data.shape, x.data.dtype) if taped else None
     if training:
         if x.data.shape[0] < 2:
             raise ValueError("batch normalization needs a batch of at least 2 in training mode")
@@ -402,7 +417,7 @@ def interleaved_to_complex(x: Tensor) -> Tensor:
 
     def backward(out):
         def fn():
-            g = np.empty(x.data.shape, dtype=np.float64)
+            g = np.empty(x.data.shape, x.data.dtype)
             g[..., 0::2] = out.grad.real
             g[..., 1::2] = out.grad.imag
             _accumulate(x, g)
@@ -412,7 +427,7 @@ def interleaved_to_complex(x: Tensor) -> Tensor:
 
 def complex_to_interleaved(z: Tensor) -> Tensor:
     """Complex (..., M) -> real (..., 2M) with interleaved re/im pairs."""
-    data = np.empty(z.data.shape[:-1] + (2 * z.data.shape[-1],), dtype=np.float64)
+    data = np.empty(z.data.shape[:-1] + (2 * z.data.shape[-1],), dtype=z.data.real.dtype)
     data[..., 0::2] = z.data.real
     data[..., 1::2] = z.data.imag
 
@@ -427,23 +442,26 @@ def complex_to_interleaved(z: Tensor) -> Tensor:
 
 
 def complex_scale(z: Tensor, c: complex) -> Tensor:
-    """Multiply by a constant complex scalar; backward applies conj(c)."""
+    """Multiply by a constant complex scalar; backward applies conj(c).
+
+    c stays a Python complex, which does not promote complex64 data.
+    """
     c = complex(c)
 
     def backward(out):
         def fn():
-            _accumulate(z, out.grad * np.conj(c))
+            _accumulate(z, out.grad * c.conjugate())
         return fn
     return _make(z.data * c, (z,), backward)
 
 
 def add_constant(z: Tensor, const: np.ndarray) -> Tensor:
-    """Add a constant array (e.g. a drawn noise realization)."""
+    """Add a constant array (e.g. a drawn noise realization), cast to z's dtype."""
     def backward(out):
         def fn():
             _accumulate(z, out.grad)
         return fn
-    return _make(z.data + const, (z,), backward)
+    return _make(z.data + np.asarray(const, dtype=z.data.dtype), (z,), backward)
 
 
 def bandpass(z: Tensor, oversampling: int) -> Tensor:
@@ -466,10 +484,10 @@ def dft_unpad(z: Tensor, oversampling: int) -> Tensor:
     def backward(out):
         def fn():
             g = out.grad
-            padded = np.zeros(z.data.shape, dtype=np.complex128)
+            padded = np.zeros(z.data.shape, dtype=symbols.dtype)
             padded[..., :half] = g[..., :half]
             padded[..., total - half:] = g[..., half:]
-            _accumulate(z, np.fft.ifft(padded, axis=-1) * np.sqrt(n))
+            _accumulate(z, np.fft.ifft(padded, axis=-1) * math.sqrt(n))
         return fn
     return _make(symbols, (z,), backward)
 
@@ -527,8 +545,9 @@ def power_norm(z: Tensor) -> Tensor:
 
 
 def mse_complex(z: Tensor, target: np.ndarray) -> Tensor:
-    """Mean squared error over the complex entries: mean |z - target|^2."""
-    diff = z.data - target
+    """Mean squared error over the complex entries: mean |z - target|^2,
+    with the target cast to z's dtype."""
+    diff = z.data - np.asarray(target, dtype=z.data.dtype)
     count = diff.size
 
     def backward(out):
@@ -595,11 +614,11 @@ def acpr_value(z: Tensor, bw_bins: int) -> Tensor:
     def backward(out):
         def fn():
             g = float(out.grad)
-            coeff = np.zeros(total)
+            coeff = np.zeros(total, dtype=per_bin.dtype)
             coeff[up_idx] = g * w_up * 10.0 / (_LOG10 * up)
             coeff[lo_idx] = g * w_lo * 10.0 / (_LOG10 * lo)
             coeff[main_idx] = -g * 10.0 / (_LOG10 * main)
             gz = np.fft.ifft(coeff * spec, axis=-1) * (2.0 / (batch * total))
             _accumulate(z, gz)
         return fn
-    return _make(np.float64(value), (z,), backward)
+    return _make(value, (z,), backward)

@@ -75,14 +75,18 @@ def run_chain(model, x_time: np.ndarray, hpa: HpaParams, p_snr_db: float = math.
     Parameters
     ----------
     model : object with encode/decode methods and n/oversampling attributes
-    x_time : complex (B, L*N) batch of modulated waveforms
+    x_time : complex (B, L*N) batch of modulated waveforms, cast once to the
+        complex dtype of the model's parameters (complex64 for a float32
+        model, complex128 for a float64 one or a model without parameters)
     p_snr_db : peak SNR of the channel; +inf disables noise
     noise : optional pre-drawn complex noise realization (overrides the rng);
         useful for finite-difference checks where the chain must be frozen
     noise_rng : generator used to draw noise when p_snr_db is finite
     linear_chain : ideal amplifier, as in :func:`front_end`
     """
-    x_time = np.asarray(x_time, dtype=complex)
+    params = model.parameters()
+    dtype = np.result_type(params[0].data, np.complex64) if params else np.complex128
+    x_time = np.asarray(x_time, dtype=dtype)
     if x_time.ndim != 2 or x_time.shape[1] != model.n * model.oversampling:
         raise ValueError(
             f"expected waveform batch of shape (B, {model.n * model.oversampling}), "

@@ -15,6 +15,8 @@ Conventions fixed here and relied on by the rest of the package:
   [N/2, N) the negative-frequency bins [L*N - N/2, L*N).
 """
 
+import math
+
 import numpy as np
 
 __all__ = [
@@ -109,9 +111,16 @@ def ofdm_modulate(block: np.ndarray, oversampling: int = 4) -> np.ndarray:
     return np.fft.ifft(spectrum, axis=-1) * (total / np.sqrt(n))
 
 
+def _as_complex(wave) -> np.ndarray:
+    """wave as a complex array: complex64 for float32 or complex64 input,
+    complex128 otherwise.  bpf and ofdm_demodulate run in this precision."""
+    wave = np.asarray(wave)
+    return wave.astype(np.result_type(wave.dtype, np.complex64), copy=False)
+
+
 def ofdm_demodulate(wave: np.ndarray, oversampling: int = 4) -> np.ndarray:
     """Inverse of :func:`ofdm_modulate`: forward DFT plus out-of-band removal."""
-    wave = np.asarray(wave, dtype=complex)
+    wave = _as_complex(wave)
     total = wave.shape[-1]
     if total % oversampling != 0:
         raise ValueError(
@@ -119,7 +128,7 @@ def ofdm_demodulate(wave: np.ndarray, oversampling: int = 4) -> np.ndarray:
         )
     n = total // oversampling
     _check_sizes(n, oversampling)
-    spectrum = np.fft.fft(wave, axis=-1) / (oversampling * np.sqrt(n))
+    spectrum = np.fft.fft(wave, axis=-1) / (oversampling * math.sqrt(n))
     return spectrum[..., _data_bins(n, total)]
 
 
@@ -129,7 +138,7 @@ def bpf(wave: np.ndarray, oversampling: int = 4) -> np.ndarray:
     Zeroes every DFT bin outside the N in-band bins and transforms back.
     This is a linear, idempotent projection; in-band signals pass unchanged.
     """
-    wave = np.asarray(wave, dtype=complex)
+    wave = _as_complex(wave)
     total = wave.shape[-1]
     if total % oversampling != 0:
         raise ValueError(

@@ -8,9 +8,10 @@ from .autodiff import Tensor
 
 __all__ = ["adamw_update", "AdamW"]
 
-# Elements per update block: 128 KiB per float64 array, so the six arrays a
-# block touches (parameter, gradient, both moments, two scratch) take 768 KiB
-# and stay in a core's L2.  4096 and 65536 measured slower.
+# Elements per update block: 128 KiB per float64 array (64 KiB at float32),
+# so the six arrays a block touches (parameter, gradient, both moments, two
+# scratch) take 768 KiB (384 KiB) and stay in a core's L2.  4096 and 65536
+# measured slower at float64.
 _BLOCK = 16384
 
 
@@ -39,6 +40,8 @@ class AdamW:
     _BLOCK elements and runs adamw_update's operations in adamw_update's
     order on each block, so the result is bit-identical to it while the
     working set stays in cache and no full-size temporary is allocated.
+    The moments and the scratch blocks take each parameter's dtype, and the
+    hyper-parameters stay Python floats, which do not promote float32.
     """
 
     def __init__(self, params: list[Tensor], lr: float = 1e-3,
@@ -52,7 +55,8 @@ class AdamW:
         self.step_count = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
-        self._scratch = (np.empty(_BLOCK), np.empty(_BLOCK))
+        dtypes = {p.data.dtype for p in self.params}
+        self._scratch = {dt: np.empty((2, _BLOCK), dt) for dt in dtypes}
 
     def step(self):
         """Apply one update using the gradients currently stored on the params.
@@ -70,9 +74,10 @@ class AdamW:
             # copy=False: a non-contiguous array raises rather than being
             # updated through a copy.
             flat = [np.reshape(a, -1, copy=False) for a in (p.data, grad, m, v)]
+            scratch = self._scratch[p.data.dtype]
             for lo in range(0, flat[0].size, _BLOCK):
                 theta, g, mb, vb = (a[lo:lo + _BLOCK] for a in flat)
-                t, u = (s[:theta.size] for s in self._scratch)
+                t, u = scratch[:, :theta.size]
                 np.multiply(mb, b1, out=mb)
                 np.multiply(g, 1.0 - b1, out=t)
                 np.add(mb, t, out=mb)

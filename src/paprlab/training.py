@@ -84,10 +84,25 @@ def train(model, cfg: TrainConfig, weights: LossWeights, hpa: HpaParams,
     batch from the configured range.  Deterministic for a given seed: one
     optimizer step per batch, single-threaded reduction order.
 
+    Every step runs in float32: the model's parameters and buffers are cast
+    to float32 in place before the optimizer is built, so the chain, the loss
+    and the AdamW moments follow, and back to float64 when train returns or
+    raises.  Both casts are exact for float32-representable weights, which
+    is what a model is built with.
+
     Raises TrainingDivergedError, carrying the epoch index and the signal
     name, on the first non-finite PA input x_f, PA output x_p, Bussgang gain
     alpha or loss, checked in that order.
     """
+    model.astype(np.float32)
+    try:
+        return _train_float32(model, cfg, weights, hpa, spectral, seed, log)
+    finally:
+        model.astype(np.float64)
+
+
+def _train_float32(model, cfg: TrainConfig, weights: LossWeights, hpa: HpaParams,
+                   spectral: SpectralParams, seed: int, log) -> TrainResult:
     n = model.n
     oversampling = model.oversampling
     data_rng = derive_rng(seed, "train/data")

@@ -13,6 +13,7 @@ from paprlab.autodiff import Tensor
 from paprlab.errors import DegenerateInputError
 from paprlab.layers import BatchNorm1d, Conv1d, Linear
 from paprlab.metrics import SpectralParams, acpr, papr, psd
+from paprlab.ofdm import bpf
 
 RNG = np.random.default_rng(2024)
 
@@ -100,6 +101,20 @@ class TestEngineBasics:
         finally:
             if was_enabled:
                 gc.enable()
+
+    @pytest.mark.parametrize("given, kept", [
+        (np.float32, np.float32), (np.complex64, np.complex64), (np.float64, np.float64),
+        (np.complex128, np.complex128), (np.float16, np.float64), (np.int64, np.float64),
+        (np.bool_, np.float64)])
+    def test_dtype_kept_or_coerced(self, given, kept):
+        """float32/complex64 data is kept; anything else becomes float64 or
+        complex128, and the backward seed takes the loss's precision."""
+        x = Tensor(np.ones(3, dtype=given), requires_grad=True)
+        assert x.data.dtype == kept
+        if kept == np.float32:
+            loss = ad.sq_norm(x) - 1.0
+            loss.backward()
+            assert loss.data.dtype == x.grad.dtype == np.float32
 
     def test_second_backward_raises(self):
         x = Tensor(np.array([3.0]), requires_grad=True)
@@ -343,6 +358,18 @@ class TestLossHeads:
     def test_acpr_grad_hard_max(self):
         z = RNG.standard_normal((3, 32)) + 1j * RNG.standard_normal((3, 32))
         check_grad(lambda t: ad.acpr_value(t, 8), [z])
+
+    @pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
+    def test_acpr_floor_on_band_limited_input(self, dtype):
+        """bpf output has adjacent-band power only at rounding level, down to
+        none; the -300 dBc floor keeps the value and gradient finite."""
+        rng = np.random.default_rng(9)
+        wave = rng.standard_normal((32, 288)) + 1j * rng.standard_normal((32, 288))
+        z = Tensor(bpf(wave.astype(dtype), 4), requires_grad=True)
+        out = ad.acpr_value(z, 72)
+        out.backward()
+        assert -300.0 - 1e-9 <= out.item() < -100.0
+        assert z.grad.dtype == dtype and np.all(np.isfinite(z.grad))
 
     def test_sq_norm_grad(self):
         x = RNG.standard_normal((3, 4))

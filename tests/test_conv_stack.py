@@ -123,18 +123,24 @@ class TestSeluOracle:
 
 
 class TestBatchSplitInvariance:
-    @pytest.mark.parametrize("channels, out_ch, length", STOCK_CONVS)
-    def test_outputs_do_not_depend_on_the_split(self, channels, out_ch, length):
+    @pytest.mark.parametrize("channels, out_ch, length, dtype",
+                             [(*conv, np.float64) for conv in STOCK_CONVS]
+                             + [(*conv, np.float32) for conv in STOCK_CONVS],
+                             ids=[f"{c}-{o}-{n}{suffix}" for suffix in ("", "-float32")
+                                  for c, o, n in STOCK_CONVS])
+    def test_outputs_do_not_depend_on_the_split(self, channels, out_ch, length, dtype):
         """conv1d, eval-mode batch_norm and selu on a batch of 40 equal, bit
-        for bit, the same ops run on its pieces.  [17, 23] starts a piece
-        inside a column block of the 13 -> 11 conv (11 samples per block)."""
+        for bit, the same ops run on its pieces, at float64 and at float32.
+        [17, 23] starts a piece inside a column block of the 13 -> 11 conv
+        (11 samples per block)."""
         batch = 40
-        x = RNG.standard_normal((batch, channels, length))
-        w = Tensor(RNG.standard_normal((out_ch, channels, 3)) / np.sqrt(3 * channels))
-        b = Tensor(RNG.standard_normal(out_ch))
-        gamma = Tensor(RNG.standard_normal(out_ch) + 1.0)
-        beta = Tensor(RNG.standard_normal(out_ch))
-        mean, var = RNG.standard_normal(out_ch), RNG.random(out_ch) + 0.5
+        x, w, b, gamma, beta, mean, var = (a.astype(dtype) for a in (
+            RNG.standard_normal((batch, channels, length)),
+            RNG.standard_normal((out_ch, channels, 3)) / np.sqrt(3 * channels),
+            RNG.standard_normal(out_ch), RNG.standard_normal(out_ch) + 1.0,
+            RNG.standard_normal(out_ch), RNG.standard_normal(out_ch),
+            RNG.random(out_ch) + 0.5))
+        w, b, gamma, beta = Tensor(w), Tensor(b), Tensor(gamma), Tensor(beta)
 
         def stages(xs):
             conv = ad.conv1d(Tensor(xs), w, b)
@@ -142,6 +148,7 @@ class TestBatchSplitInvariance:
             return conv.data, norm.data, ad.selu(norm).data
 
         whole = stages(x)
+        assert {a.dtype for a in whole} == {np.dtype(dtype)}
         for sizes in ([1, 7, 32], [17, 23]):
             edges = np.cumsum([0] + sizes)
             pieces = [stages(x[lo:hi]) for lo, hi in zip(edges[:-1], edges[1:])]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from paprlab.autodiff import parameter
+from paprlab.autodiff import Tensor, parameter
 from paprlab.optim import _BLOCK, AdamW, adamw_update
 
 
@@ -67,25 +67,30 @@ class TestAdamWClass:
         opt.step()
         np.testing.assert_allclose(a.data, [4.0 * (1 - 0.5 * 0.2)])
 
-    @pytest.mark.parametrize("shape", [(7,), (3 * _BLOCK + 5,), (5, 3)],
-                             ids=["n7", "three_blocks_plus_5", "5x3"])
-    def test_matches_functional_reference(self, shape):
+    @pytest.mark.parametrize("shape, dtype", [
+        ((7,), np.float64), ((3 * _BLOCK + 5,), np.float64), ((5, 3), np.float64),
+        ((7,), np.float32), ((3 * _BLOCK + 5,), np.float32), ((5, 3), np.float32),
+    ], ids=["n7", "three_blocks_plus_5", "5x3",
+            "n7-float32", "three_blocks_plus_5-float32", "5x3-float32"])
+    def test_matches_functional_reference(self, shape, dtype):
         """Bit-identical to adamw_update in theta, m and v, including a
-        parameter spanning several blocks and one that never gets a grad."""
+        parameter spanning several blocks and one that never gets a grad,
+        at float64 and at float32, where the moments stay float32."""
         rng = np.random.default_rng(1)
-        data = rng.standard_normal(shape)
-        idle = rng.standard_normal(4)
-        p, q = parameter(data.copy()), parameter(idle.copy())
+        data = rng.standard_normal(shape).astype(dtype)
+        idle = rng.standard_normal(4).astype(dtype)
+        p, q = Tensor(data.copy(), requires_grad=True), Tensor(idle.copy(), requires_grad=True)
         opt = AdamW([p, q], lr=0.02, weight_decay=0.03)
-        ref = [(data.copy(), np.zeros(shape), np.zeros(shape)),
-               (idle.copy(), np.zeros(4), np.zeros(4))]
+        ref = [(data.copy(), np.zeros(shape, dtype), np.zeros(shape, dtype)),
+               (idle.copy(), np.zeros(4, dtype), np.zeros(4, dtype))]
         for step in range(1, 6):
-            grad = rng.standard_normal(shape)
+            grad = rng.standard_normal(shape).astype(dtype)
             p.grad, q.grad = grad.copy(), None
             opt.step()
             ref = [adamw_update(theta, g, m, v, step=step, lr=0.02, weight_decay=0.03)
-                   for (theta, m, v), g in zip(ref, (grad, np.zeros(4)))]
+                   for (theta, m, v), g in zip(ref, (grad, np.zeros(4, dtype)))]
         for i, (t, (theta, m, v)) in enumerate(zip((p, q), ref)):
+            assert t.data.dtype == opt.m[i].dtype == opt.v[i].dtype == theta.dtype == dtype
             np.testing.assert_array_equal(t.data, theta)
             np.testing.assert_array_equal(opt.m[i], m)
             np.testing.assert_array_equal(opt.v[i], v)

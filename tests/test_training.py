@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from paprlab.autodiff import Tensor
 from paprlab.chain import run_chain
+from paprlab.channel import complex_noise
 from paprlab.errors import TrainingDivergedError
 from paprlab.frontend import HpaParams
-from paprlab.losses import LossWeights
+from paprlab.losses import LossWeights, joint_loss
 from paprlab.metrics import SpectralParams, papr_db
 from paprlab.models import CaeModel
 from paprlab.ofdm import ofdm_modulate, qam4_map
@@ -15,6 +17,17 @@ from paprlab.training import TrainConfig, train
 N, L = 8, 4
 HPA = HpaParams(ibo_db=3.0)
 SPECTRAL = SpectralParams(bw_bins=N)
+
+# Float32 against the float64 reference, with tolerances set from float32's
+# unit roundoff before any float32 step was measured.  The longest sums run
+# over 6380 terms (the stock encoder FC), where random rounding grows to about
+# 2^6 eps; 2^8 eps leaves room for the depth of the chain on the loss.  The
+# weight gradients also pass through batch norm's backward, whose centring
+# cancels, so they get 2^12 eps, normwise.
+EPS32 = 2.0 ** -23
+LOSS_RTOL = 2 ** 8 * EPS32
+GRAD_RTOL = 2 ** 12 * EPS32
+SINGLE = {np.dtype(np.float32), np.dtype(np.complex64)}
 
 
 def toy_model(seed=0):
@@ -135,3 +148,53 @@ class TestTrain:
         model = toy_model(seed=16)
         train(model, toy_config(epochs=1), LossWeights(), HPA, SPECTRAL, seed=17)
         assert model.training is False
+
+
+def normwise(got, want) -> float:
+    return float(np.linalg.norm(got - want) / np.linalg.norm(want))
+
+
+class TestFloat32Training:
+    def test_stock_step_stays_in_single_precision(self, monkeypatch):
+        """Every tensor a stock-CAE training step creates, its gradient, the
+        loss and the AdamW moments are float32 or complex64; the model is
+        float64 again afterwards."""
+        model = CaeModel()
+        made = []
+        init = Tensor.__init__
+
+        def recording(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            made.append(self)
+        monkeypatch.setattr(Tensor, "__init__", recording)
+        cfg = TrainConfig(epochs=1, batches_per_epoch=1, schedule="fixed", stage1_epochs=0)
+        result = train(model, cfg, LossWeights(), HpaParams(), SpectralParams(bw_bins=72),
+                       seed=1)
+        grads = [t.grad for t in made + model.parameters() if t.grad is not None]
+        moments = result.optimizer.m + result.optimizer.v
+        assert len(grads) > len(model.parameters())
+        assert {a.dtype for a in [t.data for t in made] + grads + moments} == SINGLE
+        assert {a.dtype for _, a in model.named_state()} == {np.dtype(np.float64)}
+
+    def test_stock_step_matches_float64(self):
+        """From the same weights, data and noise, one stage-2 step's loss and
+        weight gradients in float32 agree with the float64 step."""
+        rng = np.random.default_rng(21)
+        blocks = qam4_map(rng.integers(0, 2, (32, 144)))
+        x = ofdm_modulate(blocks, 4)
+        hpa, spectral = HpaParams(), SpectralParams(bw_bins=72)
+        noise = complex_noise(x.shape, 10.0, hpa, rng)
+        steps = {}
+        for dtype in (np.float64, np.float32):
+            model = CaeModel(seed=4).astype(dtype)
+            taps = run_chain(model, x, hpa, p_snr_db=10.0, noise=noise)
+            loss, _ = joint_loss(taps, blocks, LossWeights(), spectral, stage=2)
+            loss.backward()
+            assert loss.data.dtype == dtype
+            steps[dtype] = loss.item(), {k: p.grad for k, p in model.named_parameters()}
+        (loss64, grads64), (loss32, grads32) = steps[np.float64], steps[np.float32]
+        assert abs(loss32 - loss64) <= LOSS_RTOL * abs(loss64)
+        flat = [np.concatenate([g[k].ravel() for k in grads64]) for g in (grads32, grads64)]
+        assert normwise(*flat) <= GRAD_RTOL
+        for name in (k for k in grads64 if k.endswith(".w")):
+            assert normwise(grads32[name], grads64[name]) <= GRAD_RTOL, name
