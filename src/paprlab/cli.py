@@ -3,14 +3,17 @@
     paprlab [--config FILE] [--seed N] [--output-dir DIR] [--set key=value]... COMMAND
 
 Commands: train, eval-ber, eval-ccdf, eval-psd, eval-table, eval-obo-acpr,
-selftest.  CLI flags override config-file fields; --seed overrides every
-random stream coherently.  The default output directory can also come from
-the PAPRLAB_OUTPUT_DIR environment variable.
+selftest.  CLI flags override config-file fields.  --seed sets the master
+seed, from which every random stream is derived except the SLM phase bank:
+transmitter and receiver must share that bank, so slm.rng_seed alone seeds
+it.  The default output directory can also come from the PAPRLAB_OUTPUT_DIR
+environment variable.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -125,9 +128,10 @@ def main(argv=None) -> int:
         config = _resolve_config(args)
         if args.command == "train":
             def progress(record):
+                # l2 is the mean linear PAPR, l3 the ACPR above the required one
                 print(f"epoch {record.epoch:4d} stage {record.stage} "
-                      f"loss {record.loss:.6f} papr {record.mean_papr_db:.2f} dB "
-                      f"acpr {record.acpr_db:.2f} dB", flush=True)
+                      f"loss {record.loss:.6f} papr {10.0 * math.log10(record.l2):.2f} dB "
+                      f"acpr {record.l3 + config.acpr_req_db:.2f} dB", flush=True)
             ckpt, log = harness.run_train(config, arch=args.arch, tag=args.tag,
                                           log_progress=progress)
             print(f"checkpoint: {ckpt}")

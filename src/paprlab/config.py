@@ -60,9 +60,6 @@ class EvalConfig:
     p_snr_db: tuple[float, ...] = (6.0, 8.0, 10.0, 12.0, 14.0, 16.0)
     ber_symbols: int = 20000
     ccdf_symbols: int = 100000
-    ccdf_min_db: float = 0.0
-    ccdf_max_db: float = 13.0
-    ccdf_step_db: float = 0.25
     psd_symbols: int = 10000
     table_symbols: int = 20000
     obo_acpr_ibo_db: tuple[float, ...] = (0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0)

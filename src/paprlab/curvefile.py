@@ -16,7 +16,7 @@ __all__ = ["write_curve", "write_summary"]
 
 def _fmt(value) -> str:
     if isinstance(value, float):
-        return repr(value)
+        return repr(float(value))  # NumPy 2 reprs np.float64(x) as 'np.float64(x)'
     return str(value)
 
 

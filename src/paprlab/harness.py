@@ -57,6 +57,9 @@ __all__ = [
     "run_selftest",
 ]
 
+# PAPR thresholds of the CCDF curves: 0 to 13 dB in 0.25 dB steps
+CCDF_THRESHOLDS_DB = np.arange(0.0, 13.0 + 0.125, 0.25)
+
 
 def _spectral(config: ExperimentConfig) -> SpectralParams:
     return SpectralParams(bw_bins=config.system.n_subcarriers, acpr_req_db=config.acpr_req_db)
@@ -106,9 +109,8 @@ def run_train(config: ExperimentConfig, arch: str = "cae", tag: str | None = Non
     save_checkpoint(ckpt_path, model, optimizer=result.optimizer,
                     epoch=config.train.epochs, seed=config.seed,
                     extra_meta={"tag": tag, "config_hash": config_hash(config)})
-    columns = ["epoch", "stage", "loss", "l1", "l2", "l3", "mean_papr_db", "acpr_db"]
-    rows = [(r.epoch, r.stage, r.loss, r.l1, r.l2, r.l3, r.mean_papr_db, r.acpr_db)
-            for r in result.records]
+    columns = ["epoch", "stage", "loss", "l1", "l2", "l3"]
+    rows = [(r.epoch, r.stage, r.loss, r.l1, r.l2, r.l3) for r in result.records]
     log_path = write_curve(out / f"train_{tag}.csv", _meta(config, arch=arch, tag=tag),
                            columns, rows)
     write_summary(out / f"train_{tag}_summary.json", {
@@ -248,8 +250,6 @@ def eval_ccdf(config: ExperimentConfig, checkpoints: dict | None = None) -> Path
     bank = _MethodBank(config, checkpoints)
     ev = config.eval
     batches = _num_batches(ev.ccdf_symbols, ev.batch)
-    thresholds = np.arange(ev.ccdf_min_db, ev.ccdf_max_db + ev.ccdf_step_db / 2,
-                           ev.ccdf_step_db)
 
     values = {m: [] for m in config.methods}
     for _, sent in _batch_stream(config, bank, ev.ccdf_symbols, "ccdf"):
@@ -259,7 +259,7 @@ def eval_ccdf(config: ExperimentConfig, checkpoints: dict | None = None) -> Path
 
     rows = []
     for method in config.methods:
-        curve = ccdf(np.concatenate(values[method]), thresholds)
+        curve = ccdf(np.concatenate(values[method]), CCDF_THRESHOLDS_DB)
         rows.extend((float(t), float(p), method)
                     for t, p in zip(curve.thresholds_db, curve.probabilities))
     rows.sort(key=lambda r: (r[0], r[2]))

@@ -1,4 +1,4 @@
-"""Scalar and curve metrics: PAPR, CCDF, PSD, ACPR, OBO and BER.
+"""Scalar and curve metrics: PAPR, CCDF, PSD, ACPR and OBO.
 
 PSD bins are ordered from -fs/2 to +fs/2 and use the unitary-DFT periodogram
 scaling, so the bins sum to the mean time-domain sample power.  ACPR band
@@ -22,7 +22,6 @@ __all__ = [
     "psd",
     "acpr",
     "obo",
-    "ber",
 ]
 
 ACPR_FLOOR_DB = -200.0
@@ -132,13 +131,3 @@ def obo(batch: np.ndarray, a0: float) -> float:
         raise DegenerateInputError("OBO is undefined for a zero batch")
     return 10.0 * np.log10(a0 * a0 / power)
 
-
-def ber(tx_bits: np.ndarray, rx_bits: np.ndarray) -> float:
-    """Fraction of mismatched bit positions."""
-    tx = np.asarray(tx_bits).ravel()
-    rx = np.asarray(rx_bits).ravel()
-    if tx.shape != rx.shape:
-        raise ValueError(f"bit sequences differ in length: {tx.shape} vs {rx.shape}")
-    if tx.size == 0:
-        raise ValueError("bit sequences are empty")
-    return float(np.mean(tx != rx))

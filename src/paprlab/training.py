@@ -11,12 +11,12 @@ from .chain import run_chain
 from .errors import TrainingDivergedError
 from .frontend import HpaParams
 from .losses import LossWeights, joint_loss
-from .metrics import SpectralParams, acpr, papr_db, psd
+from .metrics import SpectralParams
 from .ofdm import ofdm_modulate, qam4_map
 from .optim import AdamW
 from .seeding import derive_rng
 
-__all__ = ["TrainConfig", "EpochRecord", "TrainResult", "weight_params", "train"]
+__all__ = ["TrainConfig", "EpochRecord", "TrainResult", "train"]
 
 
 @dataclass(frozen=True)
@@ -31,15 +31,12 @@ class TrainConfig:
     beta2: float = 0.999
     eps: float = 1e-8
     weight_decay: float = 0.01
-    l2_mode: str = "decoupled"          # "decoupled" (AdamW decay) or "additive"
     snr_min_db: float = 6.0
     snr_max_db: float = 16.0
 
     def __post_init__(self):
         if self.schedule not in ("gradual", "fixed"):
             raise ValueError(f"schedule must be 'gradual' or 'fixed', got {self.schedule!r}")
-        if self.l2_mode not in ("decoupled", "additive"):
-            raise ValueError(f"l2_mode must be 'decoupled' or 'additive', got {self.l2_mode!r}")
         if not 0 <= self.stage1_epochs <= self.epochs:
             raise ValueError(
                 f"stage1_epochs must lie in [0, epochs], got {self.stage1_epochs} of {self.epochs}"
@@ -59,20 +56,12 @@ class EpochRecord:
     l1: float
     l2: float
     l3: float
-    mean_papr_db: float
-    acpr_db: float
 
 
 @dataclass
 class TrainResult:
     records: list[EpochRecord] = field(default_factory=list)
     optimizer: AdamW | None = None
-
-
-def weight_params(model):
-    """The multiplicative weights of a model (conv/linear kernels, no biases
-    or batch-norm affine terms); this is the set the L2 penalty covers."""
-    return [p for name, p in model.named_parameters() if name.endswith(".w")]
 
 
 def train(model, cfg: TrainConfig, weights: LossWeights, hpa: HpaParams,
@@ -82,7 +71,10 @@ def train(model, cfg: TrainConfig, weights: LossWeights, hpa: HpaParams,
     The training set is a fixed pool of random bit blocks (regenerated from
     the seed), reshuffled every epoch; the channel peak-SNR is drawn per
     batch from the configured range.  Deterministic for a given seed: one
-    optimizer step per batch, single-threaded reduction order.
+    optimizer step per batch, single-threaded reduction order.  Each epoch
+    record holds the epoch means of the loss and of joint_loss's three terms,
+    which are computed in both stages.  AdamW's decoupled weight decay is the
+    only regulariser.
 
     Every step runs in float32: the model's parameters and buffers are cast
     to float32 in place before the optimizer is built, so the chain, the loss
@@ -113,17 +105,15 @@ def _train_float32(model, cfg: TrainConfig, weights: LossWeights, hpa: HpaParams
     num_blocks = cfg.batches_per_epoch * cfg.batch_size
     bits_pool = data_rng.integers(0, 2, size=(num_blocks, 2 * n), dtype=np.uint8)
 
-    wd = cfg.weight_decay if cfg.l2_mode == "decoupled" else 0.0
     optimizer = AdamW(model.parameters(), lr=cfg.lr, betas=(cfg.beta1, cfg.beta2),
-                      eps=cfg.eps, weight_decay=wd)
-    reg_params = weight_params(model) if cfg.l2_mode == "additive" else None
+                      eps=cfg.eps, weight_decay=cfg.weight_decay)
 
     result = TrainResult(optimizer=optimizer)
     model.train()
     for epoch in range(cfg.epochs):
         stage = cfg.stage_for_epoch(epoch)
         order = shuffle_rng.permutation(num_blocks)
-        sums = np.zeros(6)  # loss, l1, l2, l3, papr_db, acpr_db
+        sums = np.zeros(4)  # loss, l1, l2, l3
         for b in range(cfg.batches_per_epoch):
             rows = order[b * cfg.batch_size:(b + 1) * cfg.batch_size]
             blocks = qam4_map(bits_pool[rows])
@@ -134,19 +124,14 @@ def _train_float32(model, cfg: TrainConfig, weights: LossWeights, hpa: HpaParams
                                 ("alpha", taps.alpha)):
                 if not np.all(np.isfinite(tap)):
                     raise TrainingDivergedError(epoch, signal)
-            loss, parts = joint_loss(taps, blocks, weights, spectral, stage, reg_params=reg_params)
+            loss, parts = joint_loss(taps, blocks, weights, spectral, stage)
             value = loss.item()
             if not math.isfinite(value):
                 raise TrainingDivergedError(epoch, "loss")
             loss.backward()
             optimizer.step()
-            sums += (value, parts["l1"], parts["l2"], parts["l3"],
-                     float(np.mean(papr_db(taps.x_f.data))),
-                     acpr(psd(taps.x_p.data), spectral))
-        means = sums / cfg.batches_per_epoch
-        record = EpochRecord(epoch=epoch, stage=stage, loss=means[0], l1=means[1],
-                             l2=means[2], l3=means[3], mean_papr_db=means[4],
-                             acpr_db=means[5])
+            sums += (value, parts["l1"], parts["l2"], parts["l3"])
+        record = EpochRecord(epoch, stage, *map(float, sums / cfg.batches_per_epoch))
         result.records.append(record)
         if log is not None:
             log(record)

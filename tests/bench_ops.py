@@ -1,6 +1,8 @@
 """Per-op timings at the stock CAE shapes (opt-in).
 
-    PYTHONPATH=src OPENBLAS_NUM_THREADS=1 python -m pytest tests/bench_ops.py --benchmark-only
+    OPENBLAS_NUM_THREADS=1 python -m pytest tests/bench_ops.py --benchmark-only
+
+Run it from the root of the checkout: pyproject.toml puts src/ on the path.
 
 The name does not match test_*.py, so the default test run does not collect
 this file.  Every case runs at float64, the evaluation precision, and at

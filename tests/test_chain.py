@@ -15,7 +15,6 @@ from paprlab.losses import LossWeights, joint_loss
 from paprlab.metrics import SpectralParams
 from paprlab.models import CaeModel
 from paprlab.ofdm import ofdm_modulate, qam4_map
-from paprlab.training import weight_params
 
 
 class IdentityCodec(Module):
@@ -126,18 +125,17 @@ class TestToyGradientSweep:
         x_time = ofdm_modulate(blocks, oversampling)
         hpa = HpaParams(ibo_db=3.0)
         spectral = SpectralParams(bw_bins=n)
-        weights = LossWeights(lambda1=1e-3, lambda2=0.01, lambda3=0.002)
+        weights = LossWeights(lambda2=0.01, lambda3=0.002)
         sigma = hpa.a0 * 10 ** (-12.0 / 20.0)
         noise = sigma / np.sqrt(2) * (rng.standard_normal(x_time.shape)
                                       + 1j * rng.standard_normal(x_time.shape))
         # freeze the stop-gradient compensation gain at its unperturbed value
         alpha = run_chain(model, x_time, hpa, p_snr_db=12.0, noise=noise).alpha
         monkeypatch.setattr(chain, "bussgang_alpha", lambda x, x_pa: alpha)
-        reg = weight_params(model)
 
         def loss_value():
             taps = run_chain(model, x_time, hpa, p_snr_db=12.0, noise=noise)
-            loss, _ = joint_loss(taps, blocks, weights, spectral, stage=2, reg_params=reg)
+            loss, _ = joint_loss(taps, blocks, weights, spectral, stage=2)
             return loss
 
         loss = loss_value()

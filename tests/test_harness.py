@@ -61,9 +61,10 @@ class TestCurveFile:
     def test_floats_roundtrip_exactly(self, tmp_path):
         value = 0.1234567890123456789
         path = tmp_path / "c.csv"
-        write_curve(path, {}, ["x"], [(value,)])
+        # a NumPy float prints as its value, not as np.float64(...)
+        write_curve(path, {}, ["x", "y"], [(value, np.float64(value))])
         _, _, rows = read_curve(path)
-        assert float(rows[0][0]) == value
+        assert [float(cell) for cell in rows[0]] == [value, value]
 
     def test_row_width_checked(self, tmp_path):
         with pytest.raises(ValueError, match="width"):
@@ -76,8 +77,9 @@ class TestRunTrain:
         ckpt, log = run_train(cfg, arch="cae")
         assert ckpt.exists() and log.exists()
         meta, columns, rows = read_curve(log)
-        assert columns[0] == "epoch"
+        assert columns == ["epoch", "stage", "loss", "l1", "l2", "l3"]
         assert len(rows) == 2  # one row per epoch
+        assert all(math.isfinite(float(cell)) for row in rows for cell in row[2:])
         assert meta["config_hash"]
         loaded = load_checkpoint(ckpt)
         assert loaded.epoch == 2

@@ -9,7 +9,6 @@ from paprlab.losses import LossWeights, joint_loss
 from paprlab.metrics import SpectralParams, acpr, papr, psd
 from paprlab.models import CaeModel
 from paprlab.ofdm import ofdm_modulate, qam4_map
-from paprlab.training import weight_params
 
 N, L = 8, 4
 SPECTRAL = SpectralParams(bw_bins=N)
@@ -45,14 +44,14 @@ class TestJointLoss:
         """With x_hat == x and all weights zero the loss vanishes."""
         taps, blocks, _ = make_taps()
         taps.decoded.data = np.array(blocks, dtype=complex)  # force perfect output
-        w = LossWeights(lambda1=0, lambda2=0, lambda3=0)
+        w = LossWeights(lambda2=0, lambda3=0)
         loss, parts = joint_loss(taps, blocks, w, SPECTRAL, stage=2)
         assert loss.item() == 0.0
         assert parts["l1"] == 0.0
 
     def test_stage2_zero_weights_equals_l1(self):
         taps, blocks, _ = make_taps(seed=1)
-        w = LossWeights(lambda1=0, lambda2=0, lambda3=0)
+        w = LossWeights(lambda2=0, lambda3=0)
         loss, parts = joint_loss(taps, blocks, w, SPECTRAL, stage=2)
         assert loss.item() == pytest.approx(parts["l1"])
         mse = np.mean(np.abs(taps.decoded.data - blocks) ** 2)
@@ -60,17 +59,17 @@ class TestJointLoss:
 
     def test_stage1_ignores_lambda2_lambda3(self):
         taps, blocks, _ = make_taps(seed=2)
-        a, _ = joint_loss(taps, blocks, LossWeights(lambda1=0, lambda2=0.004, lambda3=0.001),
+        a, _ = joint_loss(taps, blocks, LossWeights(lambda2=0.004, lambda3=0.001),
                           SPECTRAL, stage=1)
         taps2, blocks2, _ = make_taps(seed=2)
-        b, _ = joint_loss(taps2, blocks2, LossWeights(lambda1=0, lambda2=99.0, lambda3=42.0),
+        b, _ = joint_loss(taps2, blocks2, LossWeights(lambda2=99.0, lambda3=42.0),
                           SPECTRAL, stage=1)
         assert a.item() == pytest.approx(b.item())
 
     def test_term_by_term_oracle(self):
         """Stage-2 loss equals an independent term-by-term computation."""
         taps, blocks, model = make_taps(seed=3)
-        w = LossWeights(lambda1=0, lambda2=0.004, lambda3=0.001)
+        w = LossWeights(lambda2=0.004, lambda3=0.001)
         loss, parts = joint_loss(taps, blocks, w, SPECTRAL, stage=2)
 
         mse = np.mean(np.abs(taps.decoded.data - blocks) ** 2)
@@ -81,20 +80,13 @@ class TestJointLoss:
         assert parts["l2"] == pytest.approx(mean_papr, rel=1e-9)
         assert parts["l3"] == pytest.approx(acpr_gap, rel=1e-9)
 
-    def test_additive_regularization(self):
-        taps, blocks, model = make_taps(seed=4)
-        reg = weight_params(model)
-        w = LossWeights(lambda1=0.01, lambda2=0, lambda3=0)
-        loss, _ = joint_loss(taps, blocks, w, SPECTRAL, stage=2, reg_params=reg)
-        mse = np.mean(np.abs(taps.decoded.data - blocks) ** 2)
-        sq = sum(np.sum(p.data ** 2) for p in reg)
-        assert loss.item() == pytest.approx(mse + 0.01 * sq, rel=1e-9)
-
-    def test_regularization_covers_weights_only(self):
-        _, _, model = make_taps(seed=5)
-        names = [n for n, _ in model.named_parameters() if n.endswith(".w")]
-        assert len(weight_params(model)) == len(names)
-        assert all(not n.endswith((".b", ".gamma", ".beta")) for n in names)
+    def test_stages_report_the_same_terms(self):
+        """Both stages compute all three terms; stage 1 trains on l1 alone."""
+        taps, blocks, _ = make_taps(seed=9)
+        loss1, parts1 = joint_loss(taps, blocks, LossWeights(), SPECTRAL, stage=1)
+        _, parts2 = joint_loss(taps, blocks, LossWeights(), SPECTRAL, stage=2)
+        assert parts1 == parts2
+        assert loss1.item() == parts1["l1"]
 
     def test_invalid_stage(self):
         taps, blocks, _ = make_taps(seed=7)
@@ -103,8 +95,7 @@ class TestJointLoss:
 
     def test_gradient_flows_through_total(self):
         taps, blocks, model = make_taps(seed=8)
-        loss, _ = joint_loss(taps, blocks, LossWeights(), SPECTRAL, stage=2,
-                             reg_params=weight_params(model))
+        loss, _ = joint_loss(taps, blocks, LossWeights(), SPECTRAL, stage=2)
         loss.backward()
         grads = [p.grad for p in model.parameters()]
         assert all(g is not None for g in grads)

@@ -9,7 +9,6 @@ from paprlab.metrics import (
     CcdfCurve,
     SpectralParams,
     acpr,
-    ber,
     ccdf,
     obo,
     papr,
@@ -171,28 +170,6 @@ class TestObo:
     def test_zero_batch_rejected(self):
         with pytest.raises(DegenerateInputError):
             obo(np.zeros(4), a0=1.0)
-
-
-class TestBer:
-    def test_identical(self):
-        assert ber([0, 1, 1, 0], [0, 1, 1, 0]) == 0.0
-
-    def test_complemented(self):
-        assert ber([0, 1, 1], [1, 0, 0]) == 1.0
-
-    def test_single_flip(self):
-        tx = np.zeros(1000, dtype=int)
-        rx = tx.copy()
-        rx[123] = 1
-        assert ber(tx, rx) == pytest.approx(0.001)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError, match="length"):
-            ber([0, 1], [0, 1, 1])
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            ber([], [])
 
 
 def test_ccdf_curve_is_dataclass():
