@@ -11,7 +11,7 @@ from .channel import complex_noise, noise_std
 from .errors import ConfigError, DegenerateInputError, TrainingDivergedError
 from .frontend import HpaParams, bussgang_alpha
 from .losses import LossWeights, joint_loss
-from .metrics import SpectralParams, acpr, ccdf, obo, papr, papr_db, psd
+from .metrics import SpectralParams, acpr, ccdf, papr, papr_db, psd
 from .models import CaeModel, FcAeModel, load_checkpoint, save_checkpoint
 from .ofdm import (QAM4_LABELS, QAM4_POINTS, bpf, ml_detect, ofdm_demodulate, ofdm_modulate,
                    qam4_map)
@@ -25,7 +25,7 @@ __all__ = [
     "ConfigError", "DegenerateInputError", "TrainingDivergedError",
     "HpaParams", "bussgang_alpha",
     "LossWeights", "joint_loss",
-    "SpectralParams", "acpr", "ccdf", "obo", "papr", "papr_db", "psd",
+    "SpectralParams", "acpr", "ccdf", "papr", "papr_db", "psd",
     "CaeModel", "FcAeModel", "load_checkpoint", "save_checkpoint",
     "QAM4_LABELS", "QAM4_POINTS", "bpf", "ml_detect", "ofdm_demodulate", "ofdm_modulate",
     "qam4_map",

@@ -12,6 +12,12 @@ backward rule of any complex-linear stage simply its conjugate-transpose.
 
 The graph is built only along paths that require gradients, so inference on
 frozen models adds no tape overhead.
+
+An op is written in three parts: it computes its output data with numpy,
+defines a rule backward(g) that receives the output gradient g and hands
+each operand its share through _accumulate, and returns
+_make(data, parents, backward), which records the rule on the tape only
+when a parent requires a gradient.
 """
 
 from __future__ import annotations
@@ -166,22 +172,19 @@ def _as_tensor(value, like: Tensor) -> Tensor:
     return Tensor(np.asarray(value, dtype=like.data.real.dtype))
 
 
-def _needs_grad(t: Tensor) -> bool:
-    return t.requires_grad or t._backward is not None
-
-
 def _accumulate(t: Tensor, g: np.ndarray):
-    if _needs_grad(t):
+    if t.requires_grad:
         t.grad = g if t.grad is None else t.grad + g
 
 
 def _make(data, parents, backward) -> Tensor:
-    """Create a graph node; records the tape only when a parent needs it."""
+    """Create a graph node; records the tape only when a parent requires a
+    gradient.  backward(g) takes the node's output gradient."""
     out = Tensor(data)
-    if any(_needs_grad(p) for p in parents):
-        out.requires_grad = any(p.requires_grad for p in parents)
+    if any(p.requires_grad for p in parents):
+        out.requires_grad = True
         out._parents = tuple(parents)
-        out._backward = backward(out)
+        out._backward = lambda: backward(out.grad)
     return out
 
 
@@ -200,47 +203,37 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 def _add(a: Tensor, b: Tensor) -> Tensor:
-    def backward(out):
-        def fn():
-            _accumulate(a, _unbroadcast(out.grad, a.data.shape))
-            _accumulate(b, _unbroadcast(out.grad, b.data.shape))
-        return fn
+    def backward(g):
+        _accumulate(a, _unbroadcast(g, a.data.shape))
+        _accumulate(b, _unbroadcast(g, b.data.shape))
     return _make(a.data + b.data, (a, b), backward)
 
 
 def _mul(a: Tensor, b: Tensor) -> Tensor:
-    def backward(out):
-        def fn():
-            _accumulate(a, _unbroadcast(out.grad * b.data, a.data.shape))
-            _accumulate(b, _unbroadcast(out.grad * a.data, b.data.shape))
-        return fn
+    def backward(g):
+        _accumulate(a, _unbroadcast(g * b.data, a.data.shape))
+        _accumulate(b, _unbroadcast(g * a.data, b.data.shape))
     return _make(a.data * b.data, (a, b), backward)
 
 
 def _mul_scalar(a: Tensor, s: float) -> Tensor:
-    def backward(out):
-        def fn():
-            _accumulate(a, out.grad * s)
-        return fn
+    def backward(g):
+        _accumulate(a, g * s)
     return _make(a.data * s, (a,), backward)
 
 
 def reshape(x: Tensor, shape) -> Tensor:
-    def backward(out):
-        def fn():
-            _accumulate(x, out.grad.reshape(x.data.shape))
-        return fn
+    def backward(g):
+        _accumulate(x, g.reshape(x.data.shape))
     return _make(x.data.reshape(shape), (x,), backward)
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Affine map x @ w + b for x of shape (B, F), w (F, O), b (O,)."""
-    def backward(out):
-        def fn():
-            _accumulate(x, out.grad @ w.data.T)
-            _accumulate(w, x.data.T @ out.grad)
-            _accumulate(b, out.grad.sum(axis=0))
-        return fn
+    def backward(g):
+        _accumulate(x, g @ w.data.T)
+        _accumulate(w, x.data.T @ g)
+        _accumulate(b, g.sum(axis=0))
     return _make(x.data @ w.data + b.data, (x, w, b), backward)
 
 
@@ -253,30 +246,26 @@ def selu(x: Tensor) -> Tensor:
     data += np.maximum(x.data, 0.0)
     data *= SELU_SCALE
 
-    def backward(out):
-        def fn():
-            # slope SCALE * (ALPHA * (expm + 1) if x <= 0 else 1); expm is
-            # recomputed rather than kept on the tape, and the 1 is taken off
-            # and added back so the slope rounds as it always has
-            local = np.minimum(x.data, 0.0)
-            np.exp(local, out=local)
-            local -= 1.0
-            local += 1.0
-            local *= SELU_ALPHA
-            np.putmask(local, x.data > 0, 1.0)
-            local *= SELU_SCALE
-            local *= out.grad
-            _accumulate(x, local)
-        return fn
+    def backward(g):
+        # slope SCALE * (ALPHA * (expm + 1) if x <= 0 else 1); expm is
+        # recomputed rather than kept on the tape, and the 1 is taken off
+        # and added back so the slope rounds as it always has
+        local = np.minimum(x.data, 0.0)
+        np.exp(local, out=local)
+        local -= 1.0
+        local += 1.0
+        local *= SELU_ALPHA
+        np.putmask(local, x.data > 0, 1.0)
+        local *= SELU_SCALE
+        local *= g
+        _accumulate(x, local)
     return _make(data, (x,), backward)
 
 
 def sq_norm(x: Tensor) -> Tensor:
     """Sum of squared entries of a real tensor, as a scalar node."""
-    def backward(out):
-        def fn():
-            _accumulate(x, out.grad * (2.0 * x.data))
-        return fn
+    def backward(g):
+        _accumulate(x, g * (2.0 * x.data))
     return _make(np.sum(x.data * x.data), (x,), backward)
 
 
@@ -322,29 +311,26 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor, padding: int = 2) -> Tensor:
         hi = min(lo + per_block, batch)
         np.matmul(wmat, _fill_columns(col, x.data[lo:hi], taps), out=data[lo:hi])
         data[lo:hi] += b.data[:, None]
-    need_gx = _needs_grad(x)
+    need_gx = x.requires_grad
 
-    def backward(out):
-        def fn():
-            g = out.grad                                  # (B, O, Lout)
-            _accumulate(b, g.sum(axis=(0, 2)))
-            cols = np.zeros((per_block, channels, k, out_len), dtype)
-            gw = np.zeros((out_ch, channels * k), dtype)
+    def backward(g):                                  # g: (B, O, Lout)
+        _accumulate(b, g.sum(axis=(0, 2)))
+        cols = np.zeros((per_block, channels, k, out_len), dtype)
+        gw = np.zeros((out_ch, channels * k), dtype)
+        if need_gx:
+            gcol = np.empty_like(cols)
+            gx = np.zeros(x.data.shape, dtype)
+        for lo in range(0, batch, per_block):
+            hi = min(lo + per_block, batch)
+            xcol = _fill_columns(cols, x.data[lo:hi], taps)
+            gw += np.matmul(g[lo:hi], xcol.transpose(0, 2, 1)).sum(axis=0)
             if need_gx:
-                gcol = np.empty_like(cols)
-                gx = np.zeros(x.data.shape, dtype)
-            for lo in range(0, batch, per_block):
-                hi = min(lo + per_block, batch)
-                xcol = _fill_columns(cols, x.data[lo:hi], taps)
-                gw += np.matmul(g[lo:hi], xcol.transpose(0, 2, 1)).sum(axis=0)
-                if need_gx:
-                    np.matmul(wmat.T, g[lo:hi], out=gcol[:hi - lo].reshape(xcol.shape))
-                    for kk, t0, t1, shift in taps:
-                        gx[lo:hi, :, t0 + shift:t1 + shift] += gcol[:hi - lo, :, kk, t0:t1]
-            _accumulate(w, gw.reshape(out_ch, channels, k))
-            if need_gx:
-                _accumulate(x, gx)
-        return fn
+                np.matmul(wmat.T, g[lo:hi], out=gcol[:hi - lo].reshape(xcol.shape))
+                for kk, t0, t1, shift in taps:
+                    gx[lo:hi, :, t0 + shift:t1 + shift] += gcol[:hi - lo, :, kk, t0:t1]
+        _accumulate(w, gw.reshape(out_ch, channels, k))
+        if need_gx:
+            _accumulate(x, gx)
     return _make(data, (x, w, b), backward)
 
 
@@ -361,7 +347,7 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
     axes = (0, 2)
     n = x.data.shape[0] * x.data.shape[2]
     # backward needs xhat; without a tape the affine step overwrites it
-    taped = any(_needs_grad(t) for t in (x, gamma, beta))
+    taped = any(t.requires_grad for t in (x, gamma, beta))
     data = np.empty(x.data.shape, x.data.dtype) if taped else None
     if training:
         if x.data.shape[0] < 2:
@@ -386,25 +372,22 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
         data *= gamma.data[:, None]
     data += beta.data[:, None]
 
-    def backward(out):
-        def fn():
-            g = out.grad
-            g_sum = g.sum(axis=axes)
-            gx = g * xhat
-            g_xhat_sum = gx.sum(axis=axes)
-            _accumulate(beta, g_sum)
-            _accumulate(gamma, g_xhat_sum)
-            scale = (gamma.data * inv_std)[:, None]
-            if training:
-                # (gamma * inv_std) * (g - sum(g)/n - xhat * sum(g * xhat)/n)
-                np.multiply(xhat, (g_xhat_sum / n)[:, None], out=gx)
-                np.subtract(g, gx, out=gx)
-                gx -= (g_sum / n)[:, None]
-                gx *= scale
-            else:
-                np.multiply(g, scale, out=gx)
-            _accumulate(x, gx)
-        return fn
+    def backward(g):
+        g_sum = g.sum(axis=axes)
+        gx = g * xhat
+        g_xhat_sum = gx.sum(axis=axes)
+        _accumulate(beta, g_sum)
+        _accumulate(gamma, g_xhat_sum)
+        scale = (gamma.data * inv_std)[:, None]
+        if training:
+            # (gamma * inv_std) * (g - sum(g)/n - xhat * sum(g * xhat)/n)
+            np.multiply(xhat, (g_xhat_sum / n)[:, None], out=gx)
+            np.subtract(g, gx, out=gx)
+            gx -= (g_sum / n)[:, None]
+            gx *= scale
+        else:
+            np.multiply(g, scale, out=gx)
+        _accumulate(x, gx)
     return _make(data, (x, gamma, beta), backward)
 
 
@@ -415,13 +398,11 @@ def interleaved_to_complex(x: Tensor) -> Tensor:
     """Real (..., 2M) with interleaved re/im pairs -> complex (..., M)."""
     data = x.data[..., 0::2] + 1j * x.data[..., 1::2]
 
-    def backward(out):
-        def fn():
-            g = np.empty(x.data.shape, x.data.dtype)
-            g[..., 0::2] = out.grad.real
-            g[..., 1::2] = out.grad.imag
-            _accumulate(x, g)
-        return fn
+    def backward(g):
+        gx = np.empty(x.data.shape, x.data.dtype)
+        gx[..., 0::2] = g.real
+        gx[..., 1::2] = g.imag
+        _accumulate(x, gx)
     return _make(data, (x,), backward)
 
 
@@ -431,10 +412,8 @@ def complex_to_interleaved(z: Tensor) -> Tensor:
     data[..., 0::2] = z.data.real
     data[..., 1::2] = z.data.imag
 
-    def backward(out):
-        def fn():
-            _accumulate(z, out.grad[..., 0::2] + 1j * out.grad[..., 1::2])
-        return fn
+    def backward(g):
+        _accumulate(z, g[..., 0::2] + 1j * g[..., 1::2])
     return _make(data, (z,), backward)
 
 
@@ -448,28 +427,22 @@ def complex_scale(z: Tensor, c: complex) -> Tensor:
     """
     c = complex(c)
 
-    def backward(out):
-        def fn():
-            _accumulate(z, out.grad * c.conjugate())
-        return fn
+    def backward(g):
+        _accumulate(z, g * c.conjugate())
     return _make(z.data * c, (z,), backward)
 
 
 def add_constant(z: Tensor, const: np.ndarray) -> Tensor:
     """Add a constant array (e.g. a drawn noise realization), cast to z's dtype."""
-    def backward(out):
-        def fn():
-            _accumulate(z, out.grad)
-        return fn
+    def backward(g):
+        _accumulate(z, g)
     return _make(z.data + np.asarray(const, dtype=z.data.dtype), (z,), backward)
 
 
 def bandpass(z: Tensor, oversampling: int) -> Tensor:
     """Differentiable :func:`ofdm.bpf`; the projection is self-adjoint."""
-    def backward(out):
-        def fn():
-            _accumulate(z, bpf(out.grad, oversampling))
-        return fn
+    def backward(g):
+        _accumulate(z, bpf(g, oversampling))
     return _make(bpf(z.data, oversampling), (z,), backward)
 
 
@@ -481,14 +454,11 @@ def dft_unpad(z: Tensor, oversampling: int) -> Tensor:
     n = total // oversampling
     half = n // 2
 
-    def backward(out):
-        def fn():
-            g = out.grad
-            padded = np.zeros(z.data.shape, dtype=symbols.dtype)
-            padded[..., :half] = g[..., :half]
-            padded[..., total - half:] = g[..., half:]
-            _accumulate(z, np.fft.ifft(padded, axis=-1) * math.sqrt(n))
-        return fn
+    def backward(g):
+        padded = np.zeros(z.data.shape, dtype=symbols.dtype)
+        padded[..., :half] = g[..., :half]
+        padded[..., total - half:] = g[..., half:]
+        _accumulate(z, np.fft.ifft(padded, axis=-1) * math.sqrt(n))
     return _make(symbols, (z,), backward)
 
 
@@ -504,16 +474,14 @@ def rapp_nonlinearity(z: Tensor, a0: float, v: float, p: float) -> Tensor:
     f = v * (1.0 + t) ** (-1.0 / (2.0 * p))
     data = z.data * f
 
-    def backward(out):
-        def fn():
-            # df/du; p*t/u is finite for u > 0, the u = 0 limit is w for p = 1
-            # and 0 for p > 1 (p < 1 is outside the supported smooth range).
-            dtdu = np.where(u > 0.0, p * t / np.where(u > 0.0, u, 1.0),
-                            w if p == 1.0 else 0.0)
-            dfdu = -f * dtdu / (2.0 * p * (1.0 + t))
-            proj = out.grad.real * z.data.real + out.grad.imag * z.data.imag
-            _accumulate(z, out.grad * f + 2.0 * dfdu * proj * z.data)
-        return fn
+    def backward(g):
+        # df/du; p*t/u is finite for u > 0, the u = 0 limit is w for p = 1
+        # and 0 for p > 1 (p < 1 is outside the supported smooth range).
+        dtdu = np.where(u > 0.0, p * t / np.where(u > 0.0, u, 1.0),
+                        w if p == 1.0 else 0.0)
+        dfdu = -f * dtdu / (2.0 * p * (1.0 + t))
+        proj = g.real * z.data.real + g.imag * z.data.imag
+        _accumulate(z, g * f + 2.0 * dfdu * proj * z.data)
     return _make(data, (z,), backward)
 
 
@@ -533,11 +501,9 @@ def power_norm(z: Tensor) -> Tensor:
     s = 1.0 / np.sqrt(mean_power)
     data = z.data * s
 
-    def backward(out):
-        def fn():
-            dot = np.sum(out.grad.real * z.data.real + out.grad.imag * z.data.imag)
-            _accumulate(z, out.grad * s - z.data * (dot / (count * mean_power ** 1.5)))
-        return fn
+    def backward(g):
+        dot = np.sum(g.real * z.data.real + g.imag * z.data.imag)
+        _accumulate(z, g * s - z.data * (dot / (count * mean_power ** 1.5)))
     return _make(data, (z,), backward)
 
 
@@ -550,10 +516,8 @@ def mse_complex(z: Tensor, target: np.ndarray) -> Tensor:
     diff = z.data - np.asarray(target, dtype=z.data.dtype)
     count = diff.size
 
-    def backward(out):
-        def fn():
-            _accumulate(z, out.grad * (2.0 / count) * diff)
-        return fn
+    def backward(g):
+        _accumulate(z, g * (2.0 / count) * diff)
     return _make(np.sum(diff.real**2 + diff.imag**2) / count, (z,), backward)
 
 
@@ -571,13 +535,11 @@ def papr_loss(z: Tensor) -> Tensor:
     mean = power.mean(axis=-1)
     ratios = peak / mean
 
-    def backward(out):
-        def fn():
-            g = float(out.grad)
-            coeff = np.full_like(power, -1.0 / m) * (peak / mean**2)[:, None]
-            coeff[rows, peak_idx] += 1.0 / mean
-            _accumulate(z, (g / batch) * (2.0 * coeff * z.data))
-        return fn
+    def backward(g):
+        g = float(g)
+        coeff = np.full_like(power, -1.0 / m) * (peak / mean**2)[:, None]
+        coeff[rows, peak_idx] += 1.0 / mean
+        _accumulate(z, (g / batch) * (2.0 * coeff * z.data))
     return _make(np.mean(ratios), (z,), backward)
 
 
@@ -611,14 +573,12 @@ def acpr_value(z: Tensor, bw_bins: int) -> Tensor:
     value = max(up_db, lo_db)
     w_up, w_lo = (1.0, 0.0) if up >= lo else (0.0, 1.0)
 
-    def backward(out):
-        def fn():
-            g = float(out.grad)
-            coeff = np.zeros(total, dtype=per_bin.dtype)
-            coeff[up_idx] = g * w_up * 10.0 / (_LOG10 * up)
-            coeff[lo_idx] = g * w_lo * 10.0 / (_LOG10 * lo)
-            coeff[main_idx] = -g * 10.0 / (_LOG10 * main)
-            gz = np.fft.ifft(coeff * spec, axis=-1) * (2.0 / (batch * total))
-            _accumulate(z, gz)
-        return fn
+    def backward(g):
+        g = float(g)
+        coeff = np.zeros(total, dtype=per_bin.dtype)
+        coeff[up_idx] = g * w_up * 10.0 / (_LOG10 * up)
+        coeff[lo_idx] = g * w_lo * 10.0 / (_LOG10 * lo)
+        coeff[main_idx] = -g * 10.0 / (_LOG10 * main)
+        gz = np.fft.ifft(coeff * spec, axis=-1) * (2.0 / (batch * total))
+        _accumulate(z, gz)
     return _make(value, (z,), backward)

@@ -488,6 +488,7 @@ def run_selftest() -> list[tuple[str, bool, str]]:
     trained = ad.parameter(np.array([1.0]))
     trained.grad = np.zeros(1)
     AdamW([trained], lr=0.1, weight_decay=0.5).step()
-    check("adamw_step_matches_oracle", trained.data[0] == theta[0], f"theta={trained.data[0]!r}")
+    check("adamw_step_matches_oracle", trained.data[0] == theta[0],
+          f"theta={float(trained.data[0])!r}")
 
     return results

@@ -25,10 +25,6 @@ class Module:
         for name, value in vars(self).items():
             if isinstance(value, Module):
                 yield name, value
-            elif isinstance(value, (list, tuple)):
-                for i, item in enumerate(value):
-                    if isinstance(item, Module):
-                        yield f"{name}.{i}", item
 
     def named_parameters(self, prefix: str = ""):
         for name, value in vars(self).items():

@@ -1,4 +1,4 @@
-"""Scalar and curve metrics: PAPR, CCDF, PSD, ACPR and OBO.
+"""Scalar and curve metrics: PAPR, CCDF, PSD and ACPR.
 
 PSD bins are ordered from -fs/2 to +fs/2 and use the unitary-DFT periodogram
 scaling, so the bins sum to the mean time-domain sample power.  ACPR band
@@ -21,7 +21,6 @@ __all__ = [
     "ccdf",
     "psd",
     "acpr",
-    "obo",
 ]
 
 ACPR_FLOOR_DB = -200.0
@@ -121,13 +120,4 @@ def acpr(psd_values: np.ndarray, sp: SpectralParams) -> float:
     if adjacent <= 0.0:
         return ACPR_FLOOR_DB
     return max(10.0 * np.log10(adjacent / main), ACPR_FLOOR_DB)
-
-
-def obo(batch: np.ndarray, a0: float) -> float:
-    """Output back-off in dB: peak amplifier power over mean input power."""
-    batch = np.asarray(batch)
-    power = np.mean(np.abs(batch) ** 2)
-    if power <= 0.0:
-        raise DegenerateInputError("OBO is undefined for a zero batch")
-    return 10.0 * np.log10(a0 * a0 / power)
 

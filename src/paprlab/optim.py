@@ -14,10 +14,13 @@ __all__ = ["adamw_update", "AdamW"]
 # measured slower at float64.
 _BLOCK = 16384
 
+# AdamW's moment decay rates and denominator guard: adamw_update's defaults.
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
 
 def adamw_update(theta: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarray,
-                 step: int, lr: float, beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8, weight_decay: float = 0.0):
+                 step: int, lr: float, beta1: float = BETA1, beta2: float = BETA2,
+                 eps: float = EPS, weight_decay: float = 0.0):
     """One AdamW step; returns (theta, m, v) as new arrays.
 
     step is the 1-based update count used for bias correction.  The weight
@@ -44,13 +47,9 @@ class AdamW:
     hyper-parameters stay Python floats, which do not promote float32.
     """
 
-    def __init__(self, params: list[Tensor], lr: float = 1e-3,
-                 betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8,
-                 weight_decay: float = 0.01):
+    def __init__(self, params: list[Tensor], lr: float = 1e-3, weight_decay: float = 0.01):
         self.params = list(params)
         self.lr = lr
-        self.beta1, self.beta2 = betas
-        self.eps = eps
         self.weight_decay = weight_decay
         self.step_count = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
@@ -66,7 +65,7 @@ class AdamW:
         zero gradient.
         """
         self.step_count += 1
-        b1, b2, eps, lr, wd = self.beta1, self.beta2, self.eps, self.lr, self.weight_decay
+        b1, b2, eps, lr, wd = BETA1, BETA2, EPS, self.lr, self.weight_decay
         bc1 = 1.0 - b1 ** self.step_count
         bc2 = 1.0 - b2 ** self.step_count
         for p, m, v in zip(self.params, self.m, self.v):

@@ -27,9 +27,6 @@ class TrainConfig:
     lr: float = 0.001
     stage1_epochs: int = 40
     schedule: str = "gradual"           # "gradual" or "fixed"
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     weight_decay: float = 0.01
     snr_min_db: float = 6.0
     snr_max_db: float = 16.0
@@ -105,8 +102,7 @@ def _train_float32(model, cfg: TrainConfig, weights: LossWeights, hpa: HpaParams
     num_blocks = cfg.batches_per_epoch * cfg.batch_size
     bits_pool = data_rng.integers(0, 2, size=(num_blocks, 2 * n), dtype=np.uint8)
 
-    optimizer = AdamW(model.parameters(), lr=cfg.lr, betas=(cfg.beta1, cfg.beta2),
-                      eps=cfg.eps, weight_decay=cfg.weight_decay)
+    optimizer = AdamW(model.parameters(), lr=cfg.lr, weight_decay=cfg.weight_decay)
 
     result = TrainResult(optimizer=optimizer)
     model.train()

@@ -17,11 +17,9 @@ def selu(x: Tensor) -> Tensor:
     expm = np.exp(np.minimum(x.data, 0.0)) - 1.0
     data = SELU_SCALE * np.where(pos, x.data, SELU_ALPHA * expm)
 
-    def backward(out):
-        def fn():
-            local = SELU_SCALE * np.where(pos, 1.0, SELU_ALPHA * (expm + 1.0))
-            _accumulate(x, out.grad * local)
-        return fn
+    def backward(g):
+        local = SELU_SCALE * np.where(pos, 1.0, SELU_ALPHA * (expm + 1.0))
+        _accumulate(x, g * local)
     return _make(data, (x,), backward)
 
 
@@ -37,19 +35,16 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor, padding: int = 2) -> Tensor:
     wmat = w.data.reshape(out_ch, channels * k)
     data = np.ascontiguousarray((xcol @ wmat.T + b.data).transpose(0, 2, 1))
 
-    def backward(out):
-        def fn():
-            g = out.grad                                  # (B, O, Lout)
-            _accumulate(b, g.sum(axis=(0, 2)))
-            gt = np.ascontiguousarray(g.transpose(0, 2, 1)).reshape(-1, out_ch)
-            gw = gt.T @ xcol.reshape(-1, channels * k)
-            _accumulate(w, gw.reshape(out_ch, channels, k))
-            gcol = (gt @ wmat).reshape(batch, out_len, channels, k)
-            gxp = np.zeros((batch, channels, length + 2 * padding))
-            for kk in range(k):
-                gxp[:, :, kk:kk + out_len] += gcol[:, :, :, kk].transpose(0, 2, 1)
-            _accumulate(x, gxp[:, :, padding:padding + length] if padding else gxp)
-        return fn
+    def backward(g):                                  # g: (B, O, Lout)
+        _accumulate(b, g.sum(axis=(0, 2)))
+        gt = np.ascontiguousarray(g.transpose(0, 2, 1)).reshape(-1, out_ch)
+        gw = gt.T @ xcol.reshape(-1, channels * k)
+        _accumulate(w, gw.reshape(out_ch, channels, k))
+        gcol = (gt @ wmat).reshape(batch, out_len, channels, k)
+        gxp = np.zeros((batch, channels, length + 2 * padding))
+        for kk in range(k):
+            gxp[:, :, kk:kk + out_len] += gcol[:, :, :, kk].transpose(0, 2, 1)
+        _accumulate(x, gxp[:, :, padding:padding + length] if padding else gxp)
     return _make(data, (x, w, b), backward)
 
 
@@ -71,19 +66,16 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
     xhat = (x.data - mean[:, None]) * inv_std[:, None]
     data = gamma.data[:, None] * xhat + beta.data[:, None]
 
-    def backward(out):
-        def fn():
-            g = out.grad
-            _accumulate(beta, g.sum(axis=(0, 2)))
-            _accumulate(gamma, (g * xhat).sum(axis=(0, 2)))
-            gxhat = g * gamma.data[:, None]
-            if training:
-                n = x.data.shape[0] * x.data.shape[2]
-                s1 = gxhat.sum(axis=(0, 2))
-                s2 = (gxhat * xhat).sum(axis=(0, 2))
-                gx = inv_std[:, None] / n * (n * gxhat - s1[:, None] - xhat * s2[:, None])
-            else:
-                gx = gxhat * inv_std[:, None]
-            _accumulate(x, gx)
-        return fn
+    def backward(g):
+        _accumulate(beta, g.sum(axis=(0, 2)))
+        _accumulate(gamma, (g * xhat).sum(axis=(0, 2)))
+        gxhat = g * gamma.data[:, None]
+        if training:
+            n = x.data.shape[0] * x.data.shape[2]
+            s1 = gxhat.sum(axis=(0, 2))
+            s2 = (gxhat * xhat).sum(axis=(0, 2))
+            gx = inv_std[:, None] / n * (n * gxhat - s1[:, None] - xhat * s2[:, None])
+        else:
+            gx = gxhat * inv_std[:, None]
+        _accumulate(x, gx)
     return _make(data, (x, gamma, beta), backward)

@@ -80,6 +80,21 @@ class TestEngineBasics:
         y.backward()
         assert x.grad[0] == pytest.approx(6.0)
 
+    def test_frozen_leaf_gets_no_gradient(self):
+        arrays = RNG.standard_normal((4, 3)), RNG.standard_normal((3, 5)), RNG.standard_normal(5)
+
+        def run(w_trainable):
+            x, w, b = (Tensor(a, requires_grad=needs)
+                       for a, needs in zip(arrays, (True, w_trainable, True)))
+            ad.sq_norm(ad.selu(ad.linear(x, w, b))).backward()
+            return x, w, b
+
+        x, w, b = run(False)
+        x_ref, w_ref, b_ref = run(True)
+        assert w.grad is None and w_ref.grad is not None
+        np.testing.assert_array_equal(x.grad, x_ref.grad)
+        np.testing.assert_array_equal(b.grad, b_ref.grad)
+
     def test_backward_requires_scalar(self):
         x = Tensor(np.ones(3), requires_grad=True)
         with pytest.raises(ValueError):

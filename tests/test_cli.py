@@ -31,6 +31,7 @@ class TestCli:
         assert main(["selftest"]) == 0
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL " not in out
+        assert "(theta=0.95)" in out
 
     def test_train_then_eval_table(self, tmp_path, capsys):
         cfg = write_tiny_config(tmp_path)

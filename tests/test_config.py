@@ -73,19 +73,20 @@ class TestValidation:
     @pytest.mark.parametrize("path", ["model.complex_layout", "model.activation", "model.kernel",
                                       "model.padding", "system.constellation", "train.acpr_hinge",
                                       "train.l2_mode", "loss.lambda1", "eval.ccdf_min_db",
-                                      "eval.ccdf_max_db", "eval.ccdf_step_db"])
+                                      "eval.ccdf_max_db", "eval.ccdf_step_db", "train.beta1",
+                                      "train.beta2", "train.eps"])
     def test_deleted_switch_names_its_path(self, path):
         # a config written for a deleted option fails loudly, naming the option
         section, key = path.split(".")
         with pytest.raises(ConfigError, match=f"unknown config field {path}"):
             config_from_dict({section: {key: 1}})
 
-    def test_default_config_has_39_values(self):
+    def test_default_config_has_36_values(self):
         def leaves(value):
             if isinstance(value, dict):
                 return sum(leaves(v) for v in value.values())
             return 1
-        assert leaves(config_to_dict(default_config())) == 39
+        assert leaves(config_to_dict(default_config())) == 36
 
     def test_invalid_value_names_section(self):
         with pytest.raises(ConfigError, match="hpa"):

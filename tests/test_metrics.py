@@ -10,7 +10,6 @@ from paprlab.metrics import (
     SpectralParams,
     acpr,
     ccdf,
-    obo,
     papr,
     papr_db,
     psd,
@@ -156,20 +155,6 @@ class TestAcpr:
         spectrum[10:14] = 0.1    # upper
         spectrum[2:6] = 0.01     # lower
         assert acpr(spectrum, sp) == pytest.approx(-10.0)
-
-
-class TestObo:
-    def test_zero_backoff(self):
-        x = np.full(100, 0.5 + 0.5j)  # mean power 0.5
-        assert obo(x, a0=np.sqrt(0.5)) == pytest.approx(0.0)
-
-    def test_half_power(self):
-        x = np.full(100, np.sqrt(0.5))
-        assert obo(x, a0=1.0) == pytest.approx(3.0103, abs=1e-3)
-
-    def test_zero_batch_rejected(self):
-        with pytest.raises(DegenerateInputError):
-            obo(np.zeros(4), a0=1.0)
 
 
 def test_ccdf_curve_is_dataclass():
