@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 from collections import Counter
 
@@ -244,11 +245,31 @@ GOLDEN_ROWS = {
 }
 
 
+def _summary_digest(path) -> str:
+    """sha256 of a JSON summary without its build and config_hash values."""
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    payload.pop("build")
+    payload.pop("config_hash")
+    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode("utf-8")).hexdigest()
+
+
+# The five eval summaries at tiny_config, pinned like GOLDEN_ROWS.
+GOLDEN_SUMMARIES = {
+    "ber_summary.json": "8095a70ebb56394c9a8559b66596993cc6d0a774efc1360645f2e178a8f0b27a",
+    "ccdf_summary.json": "b425598cbb3ebbc6df30e14bd29e508bb21e65e797cbae173085a77f56587a99",
+    "psd_summary.json": "fefc7a0c29ac06dc6f4196d37e434e0bb001a88c73b92be97139c88f6c549c06",
+    "table_summary.json": "d2fd4952a87288e8542467f7d9b9eb1f62350193d5ed2a6c0dbe2da2d5681aa5",
+    "obo_acpr_summary.json": "03f1c3821948962ed96b6470be8285a2bee7e1ff9cdfe7fc9c26e4031c825743",
+}
+
+
 def test_golden_curve_rows(tmp_path):
     cfg = tiny_config(tmp_path)
     paths = [eval_ber(cfg), eval_ccdf(cfg), eval_psd(cfg), eval_table(cfg)[1],
              eval_obo_vs_acpr(cfg)]
     assert {p.name: _data_digest(p) for p in paths} == GOLDEN_ROWS
+    summaries = [p.with_name(f"{p.stem}_summary.json") for p in paths]
+    assert {p.name: _summary_digest(p) for p in summaries} == GOLDEN_SUMMARIES
 
 
 @pytest.mark.parametrize("command, symbols_key, grid_key", [
