@@ -26,7 +26,8 @@ import math
 
 import numpy as np
 
-from .ofdm import bpf, ofdm_demodulate
+from .metrics import ACPR_FLOOR_DB, band_powers
+from .ofdm import band_bins, bpf, ofdm_demodulate
 
 __all__ = [
     "Tensor",
@@ -452,12 +453,10 @@ def dft_unpad(z: Tensor, oversampling: int) -> Tensor:
     symbols = ofdm_demodulate(z.data, oversampling)
     total = z.data.shape[-1]
     n = total // oversampling
-    half = n // 2
 
     def backward(g):
         padded = np.zeros(z.data.shape, dtype=symbols.dtype)
-        padded[..., :half] = g[..., :half]
-        padded[..., total - half:] = g[..., half:]
+        padded[..., band_bins(n, total)[0]] = g
         _accumulate(z, np.fft.ifft(padded, axis=-1) * math.sqrt(n))
     return _make(symbols, (z,), backward)
 
@@ -551,22 +550,15 @@ def acpr_value(z: Tensor, bw_bins: int) -> Tensor:
     band).
     """
     batch, total = z.data.shape
-    half = bw_bins // 2
-    if 3 * bw_bins > total:
-        raise ValueError(
-            f"adjacent bands do not fit: 3*{bw_bins} bins exceed spectrum length {total}"
-        )
     spec = np.fft.fft(z.data, axis=-1)
     per_bin = (np.abs(spec) ** 2).sum(axis=0) / (batch * total * total)
-    # unshifted bin layout: [0, half) and [total-half, total) are in-band
-    main_idx = np.r_[0:half, total - half:total]
-    up_idx = np.arange(half, 3 * half)
-    lo_idx = np.arange(total - 3 * half, total - half)
-    main = per_bin[main_idx].sum()
-    # floor the adjacent powers far below any physical level (-300 dBc) so a
-    # perfectly band-limited input keeps the value and gradient finite
-    up = max(per_bin[up_idx].sum(), main * 1e-30)
-    lo = max(per_bin[lo_idx].sum(), main * 1e-30)
+    main, up, lo = band_powers(per_bin, bw_bins)
+    # floor the adjacent powers at metrics.ACPR_FLOOR_DB below the main band,
+    # the floor metrics.acpr reads, so a perfectly band-limited input keeps
+    # the value and gradient finite
+    floor = main * 10.0 ** (ACPR_FLOOR_DB / 10.0)
+    up = max(up, floor)
+    lo = max(lo, floor)
 
     up_db = 10.0 * np.log10(up / main)
     lo_db = 10.0 * np.log10(lo / main)
@@ -575,6 +567,7 @@ def acpr_value(z: Tensor, bw_bins: int) -> Tensor:
 
     def backward(g):
         g = float(g)
+        main_idx, up_idx, lo_idx = band_bins(bw_bins, total)
         coeff = np.zeros(total, dtype=per_bin.dtype)
         coeff[up_idx] = g * w_up * 10.0 / (_LOG10 * up)
         coeff[lo_idx] = g * w_lo * 10.0 / (_LOG10 * lo)

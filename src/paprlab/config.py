@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 import yaml
@@ -29,7 +29,6 @@ __all__ = [
     "config_to_dict",
     "config_from_dict",
     "load_config",
-    "save_config",
     "config_hash",
     "build_id",
 ]
@@ -102,53 +101,34 @@ def config_to_dict(config: ExperimentConfig) -> dict:
     return clean(asdict(config))
 
 
-def _build(cls, data, path: str):
-    """Construct one flat config section from a plain dict, strictly."""
+def _build(cls, data, path: str = ""):
+    """Construct a config dataclass from a plain dict, strictly.
+
+    A field whose default is a config dataclass is a section, built the same
+    way from its own mapping; path is the dotted name of cls ("" at the root).
+    """
     if not isinstance(data, dict):
-        raise ConfigError(f"{path}: expected a mapping, got {type(data).__name__}")
+        raise ConfigError(f"{path}: expected a mapping, got {type(data).__name__}" if path
+                          else "config root must be a mapping")
+    sections = {f.name: f.default_factory for f in fields(cls) if is_dataclass(f.default_factory)}
     known = {f.name for f in fields(cls)}
+    prefix = f"{path}." if path else ""
     for key in data:
         if key not in known:
-            raise ConfigError(f"unknown config field {path}.{key}")
-    kwargs = {name: tuple(value) if isinstance(value, list) else value
-              for name, value in data.items()}
+            raise ConfigError(f"unknown config field {prefix}{key}")
+    kwargs = {}
+    for name, value in data.items():
+        if name in sections:
+            value = _build(sections[name], value, prefix + name)
+        kwargs[name] = tuple(value) if isinstance(value, list) else value
     try:
         return cls(**kwargs)
     except (TypeError, ValueError) as err:
-        raise ConfigError(f"{path}: {err}") from err
-
-
-_SECTIONS = {
-    "system": SystemConfig,
-    "model": ModelConfig,
-    "hpa": HpaParams,
-    "cf": CfParams,
-    "slm": SlmParams,
-    "train": TrainConfig,
-    "loss": LossWeights,
-    "eval": EvalConfig,
-}
+        raise ConfigError(f"{path}: {err}" if path else str(err)) from err
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
-    if not isinstance(data, dict):
-        raise ConfigError("config root must be a mapping")
-    known = {f.name for f in fields(ExperimentConfig)}
-    for key in data:
-        if key not in known:
-            raise ConfigError(f"unknown config field {key}")
-    kwargs = {}
-    for name, value in data.items():
-        if name in _SECTIONS:
-            kwargs[name] = _build(_SECTIONS[name], value, name)
-        elif isinstance(value, list):
-            kwargs[name] = tuple(value)
-        else:
-            kwargs[name] = value
-    try:
-        return ExperimentConfig(**kwargs)
-    except (TypeError, ValueError) as err:
-        raise ConfigError(str(err)) from err
+    return _build(ExperimentConfig, data)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -157,11 +137,6 @@ def load_config(path) -> ExperimentConfig:
     if data is None:
         data = {}
     return config_from_dict(data)
-
-
-def save_config(config: ExperimentConfig, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        yaml.safe_dump(config_to_dict(config), fh, sort_keys=False)
 
 
 def config_hash(config: ExperimentConfig) -> str:

@@ -1,9 +1,10 @@
 """Delimited curve files with a self-describing comment header.
 
-Every file starts with `# key = value` metadata lines (always including the
-build identifier and the config hash), followed by one CSV header line and
-the data rows sorted by the x column.  Float formatting uses repr, so files
-are byte-reproducible and values round-trip exactly.
+Every file starts with `# key = value` metadata lines, followed by one CSV
+header line and the data rows sorted by the x column.  Float formatting uses
+repr, so files are byte-reproducible and values round-trip exactly.  This
+module writes what it is given: the harness supplies the build identifier
+and the config hash, in the meta lines and in the JSON summary.
 """
 
 from __future__ import annotations

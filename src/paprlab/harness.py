@@ -2,7 +2,9 @@
 
 Every public function takes an ExperimentConfig, derives its random streams
 from the config seed, and writes byte-reproducible outputs (curve files,
-checkpoints, JSON summaries) into the configured output directory.
+checkpoints, JSON summaries) into the configured output directory.  `_write`
+is the only writer of a curve file and its JSON summary, and the one place
+that stamps both with the build id and the config hash.
 
 Evaluation is the training chain: neural transmit, front-end and receiver
 are the stage functions of :mod:`paprlab.chain`, run on tape-free tensors.
@@ -40,9 +42,9 @@ from .config import (
 from .curvefile import write_curve, write_summary
 from .errors import ConfigError
 from .frontend import HpaParams, bussgang_alpha
-from .metrics import ACPR_FLOOR_DB, SpectralParams, acpr, band_bins, ccdf, papr_db, psd
+from .metrics import ACPR_FLOOR_DB, SpectralParams, acpr, ccdf, papr_db, psd
 from .models import CaeModel, FcAeModel, load_checkpoint, save_checkpoint
-from .ofdm import ml_detect, ofdm_demodulate, ofdm_modulate, qam4_map
+from .ofdm import band_bins, ml_detect, ofdm_demodulate, ofdm_modulate, qam4_map
 from .seeding import derive_rng, derive_seed
 from .training import train
 
@@ -71,10 +73,25 @@ def _outdir(config: ExperimentConfig) -> Path:
     return out
 
 
-def _meta(config: ExperimentConfig, **extra) -> dict:
-    meta = {"build": build_id(), "config_hash": config_hash(config), "seed": config.seed}
-    meta.update(extra)
-    return meta
+def _write(config: ExperimentConfig, stem: str, command: str, meta: dict,
+           columns: list[str], rows: list[tuple], /, **summary) -> Path:
+    """Write <stem>.csv and <stem>_summary.json; return the curve file's path.
+
+    The curve file's meta lines start with the build id, the config hash and
+    the seed, then meta.  The summary holds command, build, config_hash and
+    outputs next to the summary fields; outputs lists the files named by a
+    summary `outputs` field, then the curve file.
+    """
+    out = _outdir(config)
+    build, digest = build_id(), config_hash(config)
+    path = write_curve(out / f"{stem}.csv",
+                       {"build": build, "config_hash": digest, "seed": config.seed, **meta},
+                       columns, rows)
+    write_summary(out / f"{stem}_summary.json", {
+        "command": command, "build": build, "config_hash": digest, **summary,
+        "outputs": [*summary.get("outputs", ()), path.name],
+    })
+    return path
 
 
 def build_model_from_config(config: ExperimentConfig, arch: str):
@@ -109,21 +126,12 @@ def run_train(config: ExperimentConfig, arch: str = "cae", tag: str | None = Non
     save_checkpoint(ckpt_path, model, optimizer=result.optimizer,
                     epoch=config.train.epochs, seed=config.seed,
                     extra_meta={"tag": tag, "config_hash": config_hash(config)})
-    columns = ["epoch", "stage", "loss", "l1", "l2", "l3"]
     rows = [(r.epoch, r.stage, r.loss, r.l1, r.l2, r.l3) for r in result.records]
-    log_path = write_curve(out / f"train_{tag}.csv", _meta(config, arch=arch, tag=tag),
-                           columns, rows)
-    write_summary(out / f"train_{tag}_summary.json", {
-        "command": "train",
-        "arch": arch,
-        "tag": tag,
-        "build": build_id(),
-        "config_hash": config_hash(config),
-        "config": config_to_dict(config),
-        "epochs": config.train.epochs,
-        "final": rows[-1][2:] if rows else None,
-        "outputs": [ckpt_path.name, log_path.name],
-    })
+    log_path = _write(config, f"train_{tag}", "train", {"arch": arch, "tag": tag},
+                      ["epoch", "stage", "loss", "l1", "l2", "l3"], rows,
+                      arch=arch, tag=tag, config=config_to_dict(config),
+                      epochs=config.train.epochs, final=rows[-1][2:] if rows else None,
+                      outputs=[ckpt_path.name])
     return ckpt_path, log_path
 
 
@@ -228,21 +236,12 @@ def eval_ber(config: ExperimentConfig, checkpoints: dict | None = None) -> Path:
             rows.append((float(p_snr), float(count / n_bits), method, n_bits, count,
                          *_wilson(count, n_bits)))
     rows.sort(key=lambda r: (r[0], r[2]))
-    out = _outdir(config)
-    path = write_curve(out / "ber.csv",
-                       _meta(config, symbols_per_point=batches * ev.batch,
-                             linear_chain=ev.linear_chain, ci="95% Wilson score"),
-                       ["p_snr_db", "ber", "method", "bits", "errors", "ci_low", "ci_high"],
-                       rows)
-    write_summary(out / "ber_summary.json", {
-        "command": "eval-ber",
-        "build": build_id(),
-        "config_hash": config_hash(config),
-        "ber": {m: {repr(float(p)): errors[m][i] / n_bits
-                    for i, p in enumerate(ev.p_snr_db)} for m in config.methods},
-        "outputs": [path.name],
-    })
-    return path
+    return _write(config, "ber", "eval-ber",
+                  {"symbols_per_point": batches * ev.batch, "linear_chain": ev.linear_chain,
+                   "ci": "95% Wilson score"},
+                  ["p_snr_db", "ber", "method", "bits", "errors", "ci_low", "ci_high"], rows,
+                  ber={m: {repr(float(p)): errors[m][i] / n_bits
+                           for i, p in enumerate(ev.p_snr_db)} for m in config.methods})
 
 
 def eval_ccdf(config: ExperimentConfig, checkpoints: dict | None = None) -> Path:
@@ -259,22 +258,12 @@ def eval_ccdf(config: ExperimentConfig, checkpoints: dict | None = None) -> Path
 
     rows = []
     for method in config.methods:
-        curve = ccdf(np.concatenate(values[method]), CCDF_THRESHOLDS_DB)
-        rows.extend((float(t), float(p), method)
-                    for t, p in zip(curve.thresholds_db, curve.probabilities))
+        probs = ccdf(np.concatenate(values[method]), CCDF_THRESHOLDS_DB)
+        rows.extend((float(t), float(p), method) for t, p in zip(CCDF_THRESHOLDS_DB, probs))
     rows.sort(key=lambda r: (r[0], r[2]))
-    out = _outdir(config)
-    path = write_curve(out / "ccdf.csv",
-                       _meta(config, symbols=batches * ev.batch),
-                       ["papr0_db", "prob_exceed", "method"], rows)
-    write_summary(out / "ccdf_summary.json", {
-        "command": "eval-ccdf",
-        "build": build_id(),
-        "config_hash": config_hash(config),
-        "symbols": batches * ev.batch,
-        "outputs": [path.name],
-    })
-    return path
+    symbols = batches * ev.batch
+    return _write(config, "ccdf", "eval-ccdf", {"symbols": symbols},
+                  ["papr0_db", "prob_exceed", "method"], rows, symbols=symbols)
 
 
 def _accumulate_spectra(config: ExperimentConfig, bank: _MethodBank, symbols: int,
@@ -313,10 +302,10 @@ def eval_psd(config: ExperimentConfig, checkpoints: dict | None = None) -> Path:
         config, bank, config.eval.psd_symbols, "psd", [config.hpa.ibo_db])
 
     freqs = (np.arange(total_bins) - total_bins // 2) / total_bins
-    main_sl, _, _ = band_bins(total_bins, n)
     ideal = np.full(total_bins, 10.0 ** (ACPR_FLOOR_DB / 10.0))
     ref_power = (config.hpa.a0 ** 2) * 10.0 ** (-config.hpa.ibo_db / 10.0)
-    ideal[main_sl] = ref_power / n
+    ideal[band_bins(n, total_bins)[0]] = ref_power / n
+    ideal = np.fft.fftshift(ideal)
 
     rows = []
     for method in sorted(config.methods):
@@ -328,18 +317,9 @@ def eval_psd(config: ExperimentConfig, checkpoints: dict | None = None) -> Path:
     rows.extend((float(freqs[k]), float(10.0 * np.log10(ideal[k])), "ideal")
                 for k in range(total_bins))
     rows.sort(key=lambda r: (r[0], r[2]))
-    out = _outdir(config)
-    path = write_curve(out / "psd.csv", _meta(config, symbols=symbols),
-                       ["freq_norm", "psd_db", "method"], rows)
-    write_summary(out / "psd_summary.json", {
-        "command": "eval-psd",
-        "build": build_id(),
-        "config_hash": config_hash(config),
-        "symbols": symbols,
-        "mean_tx_power": {m: powers[m] for m in sorted(config.methods)},
-        "outputs": [path.name],
-    })
-    return path
+    return _write(config, "psd", "eval-psd", {"symbols": symbols},
+                  ["freq_norm", "psd_db", "method"], rows, symbols=symbols,
+                  mean_tx_power={m: powers[m] for m in sorted(config.methods)})
 
 
 def _acpr_obo(config: ExperimentConfig, spectrum: np.ndarray, power: float):
@@ -358,17 +338,9 @@ def eval_table(config: ExperimentConfig, checkpoints: dict | None = None):
         acpr_db, obo_db = _acpr_obo(config, spectra[method], powers[method])
         table[method] = {"acpr_db": acpr_db, "obo_db": obo_db}
     rows = [(m, table[m]["acpr_db"], table[m]["obo_db"]) for m in sorted(table)]
-    out = _outdir(config)
-    path = write_curve(out / "table.csv", _meta(config, symbols=symbols),
-                       ["method", "acpr_db", "obo_db"], rows)
-    write_summary(out / "table_summary.json", {
-        "command": "eval-table",
-        "build": build_id(),
-        "config_hash": config_hash(config),
-        "symbols": symbols,
-        "table": {m: table[m] for m in sorted(table)},
-        "outputs": [path.name],
-    })
+    path = _write(config, "table", "eval-table", {"symbols": symbols},
+                  ["method", "acpr_db", "obo_db"], rows, symbols=symbols,
+                  table={m: table[m] for m in sorted(table)})
     return table, path
 
 
@@ -381,17 +353,8 @@ def eval_obo_vs_acpr(config: ExperimentConfig, checkpoints: dict | None = None) 
     rows = [(*_acpr_obo(config, spectra[i][method], powers[i][method]), method, float(ibo_db))
             for i, ibo_db in enumerate(grid) for method in config.methods]
     rows.sort(key=lambda r: (r[0], r[2]))
-    out = _outdir(config)
-    path = write_curve(out / "obo_acpr.csv", _meta(config),
-                       ["acpr_db", "obo_db", "method", "ibo_db"], rows)
-    write_summary(out / "obo_acpr_summary.json", {
-        "command": "eval-obo-acpr",
-        "build": build_id(),
-        "config_hash": config_hash(config),
-        "ibo_grid_db": list(grid),
-        "outputs": [path.name],
-    })
-    return path
+    return _write(config, "obo_acpr", "eval-obo-acpr", {},
+                  ["acpr_db", "obo_db", "method", "ibo_db"], rows, ibo_grid_db=list(grid))
 
 
 # -- selftest --------------------------------------------------------------------

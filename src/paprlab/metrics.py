@@ -3,7 +3,7 @@
 PSD bins are ordered from -fs/2 to +fs/2 and use the unitary-DFT periodogram
 scaling, so the bins sum to the mean time-domain sample power.  ACPR band
 edges land exactly on bin boundaries because the main channel spans N bins of
-the L*N-bin spectrum.
+the L*N-bin spectrum; :func:`ofdm.band_bins` places the bands.
 """
 
 from dataclasses import dataclass
@@ -11,15 +11,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError
+from .ofdm import band_bins
 
 __all__ = [
     "ACPR_FLOOR_DB",
     "SpectralParams",
-    "CcdfCurve",
     "papr",
     "papr_db",
     "ccdf",
     "psd",
+    "band_powers",
     "acpr",
 ]
 
@@ -38,12 +39,6 @@ class SpectralParams:
             raise ValueError(f"bw_bins must be a positive even number, got {self.bw_bins}")
 
 
-@dataclass(frozen=True)
-class CcdfCurve:
-    thresholds_db: np.ndarray
-    probabilities: np.ndarray
-
-
 def papr(wave: np.ndarray) -> np.ndarray | float:
     """Peak-to-average power ratio (linear) along the last axis."""
     wave = np.asarray(wave)
@@ -59,14 +54,13 @@ def papr_db(wave: np.ndarray) -> np.ndarray | float:
     return 10.0 * np.log10(papr(wave))
 
 
-def ccdf(papr_values_db: np.ndarray, thresholds_db: np.ndarray) -> CcdfCurve:
-    """Empirical exceedance probability P(PAPR > threshold) per threshold."""
+def ccdf(papr_values_db: np.ndarray, thresholds_db: np.ndarray) -> np.ndarray:
+    """Empirical exceedance probability P(PAPR > threshold), one per threshold."""
     values = np.asarray(papr_values_db, dtype=float).ravel()
     thresholds = np.asarray(thresholds_db, dtype=float).ravel()
     if values.size == 0:
         raise ValueError("need at least one PAPR value")
-    probs = (values[:, None] > thresholds[None, :]).mean(axis=0)
-    return CcdfCurve(thresholds_db=thresholds, probabilities=probs)
+    return (values[:, None] > thresholds[None, :]).mean(axis=0)
 
 
 def psd(batch: np.ndarray) -> np.ndarray:
@@ -89,20 +83,14 @@ def psd(batch: np.ndarray) -> np.ndarray:
     return np.fft.fftshift(spec.mean(axis=0))
 
 
-def band_bins(num_bins: int, bw_bins: int) -> tuple[slice, slice, slice]:
-    """(main, upper, lower) slices into a -fs/2..fs/2 ordered spectrum."""
-    if num_bins % 2 != 0:
-        raise ValueError(f"spectrum length must be even, got {num_bins}")
-    if 3 * bw_bins > num_bins:
+def band_powers(per_bin: np.ndarray, bw_bins: int) -> tuple:
+    """(main, upper, lower) band powers of an unshifted per-bin power spectrum."""
+    total = per_bin.shape[-1]
+    if 3 * bw_bins > total:
         raise ValueError(
-            f"adjacent bands do not fit: 3*{bw_bins} bins exceed spectrum length {num_bins}"
+            f"adjacent bands do not fit: 3*{bw_bins} bins exceed spectrum length {total}"
         )
-    c = num_bins // 2
-    h = bw_bins // 2
-    main = slice(c - h, c + h)
-    upper = slice(c + h, c + 3 * h)
-    lower = slice(c - 3 * h, c - h)
-    return main, upper, lower
+    return tuple(per_bin[idx].sum() for idx in band_bins(bw_bins, total))
 
 
 def acpr(psd_values: np.ndarray, sp: SpectralParams) -> float:
@@ -111,12 +99,11 @@ def acpr(psd_values: np.ndarray, sp: SpectralParams) -> float:
     The worse (higher-power) of the two N-bin bands immediately above and
     below the main channel is compared against the main-channel power.
     """
-    psd_values = np.asarray(psd_values, dtype=float)
-    main_sl, up_sl, lo_sl = band_bins(psd_values.shape[-1], sp.bw_bins)
-    main = psd_values[main_sl].sum()
+    per_bin = np.fft.ifftshift(np.asarray(psd_values, dtype=float))
+    main, upper, lower = band_powers(per_bin, sp.bw_bins)
     if main <= 0.0:
         raise DegenerateInputError("main-channel power is zero")
-    adjacent = max(psd_values[up_sl].sum(), psd_values[lo_sl].sum())
+    adjacent = max(upper, lower)
     if adjacent <= 0.0:
         return ACPR_FLOOR_DB
     return max(10.0 * np.log10(adjacent / main), ACPR_FLOOR_DB)

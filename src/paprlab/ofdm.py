@@ -12,7 +12,8 @@ Conventions fixed here and relied on by the rest of the package:
   and unit-energy 4-QAM symbols yield unit mean sample power for any L;
 * the N data subcarriers occupy the centered bins of the length L*N spectrum:
   symbols [0, N/2) ride the nonnegative-frequency bins [0, N/2) and symbols
-  [N/2, N) the negative-frequency bins [L*N - N/2, L*N).
+  [N/2, N) the negative-frequency bins [L*N - N/2, L*N).  :func:`band_bins`
+  is the one definition of this layout and of the two adjacent N-bin bands.
 """
 
 import math
@@ -24,6 +25,7 @@ __all__ = [
     "QAM4_LABELS",
     "qam4_map",
     "ml_detect",
+    "band_bins",
     "ofdm_modulate",
     "ofdm_demodulate",
     "bpf",
@@ -80,13 +82,18 @@ def ml_detect(estimates: np.ndarray) -> np.ndarray:
     return bits.reshape(*estimates.shape[:-1], -1)
 
 
-def _data_bins(n_subcarriers: int, total_bins: int) -> np.ndarray:
-    """FFT bin indices (unshifted order) carrying the N data subcarriers."""
-    half = n_subcarriers // 2
-    return np.concatenate([
-        np.arange(half),
-        np.arange(total_bins - half, total_bins),
-    ])
+def band_bins(n: int, total: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(main, upper, lower) FFT bin indices, unshifted, of a length-total spectrum.
+
+    main holds the N in-band bins in symbol order; upper and lower are the
+    N-bin bands just above and below it.  The adjacent bands lie inside the
+    spectrum only when 3*N <= total.
+    """
+    half = n // 2
+    main = np.r_[0:half, total - half:total]
+    upper = np.arange(half, 3 * half)
+    lower = np.arange(total - 3 * half, total - half)
+    return main, upper, lower
 
 
 def _check_sizes(n_subcarriers: int, oversampling: int):
@@ -107,7 +114,7 @@ def ofdm_modulate(block: np.ndarray, oversampling: int = 4) -> np.ndarray:
     _check_sizes(n, oversampling)
     total = n * oversampling
     spectrum = np.zeros(block.shape[:-1] + (total,), dtype=complex)
-    spectrum[..., _data_bins(n, total)] = block
+    spectrum[..., band_bins(n, total)[0]] = block
     return np.fft.ifft(spectrum, axis=-1) * (total / np.sqrt(n))
 
 
@@ -129,7 +136,7 @@ def ofdm_demodulate(wave: np.ndarray, oversampling: int = 4) -> np.ndarray:
     n = total // oversampling
     _check_sizes(n, oversampling)
     spectrum = np.fft.fft(wave, axis=-1) / (oversampling * math.sqrt(n))
-    return spectrum[..., _data_bins(n, total)]
+    return spectrum[..., band_bins(n, total)[0]]
 
 
 def bpf(wave: np.ndarray, oversampling: int = 4) -> np.ndarray:

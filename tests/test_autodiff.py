@@ -12,7 +12,7 @@ from paprlab import autodiff as ad
 from paprlab.autodiff import Tensor
 from paprlab.errors import DegenerateInputError
 from paprlab.layers import BatchNorm1d, Conv1d, Linear
-from paprlab.metrics import SpectralParams, acpr, papr, psd
+from paprlab.metrics import ACPR_FLOOR_DB, SpectralParams, acpr, papr, psd
 from paprlab.ofdm import bpf
 
 RNG = np.random.default_rng(2024)
@@ -377,14 +377,22 @@ class TestLossHeads:
     @pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
     def test_acpr_floor_on_band_limited_input(self, dtype):
         """bpf output has adjacent-band power only at rounding level, down to
-        none; the -300 dBc floor keeps the value and gradient finite."""
+        none; the ACPR_FLOOR_DB floor keeps the value and gradient finite."""
         rng = np.random.default_rng(9)
         wave = rng.standard_normal((32, 288)) + 1j * rng.standard_normal((32, 288))
         z = Tensor(bpf(wave.astype(dtype), 4), requires_grad=True)
         out = ad.acpr_value(z, 72)
         out.backward()
-        assert -300.0 - 1e-9 <= out.item() < -100.0
+        assert ACPR_FLOOR_DB - 1e-9 <= out.item() < -100.0
         assert z.grad.dtype == dtype and np.all(np.isfinite(z.grad))
+
+    def test_acpr_floor_matches_metric(self):
+        """On band-limited input the loss and the metric read the same floor."""
+        rng = np.random.default_rng(9)
+        wave = bpf(rng.standard_normal((32, 288)) + 1j * rng.standard_normal((32, 288)), 4)
+        got = ad.acpr_value(Tensor(wave), 72).item()
+        want = acpr(psd(wave), SpectralParams(bw_bins=72))
+        assert got == want == ACPR_FLOOR_DB
 
     def test_sq_norm_grad(self):
         x = RNG.standard_normal((3, 4))

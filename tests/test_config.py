@@ -1,4 +1,5 @@
 import pytest
+import yaml
 
 from paprlab.config import (
     ExperimentConfig,
@@ -8,7 +9,6 @@ from paprlab.config import (
     config_to_dict,
     default_config,
     load_config,
-    save_config,
 )
 from paprlab.errors import ConfigError
 
@@ -45,7 +45,7 @@ class TestRoundTrip:
             "seed": 99,
         })
         path = tmp_path / "cfg.yaml"
-        save_config(cfg, path)
+        path.write_text(yaml.safe_dump(config_to_dict(cfg)), encoding="utf-8")
         assert load_config(path) == cfg
 
     def test_hash_is_stable_and_sensitive(self):

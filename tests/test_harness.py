@@ -10,7 +10,7 @@ from paprlab import autodiff as ad
 from paprlab import chain, harness
 from paprlab.autodiff import Tensor
 from paprlab.channel import complex_noise
-from paprlab.config import config_from_dict
+from paprlab.config import build_id, config_from_dict, config_hash
 from paprlab.curvefile import read_curve, write_curve
 from paprlab.errors import ConfigError
 from paprlab.harness import (
@@ -270,6 +270,23 @@ def test_golden_curve_rows(tmp_path):
     assert {p.name: _data_digest(p) for p in paths} == GOLDEN_ROWS
     summaries = [p.with_name(f"{p.stem}_summary.json") for p in paths]
     assert {p.name: _summary_digest(p) for p in summaries} == GOLDEN_SUMMARIES
+
+
+def test_every_output_carries_build_and_config_hash(tmp_path):
+    """Each curve file and summary that run_train and the five eval commands
+    write names the build and the config; each summary lists files that exist."""
+    cfg = tiny_config(tmp_path, train={"epochs": 1, "stage1_epochs": 0})
+    _, log = run_train(cfg, arch="cae")
+    curves = [log, eval_ber(cfg), eval_ccdf(cfg), eval_psd(cfg), eval_table(cfg)[1],
+              eval_obo_vs_acpr(cfg)]
+    expected = {"build": build_id(), "config_hash": config_hash(cfg)}
+    for curve in curves:
+        meta, _, _ = read_curve(curve)
+        assert {key: meta[key] for key in expected} == expected, curve.name
+        summary = json.loads(curve.with_name(f"{curve.stem}_summary.json").read_text())
+        assert {key: summary[key] for key in expected} == expected, curve.name
+        assert curve.name in summary["outputs"]
+        assert all((curve.parent / name).exists() for name in summary["outputs"])
 
 
 @pytest.mark.parametrize("command, symbols_key, grid_key", [

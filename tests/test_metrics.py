@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from paprlab.errors import DegenerateInputError
 from paprlab.metrics import (
     ACPR_FLOOR_DB,
-    CcdfCurve,
     SpectralParams,
     acpr,
     ccdf,
@@ -60,18 +59,19 @@ class TestPapr:
 
 class TestCcdf:
     def test_counting(self):
-        curve = ccdf([3.0, 5.0, 7.0], [4.0])
-        assert curve.probabilities[0] == pytest.approx(2 / 3)
+        probs = ccdf([3.0, 5.0, 7.0], [4.0])
+        assert probs.shape == (1,)
+        assert probs[0] == pytest.approx(2 / 3)
 
     def test_extreme_thresholds(self):
-        curve = ccdf([3.0, 5.0, 7.0], [0.0, 100.0])
-        assert curve.probabilities[0] == 1.0
-        assert curve.probabilities[1] == 0.0
+        probs = ccdf([3.0, 5.0, 7.0], [0.0, 100.0])
+        assert probs[0] == 1.0
+        assert probs[1] == 0.0
 
     def test_monotone_nonincreasing(self):
         rng = np.random.default_rng(1)
-        curve = ccdf(rng.normal(8, 2, 500), np.linspace(0, 15, 61))
-        assert np.all(np.diff(curve.probabilities) <= 0)
+        probs = ccdf(rng.normal(8, 2, 500), np.linspace(0, 15, 61))
+        assert np.all(np.diff(probs) <= 0)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -155,9 +155,3 @@ class TestAcpr:
         spectrum[10:14] = 0.1    # upper
         spectrum[2:6] = 0.01     # lower
         assert acpr(spectrum, sp) == pytest.approx(-10.0)
-
-
-def test_ccdf_curve_is_dataclass():
-    curve = ccdf([1.0], [0.5])
-    assert isinstance(curve, CcdfCurve)
-    assert curve.thresholds_db[0] == 0.5

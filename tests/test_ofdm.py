@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from paprlab.ofdm import (
     QAM4_LABELS,
     QAM4_POINTS,
+    band_bins,
     bpf,
     ml_detect,
     ofdm_demodulate,
@@ -130,6 +131,29 @@ class TestModulateDemodulate:
         block = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         back = ofdm_demodulate(ofdm_modulate(block, oversampling), oversampling)
         assert np.max(np.abs(back - block)) < 1e-10
+
+
+@pytest.mark.parametrize("oversampling", [3, 4])
+@pytest.mark.parametrize("n", [8, 72])
+def test_band_bins_is_the_modulator_layout(n, oversampling):
+    """main is exactly the nonzero bins of the modulated spectrum, in symbol
+    order; upper and lower are the adjacent N-bin bands on either side."""
+    total = n * oversampling
+    main, upper, lower = band_bins(n, total)
+    block = np.arange(1, n + 1) * (1 - 2j)         # distinct nonzero symbols
+    spectrum = np.fft.fft(ofdm_modulate(block, oversampling)) * np.sqrt(n) / total
+    np.testing.assert_array_equal(np.sort(main),
+                                  np.flatnonzero(np.abs(spectrum) > 1e-9 * n))
+    np.testing.assert_allclose(spectrum[main], block, atol=1e-9 * n)
+    # in -fs/2..fs/2 order the three bands are contiguous runs of N bins:
+    # lower, main, upper
+    shifted = np.fft.fftshift(np.arange(total))
+    position = np.argsort(shifted)                 # unshifted bin -> shifted index
+    first = position[main].min()
+    np.testing.assert_array_equal(np.sort(position[main]), np.arange(first, first + n))
+    np.testing.assert_array_equal(position[upper], np.arange(first + n, first + 2 * n))
+    np.testing.assert_array_equal(position[lower], np.arange(first - n, first))
+    assert len(set(main) | set(upper) | set(lower)) == 3 * n
 
 
 class TestNumericalBedrock:
