@@ -27,7 +27,7 @@ import math
 import numpy as np
 
 from .metrics import ACPR_FLOOR_DB, band_powers
-from .ofdm import band_bins, bpf, ofdm_demodulate
+from .ofdm import band_bins, bpf, ofdm_demodulate, unit_power
 
 __all__ = [
     "Tensor",
@@ -132,14 +132,8 @@ class Tensor:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return _mul_scalar(self, -1.0)
-
     def __sub__(self, other):
         return _add(self, _mul_scalar(_as_tensor(other, self), -1.0))
-
-    def __rsub__(self, other):
-        return _add(_as_tensor(other, self), _mul_scalar(self, -1.0))
 
     def __mul__(self, other):
         if isinstance(other, Tensor):
@@ -147,11 +141,6 @@ class Tensor:
         return _mul_scalar(self, float(other))
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            raise TypeError("tensor/tensor division is not supported")
-        return _mul_scalar(self, 1.0 / float(other))
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -485,25 +474,15 @@ def rapp_nonlinearity(z: Tensor, a0: float, v: float, p: float) -> Tensor:
 
 
 def power_norm(z: Tensor) -> Tensor:
-    """Scale a complex batch by one real factor to unit mean sample power.
-
-    The factor couples every element of the batch, and the backward pass
-    carries that coupling.
-    """
-    from .errors import DegenerateInputError
-
-    count = z.data.size
-    total = np.sum(z.data.real**2 + z.data.imag**2)
-    if total <= 0.0:
-        raise DegenerateInputError("cannot normalize an all-zero batch")
-    mean_power = total / count
-    s = 1.0 / np.sqrt(mean_power)
-    data = z.data * s
-
+    """Differentiable :func:`ofdm.unit_power`: each waveform (row) of a complex
+    batch is scaled by its own real factor to unit mean sample power, so a
+    row's output does not depend on the rest of the batch."""
     def backward(g):
-        dot = np.sum(g.real * z.data.real + g.imag * z.data.imag)
-        _accumulate(z, g * s - z.data * (dot / (count * mean_power ** 1.5)))
-    return _make(data, (z,), backward)
+        m = z.data.shape[-1]
+        power = np.mean(np.abs(z.data) ** 2, axis=-1, keepdims=True)
+        dot = np.sum(g.real * z.data.real + g.imag * z.data.imag, axis=-1, keepdims=True)
+        _accumulate(z, g / np.sqrt(power) - z.data * (dot / (m * power ** 1.5)))
+    return _make(unit_power(z.data), (z,), backward)
 
 
 # -- loss heads ----------------------------------------------------------------

@@ -6,7 +6,7 @@ import numpy as np
 
 from .errors import DegenerateInputError
 from .metrics import papr
-from .ofdm import bpf, ofdm_modulate
+from .ofdm import bpf, ofdm_modulate, unit_power
 
 __all__ = [
     "CfParams",
@@ -58,9 +58,8 @@ def clip_filter(wave: np.ndarray, cf: CfParams = CfParams(), oversampling: int =
     """Iterated amplitude clipping and band-pass filtering.
 
     Each iteration clips at RMS * 10^(clip_ratio_db/20) (RMS taken per
-    waveform) and re-filters to the data bandwidth.  The result is
-    renormalized to unit mean power per waveform so every method feeds the
-    back-off stage at the same level.
+    waveform) and re-filters to the data bandwidth.  The result has unit mean
+    power per waveform, the level every method feeds the back-off stage at.
     """
     out = np.asarray(wave, dtype=complex)
     if np.any(np.mean(np.abs(out) ** 2, axis=-1) <= 0.0):
@@ -70,7 +69,7 @@ def clip_filter(wave: np.ndarray, cf: CfParams = CfParams(), oversampling: int =
         rms = np.sqrt(np.mean(np.abs(out) ** 2, axis=-1, keepdims=True))
         out = clip_amplitude(out, rms * ratio)
         out = bpf(out, oversampling)
-    return out / np.sqrt(np.mean(np.abs(out) ** 2, axis=-1, keepdims=True))
+    return unit_power(out)
 
 
 def slm_phase_bank(n_subcarriers: int, slm: SlmParams) -> np.ndarray:

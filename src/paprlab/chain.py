@@ -32,15 +32,17 @@ class ChainTaps:
     the spectral loss, and decoded the reconstruction loss.
     """
 
-    x_f: Tensor           # band-pass filtered, back-off scaled PA input
+    x_f: Tensor           # band-limited, unit-power, back-off scaled PA input
     x_p: Tensor           # PA output
     decoded: Tensor       # reconstructed symbol block, (B, N)
     alpha: complex        # Bussgang gain used by the receiver
 
 
 def transmit(model, x: Tensor) -> Tensor:
-    """Encode a (B, L*N) waveform batch and band-limit it to the data bins."""
-    return ad.bandpass(model.encode(x), model.oversampling)
+    """Encode a (B, L*N) waveform batch, band-limit it to the data bins and
+    scale each waveform to unit mean power, the level every method feeds the
+    back-off stage at."""
+    return ad.power_norm(ad.bandpass(model.encode(x), model.oversampling))
 
 
 def pa_input(x: Tensor, hpa: HpaParams, linear_chain: bool = False) -> Tensor:

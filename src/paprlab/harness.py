@@ -163,7 +163,8 @@ class _MethodBank:
         self.slm_bank = slm_phase_bank(config.system.n_subcarriers, config.slm)
 
     def transmit(self, method: str, blocks: np.ndarray):
-        """Blocks -> band-limited unit-power waveform batch (plus SLM indices)."""
+        """Blocks -> waveform batch (plus SLM indices), each waveform
+        band-limited and at unit mean power."""
         ell = self.config.system.oversampling
         if method == "none":
             return ofdm_modulate(blocks, ell), None
@@ -268,41 +269,39 @@ def eval_ccdf(config: ExperimentConfig, checkpoints: dict | None = None) -> Path
 
 def _accumulate_spectra(config: ExperimentConfig, bank: _MethodBank, symbols: int,
                         label: str, ibo_grid):
-    """Batch-averaged PSD of the PA output and mean PA-input power.
-
-    Returns (spectra, powers, symbols); spectra and powers hold one
-    {method: value} dict per IBO point.  Each batch is transmitted once;
-    only the front-end and the PSD run per IBO point.
+    """Batch-averaged PSD of the PA output, one {method: psd} dict per IBO
+    point, and the symbol count.  The bins of a PSD sum to the mean PA-output
+    power.  Each batch is transmitted once; only the front-end and the PSD
+    run per IBO point.
     """
     hpas = [replace(config.hpa, ibo_db=float(ibo_db)) for ibo_db in ibo_grid]
     psd_sum = [dict.fromkeys(config.methods, 0.0) for _ in hpas]
-    power_sum = [dict.fromkeys(config.methods, 0.0) for _ in hpas]
     for _, sent in _batch_stream(config, bank, symbols, label):
         for method, (x_unit, _) in sent.items():
             for i, hpa in enumerate(hpas):
-                x_f, x_p, _ = chain.front_end(Tensor(x_unit), hpa, config.eval.linear_chain)
+                _, x_p, _ = chain.front_end(Tensor(x_unit), hpa, config.eval.linear_chain)
                 psd_sum[i][method] = psd_sum[i][method] + psd(x_p.data)
-                power_sum[i][method] += float(np.mean(np.abs(x_f.data) ** 2))
     batches = _num_batches(symbols, config.eval.batch)
     spectra = [{m: total / batches for m, total in point.items()} for point in psd_sum]
-    powers = [{m: total / batches for m, total in point.items()} for point in power_sum]
-    return spectra, powers, batches * config.eval.batch
+    return spectra, batches * config.eval.batch
 
 
 def eval_psd(config: ExperimentConfig, checkpoints: dict | None = None) -> Path:
     """Averaged PSD of the transmitted (post-PA) signal per method, in dB.
 
     Also emits the ideal reference: a linear amplifier would confine the same
-    transmit power to a flat in-band rectangle.
+    transmit power to a flat in-band rectangle.  Every row, the reference's
+    included, is floored at ACPR_FLOOR_DB.
     """
     bank = _MethodBank(config, checkpoints)
     n = config.system.n_subcarriers
     total_bins = n * config.system.oversampling
-    (spectra,), (powers,), symbols = _accumulate_spectra(
-        config, bank, config.eval.psd_symbols, "psd", [config.hpa.ibo_db])
+    (spectra,), symbols = _accumulate_spectra(config, bank, config.eval.psd_symbols, "psd",
+                                              [config.hpa.ibo_db])
 
     freqs = (np.arange(total_bins) - total_bins // 2) / total_bins
-    ideal = np.full(total_bins, 10.0 ** (ACPR_FLOOR_DB / 10.0))
+    floor = 10.0 ** (ACPR_FLOOR_DB / 10.0)
+    ideal = np.full(total_bins, floor)
     ref_power = (config.hpa.a0 ** 2) * 10.0 ** (-config.hpa.ibo_db / 10.0)
     ideal[band_bins(n, total_bins)[0]] = ref_power / n
     ideal = np.fft.fftshift(ideal)
@@ -311,7 +310,7 @@ def eval_psd(config: ExperimentConfig, checkpoints: dict | None = None) -> Path:
     for method in sorted(config.methods):
         vals = spectra[method]
         rows.extend(
-            (float(freqs[k]), float(10.0 * np.log10(max(vals[k], 1e-30))), method)
+            (float(freqs[k]), float(10.0 * np.log10(max(vals[k], floor))), method)
             for k in range(total_bins)
         )
     rows.extend((float(freqs[k]), float(10.0 * np.log10(ideal[k])), "ideal")
@@ -319,23 +318,24 @@ def eval_psd(config: ExperimentConfig, checkpoints: dict | None = None) -> Path:
     rows.sort(key=lambda r: (r[0], r[2]))
     return _write(config, "psd", "eval-psd", {"symbols": symbols},
                   ["freq_norm", "psd_db", "method"], rows, symbols=symbols,
-                  mean_tx_power={m: powers[m] for m in sorted(config.methods)})
+                  mean_tx_power={m: float(spectra[m].sum()) for m in sorted(config.methods)})
 
 
-def _acpr_obo(config: ExperimentConfig, spectrum: np.ndarray, power: float):
-    """(ACPR, OBO) in dB of one method at one back-off."""
+def _acpr_obo(config: ExperimentConfig, spectrum: np.ndarray):
+    """(ACPR, OBO) in dB of one method's PA-output PSD at one back-off; OBO is
+    a0^2 over the mean PA-output power, which the PSD bins sum to."""
     return (float(acpr(spectrum, _spectral(config))),
-            float(10.0 * np.log10(config.hpa.a0 ** 2 / power)))
+            float(10.0 * np.log10(config.hpa.a0 ** 2 / spectrum.sum())))
 
 
 def eval_table(config: ExperimentConfig, checkpoints: dict | None = None):
     """ACPR and OBO per method (the summary table of the operating point)."""
     bank = _MethodBank(config, checkpoints)
-    (spectra,), (powers,), symbols = _accumulate_spectra(
-        config, bank, config.eval.table_symbols, "table", [config.hpa.ibo_db])
+    (spectra,), symbols = _accumulate_spectra(config, bank, config.eval.table_symbols, "table",
+                                              [config.hpa.ibo_db])
     table = {}
     for method in config.methods:
-        acpr_db, obo_db = _acpr_obo(config, spectra[method], powers[method])
+        acpr_db, obo_db = _acpr_obo(config, spectra[method])
         table[method] = {"acpr_db": acpr_db, "obo_db": obo_db}
     rows = [(m, table[m]["acpr_db"], table[m]["obo_db"]) for m in sorted(table)]
     path = _write(config, "table", "eval-table", {"symbols": symbols},
@@ -348,9 +348,8 @@ def eval_obo_vs_acpr(config: ExperimentConfig, checkpoints: dict | None = None) 
     """Sweep the input back-off and record the (ACPR, OBO) operating curves."""
     bank = _MethodBank(config, checkpoints)
     grid = config.eval.obo_acpr_ibo_db
-    spectra, powers, _ = _accumulate_spectra(config, bank, config.eval.table_symbols,
-                                             "obo_acpr", grid)
-    rows = [(*_acpr_obo(config, spectra[i][method], powers[i][method]), method, float(ibo_db))
+    spectra, _ = _accumulate_spectra(config, bank, config.eval.table_symbols, "obo_acpr", grid)
+    rows = [(*_acpr_obo(config, spectra[i][method]), method, float(ibo_db))
             for i, ibo_db in enumerate(grid) for method in config.methods]
     rows.sort(key=lambda r: (r[0], r[2]))
     return _write(config, "obo_acpr", "eval-obo-acpr", {},

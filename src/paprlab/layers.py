@@ -92,9 +92,6 @@ class Module:
             child.astype(dtype)
         return self
 
-    def num_parameters(self) -> int:
-        return sum(p.data.size for p in self.parameters())
-
 
 # Elements rounded to float32 per block in _lecun_normal (256 KiB at float32).
 _ROUND_BLOCK = 1 << 16

@@ -107,8 +107,9 @@ class CaeModel(_Autoencoder):
                 _ConvCoder(self.n, self._args["dec_channels"], rng))
 
     def encode(self, z: Tensor) -> Tensor:
-        """Time waveform -> unit-mean-power transmit waveform."""
-        return ad.power_norm(self.encoder(z))
+        """Time waveform -> encoded waveform; chain.transmit band-limits it
+        and sets its power."""
+        return self.encoder(z)
 
     def decode(self, z: Tensor) -> Tensor:
         """Received symbol block -> reconstructed symbol block."""
@@ -130,7 +131,7 @@ class FcAeModel(_Autoencoder):
                 _FcCoder(self.n, self._args["hidden"], rng))
 
     def encode(self, z: Tensor) -> Tensor:
-        return ad.power_norm(self.encoder(z))
+        return self.encoder(z)
 
     def decode(self, z: Tensor) -> Tensor:
         return self.decoder(z)

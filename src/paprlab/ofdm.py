@@ -20,6 +20,8 @@ import math
 
 import numpy as np
 
+from .errors import DegenerateInputError
+
 __all__ = [
     "QAM4_POINTS",
     "QAM4_LABELS",
@@ -29,6 +31,7 @@ __all__ = [
     "ofdm_modulate",
     "ofdm_demodulate",
     "bpf",
+    "unit_power",
 ]
 
 # Gray-labelled 4-QAM with unit mean energy:
@@ -156,3 +159,13 @@ def bpf(wave: np.ndarray, oversampling: int = 4) -> np.ndarray:
     spectrum = np.fft.fft(wave, axis=-1)
     spectrum[..., half:total - half] = 0.0
     return np.fft.ifft(spectrum, axis=-1)
+
+
+def unit_power(wave: np.ndarray) -> np.ndarray:
+    """Scale each waveform (last axis) to unit mean sample power."""
+    power = np.mean(np.abs(wave) ** 2, axis=-1, keepdims=True)
+    if np.any(power <= 0.0):
+        raise DegenerateInputError("cannot normalize an all-zero waveform")
+    # the reciprocal's product rounds as numpy's complex-by-real division does,
+    # and a diverged (NaN) row passes through without an invalid-value warning
+    return wave * (1.0 / np.sqrt(power))

@@ -16,6 +16,10 @@ float32, the training precision.
 - linear, forward and backward, at the encoder and decoder FC shapes and the
   training batch.
 - AdamW.step over the stock CAE's parameter list.
+- The chain ops power_norm, bandpass and rapp_nonlinearity, forward and
+  backward, on the stock waveform batch (B, 288): B = 32 at float32 on a
+  tape, as in training, and B = 500 at float64, as in evaluation, where the
+  forward runs tape-free.
 """
 
 import numpy as np
@@ -24,6 +28,7 @@ import pytest
 from paprlab import autodiff as ad
 from paprlab.autodiff import Tensor
 from paprlab.models import CaeModel
+from paprlab.ofdm import ofdm_modulate, qam4_map
 from paprlab.optim import AdamW
 
 # (in channels, out channels, input length) of the encoder's and decoder's
@@ -34,6 +39,15 @@ OPS = ["conv1d", "batch_norm", "selu"]
 # (in features, out features) of the encoder's and decoder's FC layers
 STOCK_FCS = [(6380, 576), (1924, 144)]
 FC_IDS = [f"{i}to{o}" for i, o in STOCK_FCS]
+CHAIN_OPS = {
+    "power_norm": ad.power_norm,
+    "bandpass": lambda z: ad.bandpass(z, 4),
+    "rapp_nonlinearity": lambda z: ad.rapp_nonlinearity(z, 1.0, 1.0, 2.0),
+}
+# (batch, complex dtype, taped forward) of a training step and an eval batch
+CHAIN_CASES = pytest.mark.parametrize("batch, dtype, taped",
+                                      [(32, np.complex64, True), (500, np.complex128, False)],
+                                      ids=["32-float32", "500-float64"])
 DTYPES = pytest.mark.parametrize("dtype", [np.float64, np.float32],
                                  ids=["float64", "float32"])
 
@@ -119,3 +133,24 @@ def test_adamw_step(benchmark, dtype):
     for p in model.parameters():
         p.grad = rng.standard_normal(p.data.shape).astype(dtype)
     benchmark(AdamW(model.parameters()).step)
+
+
+def _chain_call(op, batch, dtype, taped):
+    """A closure running a chain op's forward on a batch of stock unit-power
+    OFDM waveforms (72 subcarriers, 4x oversampling), and its input."""
+    bits = np.random.default_rng(0).integers(0, 2, (batch, 144))
+    z = Tensor(ofdm_modulate(qam4_map(bits), 4).astype(dtype), requires_grad=taped)
+    return lambda: CHAIN_OPS[op](z), (z,)
+
+
+@CHAIN_CASES
+@pytest.mark.parametrize("op", CHAIN_OPS)
+def test_chain_forward(benchmark, op, batch, dtype, taped):
+    call, _ = _chain_call(op, batch, dtype, taped)
+    benchmark(call)
+
+
+@CHAIN_CASES
+@pytest.mark.parametrize("op", CHAIN_OPS)
+def test_chain_backward(benchmark, op, batch, dtype, taped):
+    _bench_backward(benchmark, *_chain_call(op, batch, dtype, True))

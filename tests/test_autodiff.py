@@ -338,9 +338,30 @@ class TestChainOps:
         out = ad.power_norm(Tensor(z))
         assert np.mean(np.abs(out.data) ** 2) == pytest.approx(1.0, abs=1e-9)
 
-    def test_power_norm_grad_couples_batch(self):
-        z = RNG.standard_normal((3, 6)) + 1j * RNG.standard_normal((3, 6))
+    def test_power_norm_grad_per_row(self):
+        """Rows at powers far apart, so a batch-wide scale would show."""
+        scale = np.array([[0.2], [1.0], [4.0]])
+        z = scale * (RNG.standard_normal((3, 6)) + 1j * RNG.standard_normal((3, 6)))
         check_grad(lambda t: scalarize(ad.power_norm(t)), [z])
+
+    def test_power_norm_rows_are_independent(self):
+        """Changing row j leaves every other row's output and gradient bit-identical."""
+        rng = np.random.default_rng(5)
+        z = rng.standard_normal((4, 8)) + 1j * rng.standard_normal((4, 8))
+        changed = z.copy()
+        changed[2] *= 7.5 * np.exp(0.3j)
+        changed[2, 5] += 2.0
+        outs = []
+        for batch in (z, changed):
+            t = Tensor(batch, requires_grad=True)
+            out = ad.power_norm(t)
+            scalarize(out).backward()
+            outs.append((out.data, t.grad))
+        (out_a, grad_a), (out_b, grad_b) = outs
+        keep = [0, 1, 3]
+        np.testing.assert_array_equal(out_a[keep], out_b[keep])
+        np.testing.assert_array_equal(grad_a[keep], grad_b[keep])
+        np.testing.assert_allclose(np.mean(np.abs(out_b) ** 2, axis=-1), 1.0, rtol=1e-12)
 
     def test_power_norm_zero_batch(self):
         with pytest.raises(DegenerateInputError):

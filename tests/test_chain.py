@@ -26,7 +26,7 @@ class IdentityCodec(Module):
         self.oversampling = oversampling
 
     def encode(self, z):
-        return ad.power_norm(z)
+        return z
 
     def decode(self, z):
         return z

@@ -12,7 +12,10 @@ from oracle_ops import conv1d as oracle_conv1d
 from oracle_ops import selu as oracle_selu
 
 from paprlab import autodiff as ad
+from paprlab import chain
 from paprlab.autodiff import Tensor
+from paprlab.models import CaeModel, FcAeModel
+from paprlab.ofdm import ofdm_modulate, qam4_map
 
 RNG = np.random.default_rng(77)
 
@@ -155,3 +158,23 @@ class TestBatchSplitInvariance:
             for stage, name in enumerate(("conv1d", "batch_norm", "selu")):
                 joined = np.concatenate([p[stage] for p in pieces])
                 np.testing.assert_array_equal(joined, whole[stage], err_msg=f"{name} {sizes}")
+
+    @pytest.mark.parametrize("model", [CaeModel(n_subcarriers=8, oversampling=4, seed=3),
+                                       FcAeModel(n_subcarriers=8, oversampling=4,
+                                                 hidden=(32, 48), seed=3)],
+                             ids=["cae", "fc_ae"])
+    def test_transmit_does_not_depend_on_the_split(self, model):
+        """chain.transmit of an eval-mode model on a batch of 500 equals the
+        same transmit run on its pieces: each waveform is band-limited and
+        scaled to unit power on its own.  linear's GEMM may round a row
+        differently at another batch size, by a few 1e-15, so the bound is
+        1e-12 rather than bit equality."""
+        model.eval()
+        blocks = qam4_map(np.random.default_rng(9).integers(0, 2, (500, 16)))
+        x = ofdm_modulate(blocks, 4)
+        whole = chain.transmit(model, Tensor(x)).data
+        for sizes in ([250, 250], [1, 7, 32, 460], [17, 483]):
+            edges = np.cumsum([0] + sizes)
+            joined = np.concatenate([chain.transmit(model, Tensor(x[lo:hi])).data
+                                     for lo, hi in zip(edges[:-1], edges[1:])])
+            np.testing.assert_allclose(joined, whole, rtol=0, atol=1e-12, err_msg=f"{sizes}")

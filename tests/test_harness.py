@@ -161,13 +161,50 @@ class TestEvals:
         ideal = [r for r in rows if r[2] == "ideal"]
         assert min(float(r[1]) for r in ideal) == pytest.approx(-200.0)
 
+    def test_psd_has_one_floor(self, tmp_path):
+        """Through an ideal amplifier the methods' out-of-band bins fall to
+        rounding noise; they are floored where the ideal reference is."""
+        cfg = tiny_config(tmp_path, eval={"linear_chain": True})
+        _, _, rows = read_curve(eval_psd(cfg))
+        lowest = {m: min(float(r[1]) for r in rows if r[2] == m)
+                  for m in ("none", "cf", "slm", "ideal")}
+        assert lowest == dict.fromkeys(lowest, -200.0)
+
     def test_table_values_reasonable(self, tmp_path):
         cfg = tiny_config(tmp_path, eval={"table_symbols": 1000})
         table, path = eval_table(cfg)
         assert set(table) == {"none", "cf", "slm"}
         for method, entry in table.items():
             assert -60 < entry["acpr_db"] < -5
-            assert entry["obo_db"] == pytest.approx(cfg.hpa.ibo_db, abs=0.01)
+            assert entry["obo_db"] > cfg.hpa.ibo_db  # the PA compresses its output
+
+    @pytest.mark.parametrize("linear_chain", [False, True])
+    def test_obo_is_the_pa_output_back_off(self, tmp_path, linear_chain):
+        """OBO is a0^2 over the mean PA-output power of the table's batches.
+        An ideal amplifier applies no back-off (x_f = x_p at unit power), so
+        there OBO equals the input back-off a0^2 / mean|x_f|^2; under RAPP it
+        exceeds the configured IBO."""
+        cfg = tiny_config(tmp_path, hpa={"a0": 1.5},
+                          eval={"table_symbols": 1000, "linear_chain": linear_chain})
+        table, _ = eval_table(cfg)
+        bank = harness._MethodBank(cfg, None)
+        powers = {m: [] for m in cfg.methods}
+        for _, sent in harness._batch_stream(cfg, bank, 1000, "table"):
+            for method, (x_unit, _) in sent.items():
+                x_f, x_p, _ = chain.front_end(Tensor(x_unit), cfg.hpa, linear_chain)
+                powers[method].append((np.mean(np.abs(x_f.data) ** 2),
+                                       np.mean(np.abs(x_p.data) ** 2)))
+        for method, pairs in powers.items():
+            p_in, p_out = np.mean(pairs, axis=0)
+            ibo_db = 10.0 * math.log10(cfg.hpa.a0 ** 2 / p_in)
+            obo_db = table[method]["obo_db"]
+            assert obo_db == pytest.approx(10.0 * math.log10(cfg.hpa.a0 ** 2 / p_out),
+                                           rel=0, abs=1e-9), method
+            if linear_chain:
+                assert obo_db == pytest.approx(ibo_db, rel=0, abs=1e-9), method
+            else:
+                assert ibo_db == pytest.approx(cfg.hpa.ibo_db, rel=0, abs=1e-9), method
+                assert obo_db > ibo_db, method
 
     def test_obo_acpr_monotone_in_ibo(self, tmp_path):
         cfg = tiny_config(tmp_path)
@@ -329,6 +366,21 @@ def test_bank_models_record_no_tape(tmp_path):
     # the tape does not change the numbers
     reference = load_checkpoint(ckpt).model.eval()
     np.testing.assert_array_equal(encoded.data, reference.encode(Tensor(x)).data)
+
+
+def test_every_method_feeds_the_amplifier_at_the_back_off(tmp_path):
+    """Each waveform of every method reaches the PA at a0^2 * 10^(-IBO/10)."""
+    cfg = tiny_config(tmp_path, methods=["none", "cf", "slm", "cae", "fc_ae"],
+                      hpa={"a0": 1.5}, train={"epochs": 0, "stage1_epochs": 0})
+    checkpoints = {arch: run_train(cfg, arch=arch)[0] for arch in ("cae", "fc_ae")}
+    bank = harness._MethodBank(cfg, checkpoints)
+    blocks = qam4_map(np.random.default_rng(6).integers(0, 2, (64, 2 * cfg.system.n_subcarriers)))
+    want = cfg.hpa.a0 ** 2 * 10.0 ** (-cfg.hpa.ibo_db / 10.0)
+    for method in cfg.methods:
+        x_unit, _ = bank.transmit(method, blocks)
+        x_f = chain.pa_input(Tensor(x_unit), cfg.hpa)
+        np.testing.assert_allclose(np.mean(np.abs(x_f.data) ** 2, axis=-1), want, rtol=1e-12,
+                                   err_msg=method)
 
 
 @pytest.mark.parametrize("linear_chain", [False, True])
