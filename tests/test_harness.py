@@ -277,8 +277,8 @@ GOLDEN_ROWS = {
     "ber.csv": "57c6dd5291aad99371148951a404a3bf3a7a645ed3ae0ff88d63cfc2469b8815",
     "ccdf.csv": "7593dbf8871563169d95ab9ea2f595d8cdce08f4d50ea9def75d008806637035",
     "psd.csv": "632a2e4616bcd68b50393efc62b9bf9a90275818eea99e138bd37165e4fc77b2",
-    "table.csv": "998d4eab6995253f0671ba302d3570fac61e5ab516caa3a4c151ad68b14182bd",
-    "obo_acpr.csv": "ba16239d71451d26fb6197e95e59e5fdeca8c88076d27cf087000fb0067ef056",
+    "table.csv": "c05f5b858399134801e28eb640e41836b2a348b6bb17e22ad1a5b8d362d848c3",
+    "obo_acpr.csv": "89036bea62e5431c2b4dd828e5ac15c519b506701322f42f8cc2455e7b6985c4",
 }
 
 
@@ -294,8 +294,8 @@ def _summary_digest(path) -> str:
 GOLDEN_SUMMARIES = {
     "ber_summary.json": "8095a70ebb56394c9a8559b66596993cc6d0a774efc1360645f2e178a8f0b27a",
     "ccdf_summary.json": "b425598cbb3ebbc6df30e14bd29e508bb21e65e797cbae173085a77f56587a99",
-    "psd_summary.json": "fefc7a0c29ac06dc6f4196d37e434e0bb001a88c73b92be97139c88f6c549c06",
-    "table_summary.json": "d2fd4952a87288e8542467f7d9b9eb1f62350193d5ed2a6c0dbe2da2d5681aa5",
+    "psd_summary.json": "c901669f385cee07763e5ee5eef09be7b74270b18c65ddae8ffd6426f1366880",
+    "table_summary.json": "4a464bc7b58dca49c5bbe48259297988d6b2cdd12a74e516babe2bba1418b120",
     "obo_acpr_summary.json": "03f1c3821948962ed96b6470be8285a2bee7e1ff9cdfe7fc9c26e4031c825743",
 }
 
