@@ -1,7 +1,8 @@
 """AWGN channel parameterized by peak-SNR.
 
-This module is the only place noise is drawn: the training chain and the BER
-evaluation both call :func:`complex_noise`.
+This module is the only place noise is drawn.  Training and the BER
+evaluation call :func:`complex_noise` and hand the draw to the chain stages,
+which never draw noise themselves.
 """
 
 import math

@@ -43,6 +43,9 @@ class SystemConfig:
     oversampling: int = 4
 
     def __post_init__(self):
+        if self.n_subcarriers < 2 or self.n_subcarriers % 2:
+            raise ValueError(f"n_subcarriers must be a positive even number, "
+                             f"got {self.n_subcarriers}")
         if self.oversampling < 3:
             raise ValueError("oversampling must be >= 3 so the adjacent bands fit the spectrum")
 
@@ -63,7 +66,10 @@ class EvalConfig:
     table_symbols: int = 20000
     obo_acpr_ibo_db: tuple[float, ...] = (0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0)
     batch: int = 500
-    linear_chain: bool = False
+
+    def __post_init__(self):
+        if self.batch < 1:
+            raise ValueError(f"batch must be a positive count, got {self.batch}")
 
 
 @dataclass(frozen=True)

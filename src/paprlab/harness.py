@@ -224,7 +224,7 @@ def eval_ber(config: ExperimentConfig, checkpoints: dict | None = None) -> Path:
                                 derive_rng(config.seed, f"ber/noise/{pi}/{bi}"))
                   for pi, p_snr in enumerate(ev.p_snr_db)]
         for method, (x_unit, aux) in sent.items():
-            _, x_p, alpha = chain.front_end(Tensor(x_unit), config.hpa, ev.linear_chain)
+            _, x_p, alpha = chain.front_end(Tensor(x_unit), config.hpa)
             for pi, noise in enumerate(noises):
                 symbols = chain.receive(add_constant(x_p, noise), alpha, ell).data
                 decided = bank.receive_bits(method, symbols, aux)
@@ -238,15 +238,18 @@ def eval_ber(config: ExperimentConfig, checkpoints: dict | None = None) -> Path:
                          *_wilson(count, n_bits)))
     rows.sort(key=lambda r: (r[0], r[2]))
     return _write(config, "ber", "eval-ber",
-                  {"symbols_per_point": batches * ev.batch, "linear_chain": ev.linear_chain,
-                   "ci": "95% Wilson score"},
+                  {"symbols_per_point": batches * ev.batch, "ci": "95% Wilson score"},
                   ["p_snr_db", "ber", "method", "bits", "errors", "ci_low", "ci_high"], rows,
                   ber={m: {repr(float(p)): errors[m][i] / n_bits
                            for i, p in enumerate(ev.p_snr_db)} for m in config.methods})
 
 
 def eval_ccdf(config: ExperimentConfig, checkpoints: dict | None = None) -> Path:
-    """CCDF of the PAPR of the amplifier input, per method."""
+    """CCDF of the PAPR of the amplifier input, per method.
+
+    The back-off is a scalar gain, which leaves PAPR unchanged, so the PAPR
+    is read off each method's unit-power transmit waveform.
+    """
     bank = _MethodBank(config, checkpoints)
     ev = config.eval
     batches = _num_batches(ev.ccdf_symbols, ev.batch)
@@ -254,8 +257,7 @@ def eval_ccdf(config: ExperimentConfig, checkpoints: dict | None = None) -> Path
     values = {m: [] for m in config.methods}
     for _, sent in _batch_stream(config, bank, ev.ccdf_symbols, "ccdf"):
         for method, (x_unit, _) in sent.items():
-            x_f = chain.pa_input(Tensor(x_unit), config.hpa, ev.linear_chain)
-            values[method].append(papr_db(x_f.data))
+            values[method].append(papr_db(x_unit))
 
     rows = []
     for method in config.methods:
@@ -279,7 +281,7 @@ def _accumulate_spectra(config: ExperimentConfig, bank: _MethodBank, symbols: in
     for _, sent in _batch_stream(config, bank, symbols, label):
         for method, (x_unit, _) in sent.items():
             for i, hpa in enumerate(hpas):
-                _, x_p, _ = chain.front_end(Tensor(x_unit), hpa, config.eval.linear_chain)
+                _, x_p, _ = chain.front_end(Tensor(x_unit), hpa)
                 psd_sum[i][method] = psd_sum[i][method] + psd(x_p.data)
     batches = _num_batches(symbols, config.eval.batch)
     spectra = [{m: total / batches for m, total in point.items()} for point in psd_sum]

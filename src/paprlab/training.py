@@ -8,6 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chain import run_chain
+from .channel import complex_noise
 from .errors import TrainingDivergedError
 from .frontend import HpaParams
 from .losses import LossWeights, joint_loss
@@ -67,7 +68,8 @@ def train(model, cfg: TrainConfig, weights: LossWeights, hpa: HpaParams,
 
     The training set is a fixed pool of random bit blocks (regenerated from
     the seed), reshuffled every epoch; the channel peak-SNR is drawn per
-    batch from the configured range.  Deterministic for a given seed: one
+    batch from the configured range, and the batch's noise at that SNR from
+    the "train/noise" stream.  Deterministic for a given seed: one
     optimizer step per batch, single-threaded reduction order.  Each epoch
     record holds the epoch means of the loss and of joint_loss's three terms,
     which are computed in both stages.  AdamW's decoupled weight decay is the
@@ -115,7 +117,8 @@ def _train_float32(model, cfg: TrainConfig, weights: LossWeights, hpa: HpaParams
             blocks = qam4_map(bits_pool[rows])
             x_time = ofdm_modulate(blocks, oversampling)
             p_snr_db = float(snr_rng.uniform(cfg.snr_min_db, cfg.snr_max_db))
-            taps = run_chain(model, x_time, hpa, p_snr_db=p_snr_db, noise_rng=noise_rng)
+            noise = complex_noise(x_time.shape, p_snr_db, hpa, noise_rng)
+            taps = run_chain(model, x_time, hpa, noise)
             for signal, tap in (("x_f", taps.x_f.data), ("x_p", taps.x_p.data),
                                 ("alpha", taps.alpha)):
                 if not np.all(np.isfinite(tap)):

@@ -16,10 +16,12 @@ float32, the training precision.
 - linear, forward and backward, at the encoder and decoder FC shapes and the
   training batch.
 - AdamW.step over the stock CAE's parameter list.
-- The chain ops power_norm, bandpass and rapp_nonlinearity, forward and
-  backward, on the stock waveform batch (B, 288): B = 32 at float32 on a
-  tape, as in training, and B = 500 at float64, as in evaluation, where the
-  forward runs tape-free.
+- The chain ops, forward and backward, at B = 32 in float32 on a tape, as
+  in training, and at B = 500 in float64, as in evaluation, where the
+  forward runs tape-free.  power_norm, bandpass, rapp_nonlinearity,
+  dft_unpad, papr_loss and acpr_value (72 in-band bins) take the stock
+  waveform batch (B, 288); mse_complex takes the (B, 72) symbol batch and
+  scores it against the sent blocks, as the reconstruction loss does.
 """
 
 import numpy as np
@@ -39,10 +41,15 @@ OPS = ["conv1d", "batch_norm", "selu"]
 # (in features, out features) of the encoder's and decoder's FC layers
 STOCK_FCS = [(6380, 576), (1924, 144)]
 FC_IDS = [f"{i}to{o}" for i, o in STOCK_FCS]
+# chain op -> its forward on the input z and the sent symbol blocks
 CHAIN_OPS = {
-    "power_norm": ad.power_norm,
-    "bandpass": lambda z: ad.bandpass(z, 4),
-    "rapp_nonlinearity": lambda z: ad.rapp_nonlinearity(z, 1.0, 1.0, 2.0),
+    "power_norm": lambda z, _: ad.power_norm(z),
+    "bandpass": lambda z, _: ad.bandpass(z, 4),
+    "rapp_nonlinearity": lambda z, _: ad.rapp_nonlinearity(z, 1.0, 1.0, 2.0),
+    "dft_unpad": lambda z, _: ad.dft_unpad(z, 4),
+    "mse_complex": ad.mse_complex,
+    "papr_loss": lambda z, _: ad.papr_loss(z),
+    "acpr_value": lambda z, _: ad.acpr_value(z, 72),
 }
 # (batch, complex dtype, taped forward) of a training step and an eval batch
 CHAIN_CASES = pytest.mark.parametrize("batch, dtype, taped",
@@ -136,11 +143,18 @@ def test_adamw_step(benchmark, dtype):
 
 
 def _chain_call(op, batch, dtype, taped):
-    """A closure running a chain op's forward on a batch of stock unit-power
-    OFDM waveforms (72 subcarriers, 4x oversampling), and its input."""
-    bits = np.random.default_rng(0).integers(0, 2, (batch, 144))
-    z = Tensor(ofdm_modulate(qam4_map(bits), 4).astype(dtype), requires_grad=taped)
-    return lambda: CHAIN_OPS[op](z), (z,)
+    """A closure running a chain op's forward, and its input: a batch of
+    stock unit-power OFDM waveforms (72 subcarriers, 4x oversampling), or for
+    mse_complex the blocks they carry, perturbed by Gaussian noise."""
+    rng = np.random.default_rng(0)
+    blocks = qam4_map(rng.integers(0, 2, (batch, 144)))
+    if op == "mse_complex":
+        data = blocks + 0.1 * (rng.standard_normal(blocks.shape)
+                               + 1j * rng.standard_normal(blocks.shape))
+    else:
+        data = ofdm_modulate(blocks, 4)
+    z = Tensor(data.astype(dtype), requires_grad=taped)
+    return lambda: CHAIN_OPS[op](z, blocks), (z,)
 
 
 @CHAIN_CASES

@@ -69,6 +69,12 @@ class TestCli:
         cfg = write_tiny_config(tmp_path)
         assert main(["--config", str(cfg), "--set", "train.epochs", "eval-ccdf"]) == 2
 
+    @pytest.mark.parametrize("assignment", ["system.n_subcarriers=7", "eval.batch=0"])
+    def test_invalid_size_is_config_error(self, tmp_path, capsys, assignment):
+        cfg = write_tiny_config(tmp_path)
+        assert main(["--config", str(cfg), "--set", assignment, "eval-ccdf"]) == 2
+        assert f"{assignment.split('.')[0]}: " in capsys.readouterr().err
+
     def test_unknown_config_field_reports_name(self, tmp_path, capsys):
         path = tmp_path / "bad.yaml"
         path.write_text(yaml.safe_dump({"train": {"warmup": 3}}))

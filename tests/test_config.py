@@ -81,16 +81,26 @@ class TestValidation:
         with pytest.raises(ConfigError, match=f"unknown config field {path}"):
             config_from_dict({section: {key: 1}})
 
-    def test_default_config_has_36_values(self):
+    def test_default_config_has_35_values(self):
         def leaves(value):
             if isinstance(value, dict):
                 return sum(leaves(v) for v in value.values())
             return 1
-        assert leaves(config_to_dict(default_config())) == 36
+        assert leaves(config_to_dict(default_config())) == 35
 
     def test_invalid_value_names_section(self):
         with pytest.raises(ConfigError, match="hpa"):
             config_from_dict({"hpa": {"a0": -1.0}})
+
+    @pytest.mark.parametrize("section, key, value, message", [
+        ("system", "n_subcarriers", 7, "positive even"),
+        ("system", "n_subcarriers", 0, "positive even"),
+        ("eval", "batch", 0, "positive count"),
+        ("eval", "batch", -5, "positive count"),
+    ])
+    def test_invalid_size_names_section(self, section, key, value, message):
+        with pytest.raises(ConfigError, match=f"{section}: {key} must be a {message}"):
+            config_from_dict({section: {key: value}})
 
     def test_unknown_method(self):
         with pytest.raises(ConfigError, match="method"):

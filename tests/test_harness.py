@@ -120,7 +120,7 @@ class TestEvals:
             assert 0.0 <= float(row[1]) <= 1.0
 
     def test_ber_wilson_interval_holds_at_zero_errors(self, tmp_path):
-        cfg = tiny_config(tmp_path, eval={"linear_chain": True, "p_snr_db": [-3.0, 40.0]})
+        cfg = tiny_config(tmp_path, hpa={"ibo_db": 40.0}, eval={"p_snr_db": [37.0, 80.0]})
         meta, columns, rows = read_curve(eval_ber(cfg))
         assert meta["ci"] == "95% Wilson score"
         col = {name: i for i, name in enumerate(columns)}
@@ -162,9 +162,10 @@ class TestEvals:
         assert min(float(r[1]) for r in ideal) == pytest.approx(-200.0)
 
     def test_psd_has_one_floor(self, tmp_path):
-        """Through an ideal amplifier the methods' out-of-band bins fall to
-        rounding noise; they are floored where the ideal reference is."""
-        cfg = tiny_config(tmp_path, eval={"linear_chain": True})
+        """At 40 dB of back-off the amplifier is linear and the methods'
+        out-of-band bins fall to rounding noise; they are floored where the
+        ideal reference is."""
+        cfg = tiny_config(tmp_path, hpa={"ibo_db": 40.0})
         _, _, rows = read_curve(eval_psd(cfg))
         lowest = {m: min(float(r[1]) for r in rows if r[2] == m)
                   for m in ("none", "cf", "slm", "ideal")}
@@ -177,20 +178,16 @@ class TestEvals:
         for method, entry in table.items():
             assert -60 < entry["acpr_db"] < -5
 
-    @pytest.mark.parametrize("linear_chain", [False, True])
-    def test_obo_is_the_pa_output_back_off(self, tmp_path, linear_chain):
-        """OBO is a0^2 over the mean PA-output power of the table's batches.
-        An ideal amplifier applies no back-off (x_f = x_p at unit power), so
-        there OBO equals the input back-off a0^2 / mean|x_f|^2; under RAPP it
-        exceeds the configured IBO."""
-        cfg = tiny_config(tmp_path, hpa={"a0": 1.5},
-                          eval={"table_symbols": 1000, "linear_chain": linear_chain})
+    def test_obo_is_the_pa_output_back_off(self, tmp_path):
+        """OBO is a0^2 over the mean PA-output power of the table's batches;
+        the amplifier compresses, so it exceeds the configured IBO."""
+        cfg = tiny_config(tmp_path, hpa={"a0": 1.5}, eval={"table_symbols": 1000})
         table, _ = eval_table(cfg)
         bank = harness._MethodBank(cfg, None)
         powers = {m: [] for m in cfg.methods}
         for _, sent in harness._batch_stream(cfg, bank, 1000, "table"):
             for method, (x_unit, _) in sent.items():
-                x_f, x_p, _ = chain.front_end(Tensor(x_unit), cfg.hpa, linear_chain)
+                x_f, x_p, _ = chain.front_end(Tensor(x_unit), cfg.hpa)
                 powers[method].append((np.mean(np.abs(x_f.data) ** 2),
                                        np.mean(np.abs(x_p.data) ** 2)))
         for method, pairs in powers.items():
@@ -199,11 +196,8 @@ class TestEvals:
             obo_db = table[method]["obo_db"]
             assert obo_db == pytest.approx(10.0 * math.log10(cfg.hpa.a0 ** 2 / p_out),
                                            rel=0, abs=1e-9), method
-            if linear_chain:
-                assert obo_db == pytest.approx(ibo_db, rel=0, abs=1e-9), method
-            else:
-                assert ibo_db == pytest.approx(cfg.hpa.ibo_db, rel=0, abs=1e-9), method
-                assert obo_db > ibo_db, method
+            assert ibo_db == pytest.approx(cfg.hpa.ibo_db, rel=0, abs=1e-9), method
+            assert obo_db > ibo_db, method
 
     def test_obo_acpr_monotone_in_ibo(self, tmp_path):
         cfg = tiny_config(tmp_path)
@@ -241,16 +235,16 @@ class TestEvals:
         pb = eval_table(cfg_b)[1]
         assert pa.read_bytes() == pb.read_bytes()
 
-    def test_linear_chain_mode_matches_analytic_ber(self, tmp_path):
-        """Gray 4-QAM through the linear chain tracks Q(sqrt(L*snr))."""
-        cfg = tiny_config(tmp_path, methods=["none"],
-                          eval={"linear_chain": True, "ber_symbols": 4000,
-                                "p_snr_db": [-6.0, -3.0, 0.0]})
+    def test_deep_back_off_matches_analytic_ber(self, tmp_path):
+        """At 40 dB of back-off the amplifier is linear, and Gray 4-QAM tracks
+        Q(sqrt(L*snr)) at the SNR of the PA input, snr = P_SNR - IBO in dB."""
+        cfg = tiny_config(tmp_path, methods=["none"], hpa={"ibo_db": 40.0},
+                          eval={"ber_symbols": 4000, "p_snr_db": [34.0, 37.0, 40.0]})
         eval_ber(cfg)
         _, _, rows = read_curve(tmp_path / "out" / "ber.csv")
         ell = cfg.system.oversampling
         for row in rows:
-            snr = 10 ** (float(row[0]) / 10)
+            snr = 10 ** ((float(row[0]) - cfg.hpa.ibo_db) / 10)
             want = 0.5 * math.erfc(math.sqrt(ell * snr / 2))
             got = float(row[1])
             n_bits = int(row[3])
@@ -377,13 +371,12 @@ def test_every_method_feeds_the_amplifier_at_the_back_off(tmp_path):
     want = cfg.hpa.a0 ** 2 * 10.0 ** (-cfg.hpa.ibo_db / 10.0)
     for method in cfg.methods:
         x_unit, _ = bank.transmit(method, blocks)
-        x_f = chain.pa_input(Tensor(x_unit), cfg.hpa)
+        x_f, _, _ = chain.front_end(Tensor(x_unit), cfg.hpa)
         np.testing.assert_allclose(np.mean(np.abs(x_f.data) ** 2, axis=-1), want, rtol=1e-12,
                                    err_msg=method)
 
 
-@pytest.mark.parametrize("linear_chain", [False, True])
-def test_eval_runs_the_training_chain(tmp_path, linear_chain):
+def test_eval_runs_the_training_chain(tmp_path):
     """On one batch and one noise draw, the harness path (bank transmit,
     front_end, receive, decode) equals run_chain bit for bit."""
     cfg = tiny_config(tmp_path, methods=["cae"])
@@ -393,11 +386,10 @@ def test_eval_runs_the_training_chain(tmp_path, linear_chain):
     n, ell = cfg.system.n_subcarriers, cfg.system.oversampling
     blocks = qam4_map(np.random.default_rng(3).integers(0, 2, (16, 2 * n)))
     noise = complex_noise((16, n * ell), 10.0, cfg.hpa, np.random.default_rng(4))
-    taps = chain.run_chain(model, ofdm_modulate(blocks, ell), cfg.hpa, p_snr_db=10.0,
-                           noise=noise, linear_chain=linear_chain)
+    taps = chain.run_chain(model, ofdm_modulate(blocks, ell), cfg.hpa, noise)
 
     x_unit, _ = bank.transmit("cae", blocks)
-    x_f, x_p, alpha = chain.front_end(Tensor(x_unit), cfg.hpa, linear_chain)
+    x_f, x_p, alpha = chain.front_end(Tensor(x_unit), cfg.hpa)
     symbols = chain.receive(ad.add_constant(x_p, noise), alpha, ell).data
     decoded = model.decode(Tensor(symbols)).data
 

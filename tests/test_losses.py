@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from paprlab.chain import run_chain
+from paprlab.channel import complex_noise
 from paprlab.frontend import HpaParams
 from paprlab.losses import LossWeights, joint_loss
 from paprlab.metrics import SpectralParams, acpr, papr, psd
@@ -23,8 +24,8 @@ def make_taps(seed=0, batch=2, model=None, p_snr_db=math.inf):
         model = CaeModel(n_subcarriers=N, oversampling=L, enc_channels=(3, 2),
                          dec_channels=(2, 3), seed=seed)
         model.train()
-    noise_rng = np.random.default_rng(seed + 1) if math.isfinite(p_snr_db) else None
-    taps = run_chain(model, x, HPA, p_snr_db=p_snr_db, noise_rng=noise_rng)
+    noise = complex_noise(x.shape, p_snr_db, HPA, np.random.default_rng(seed + 1))
+    taps = run_chain(model, x, HPA, noise)
     return taps, blocks, model
 
 

@@ -47,7 +47,7 @@ def eval_mean_papr_db(model, seed=123):
     model.eval()
     rng = np.random.default_rng(seed)
     x = ofdm_modulate(qam4_map(rng.integers(0, 2, (256, 2 * N))), L)
-    taps = run_chain(model, x, HPA, p_snr_db=math.inf)
+    taps = run_chain(model, x, HPA)
     return float(np.mean(papr_db(taps.x_f.data)))
 
 
@@ -208,7 +208,7 @@ class TestFloat32Training:
         steps = {}
         for dtype in (np.float64, np.float32):
             model = CaeModel(seed=4).astype(dtype)
-            taps = run_chain(model, x, hpa, p_snr_db=10.0, noise=noise)
+            taps = run_chain(model, x, hpa, noise)
             loss, _ = joint_loss(taps, blocks, LossWeights(), spectral, stage=2)
             loss.backward()
             assert loss.data.dtype == dtype
