@@ -20,7 +20,7 @@ def noise_std(p_snr_db: float, hpa: HpaParams) -> float:
     p_snr_db is the peak signal-to-noise ratio a0^2/sigma_w^2 in dB; +inf
     disables noise.
     """
-    if math.isinf(p_snr_db):
+    if p_snr_db == math.inf:
         return 0.0
     return hpa.a0 * 10.0 ** (-p_snr_db / 20.0)
 

@@ -2,11 +2,11 @@
 
     paprlab [--config FILE] [--seed N] [--output-dir DIR] [--set key=value]... COMMAND
 
-Commands: train, eval-ber, eval-ccdf, eval-psd, eval-table, eval-obo-acpr,
-selftest.  CLI flags override config-file fields.  --seed sets the master
-seed, from which every random stream is derived except the SLM phase bank:
-transmitter and receiver must share that bank, so slm.rng_seed alone seeds
-it.  The default output directory can also come from the PAPRLAB_OUTPUT_DIR
+Commands: train, eval-ber, eval-ccdf, eval-psd, eval-table, eval-obo-acpr.
+CLI flags override config-file fields.  --seed sets the master seed, from
+which every random stream is derived except the SLM phase bank: transmitter
+and receiver must share that bank, so slm.rng_seed alone seeds it.  The
+default output directory can also come from the PAPRLAB_OUTPUT_DIR
 environment variable.
 """
 
@@ -105,8 +105,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--checkpoint", action="append", metavar="METHOD=PATH",
                        help="checkpoint for a neural method (repeatable)")
-
-    sub.add_parser("selftest", help="run the fast numerical property battery")
     return parser
 
 
@@ -114,17 +112,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "selftest":
-            failures = 0
-            for name, ok, detail in harness.run_selftest():
-                status = "PASS" if ok else "FAIL"
-                suffix = f"  ({detail})" if detail else ""
-                print(f"{status}  {name}{suffix}")
-                failures += 0 if ok else 1
-            print(f"{'OK' if failures == 0 else 'FAILED'}: "
-                  f"{failures} failure(s)")
-            return 0 if failures == 0 else 1
-
         config = _resolve_config(args)
         if args.command == "train":
             def progress(record):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
@@ -68,8 +69,13 @@ class EvalConfig:
     batch: int = 500
 
     def __post_init__(self):
-        if self.batch < 1:
-            raise ValueError(f"batch must be a positive count, got {self.batch}")
+        for name in ("ber_symbols", "ccdf_symbols", "psd_symbols", "table_symbols", "batch"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be a positive count, got {getattr(self, name)}")
+        if not all(math.isfinite(p) or p == math.inf for p in self.p_snr_db):  # inf: no noise
+            raise ValueError(f"p_snr_db must be a finite dB value or inf, got {self.p_snr_db}")
+        if not all(map(math.isfinite, self.obo_acpr_ibo_db)):
+            raise ValueError(f"obo_acpr_ibo_db must be a finite grid, got {self.obo_acpr_ibo_db}")
 
 
 @dataclass(frozen=True)

@@ -36,6 +36,9 @@ class HpaParams:
     ibo_db: float = 3.7
 
     def __post_init__(self):
+        for name in ("a0", "v", "p", "ibo_db"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be a finite number, got {getattr(self, name)}")
         if self.a0 <= 0 or self.v <= 0 or self.p <= 0:
             raise ValueError("a0, v and p must all be positive")
 

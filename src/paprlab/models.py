@@ -22,7 +22,6 @@ __all__ = [
     "CaeModel",
     "FcAeModel",
     "build_model",
-    "transmitter_conv_weight_count",
     "save_checkpoint",
     "load_checkpoint",
     "Checkpoint",
@@ -147,11 +146,6 @@ def build_model(descriptor: dict[str, Any]):
     model = cls.__new__(cls)
     _Autoencoder.__init__(model, {k: v for k, v in descriptor.items() if k != "kind"}, None)
     return model
-
-
-def transmitter_conv_weight_count(model: CaeModel) -> int:
-    """Number of weights (excluding biases) in the encoder's conv layers."""
-    return model.encoder.conv1.w.data.size + model.encoder.conv2.w.data.size
 
 
 # -- checkpointing -------------------------------------------------------------

@@ -33,6 +33,9 @@ class TrainConfig:
     snr_max_db: float = 16.0
 
     def __post_init__(self):
+        if self.batches_per_epoch < 1:
+            raise ValueError(
+                f"batches_per_epoch must be a positive count, got {self.batches_per_epoch}")
         if self.schedule not in ("gradual", "fixed"):
             raise ValueError(f"schedule must be 'gradual' or 'fixed', got {self.schedule!r}")
         if not 0 <= self.stage1_epochs <= self.epochs:

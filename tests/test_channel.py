@@ -26,6 +26,7 @@ class TestAwgn:
     def test_variance_scales_with_p_snr(self):
         assert noise_std(10.0, HPA) ** 2 == pytest.approx(0.1)
         assert noise_std(math.inf, HPA) == 0.0
+        assert noise_std(-math.inf, HPA) == math.inf  # only +inf is noiseless
 
     def test_a0_scales_noise(self):
         assert noise_std(0.0, HpaParams(a0=2.0)) == pytest.approx(2.0)

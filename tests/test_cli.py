@@ -27,12 +27,6 @@ def write_tiny_config(tmp_path, **extra):
 
 
 class TestCli:
-    def test_selftest_exit_code(self, capsys):
-        assert main(["selftest"]) == 0
-        out = capsys.readouterr().out
-        assert "PASS" in out and "FAIL " not in out
-        assert "(theta=0.95)" in out
-
     def test_train_then_eval_table(self, tmp_path, capsys):
         cfg = write_tiny_config(tmp_path)
         assert main(["--config", str(cfg), "train", "--arch", "cae"]) == 0
@@ -69,7 +63,11 @@ class TestCli:
         cfg = write_tiny_config(tmp_path)
         assert main(["--config", str(cfg), "--set", "train.epochs", "eval-ccdf"]) == 2
 
-    @pytest.mark.parametrize("assignment", ["system.n_subcarriers=7", "eval.batch=0"])
+    @pytest.mark.parametrize("assignment", [
+        "system.n_subcarriers=7", "eval.batch=0", "eval.ber_symbols=0", "eval.ber_symbols=-3",
+        "train.batches_per_epoch=0", "hpa.ibo_db=.nan", "hpa.ibo_db=.inf", "hpa.a0=.inf",
+        "hpa.p=.nan", "eval.p_snr_db=[.nan]", "eval.p_snr_db=[-.inf]",
+    ])
     def test_invalid_size_is_config_error(self, tmp_path, capsys, assignment):
         cfg = write_tiny_config(tmp_path)
         assert main(["--config", str(cfg), "--set", assignment, "eval-ccdf"]) == 2

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 import yaml
 
@@ -97,6 +99,17 @@ class TestValidation:
         ("system", "n_subcarriers", 0, "positive even"),
         ("eval", "batch", 0, "positive count"),
         ("eval", "batch", -5, "positive count"),
+        ("eval", "ber_symbols", 0, "positive count"),
+        ("eval", "ber_symbols", -3, "positive count"),
+        ("eval", "table_symbols", 0, "positive count"),
+        ("eval", "p_snr_db", [math.nan], "finite dB value or inf"),
+        ("eval", "p_snr_db", [10.0, -math.inf], "finite dB value or inf"),
+        ("eval", "obo_acpr_ibo_db", [3.0, math.inf], "finite grid"),
+        ("train", "batches_per_epoch", 0, "positive count"),
+        ("hpa", "ibo_db", math.nan, "finite number"),
+        ("hpa", "ibo_db", math.inf, "finite number"),
+        ("hpa", "a0", math.inf, "finite number"),
+        ("hpa", "p", math.nan, "finite number"),
     ])
     def test_invalid_size_names_section(self, section, key, value, message):
         with pytest.raises(ConfigError, match=f"{section}: {key} must be a {message}"):

@@ -21,7 +21,10 @@ class TestHpaParams:
         hpa = HpaParams()
         assert hpa.a0 == 1.0 and hpa.v == 1.0 and hpa.p == 2.0
 
-    @pytest.mark.parametrize("bad", [dict(a0=0), dict(v=-1), dict(p=0)])
+    @pytest.mark.parametrize("bad", [
+        dict(a0=0), dict(v=-1), dict(p=0), dict(a0=math.inf), dict(v=math.nan),
+        dict(p=math.nan), dict(ibo_db=math.nan), dict(ibo_db=math.inf), dict(ibo_db=-math.inf),
+    ])
     def test_validation(self, bad):
         with pytest.raises(ValueError):
             HpaParams(**bad)

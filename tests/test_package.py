@@ -1,0 +1,38 @@
+import ast
+from pathlib import Path
+
+import paprlab
+
+SOURCES = sorted(Path(paprlab.__file__).parent.glob("*.py"))
+
+
+def _unused_imports(tree: ast.Module) -> list[str]:
+    """Names a module imports but neither uses nor lists in its __all__."""
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            used.update(ast.literal_eval(node.value))
+    return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
+
+
+def test_no_unused_imports():
+    assert SOURCES
+    unused = {path.name: found for path in SOURCES
+              if (found := _unused_imports(ast.parse(path.read_text(encoding="utf-8"))))}
+    assert not unused, unused
+
+
+def test_unused_import_is_flagged():
+    tree = ast.parse("from __future__ import annotations\n"
+                     "import math\nimport os.path\nfrom .x import a, b as c\n"
+                     "__all__ = ['a']\nprint(os.path.sep)\n")
+    assert _unused_imports(tree) == ["line 2: math", "line 4: c"]
