@@ -29,12 +29,13 @@ def complex_noise(shape, p_snr_db: float, hpa: HpaParams,
                   rng: np.random.Generator) -> np.ndarray:
     """Circularly-symmetric complex Gaussian noise of total variance sigma_w^2.
 
-    The real part is drawn before the imaginary part.  At infinite peak SNR
-    the noise is zero and the generator is left untouched.
+    Each sample's real part is drawn just before its imaginary part, so row
+    k of a draw does not depend on how many rows are drawn at once.  At
+    infinite peak SNR the noise is zero and the generator is left untouched.
     """
     sigma = noise_std(p_snr_db, hpa)
     if sigma == 0.0:
         return np.zeros(shape, dtype=complex)
-    scale = sigma / np.sqrt(2.0)
-    return scale * rng.standard_normal(shape) + 1j * (scale * rng.standard_normal(shape))
+    pairs = (sigma / np.sqrt(2.0)) * rng.standard_normal((*np.broadcast_shapes(shape), 2))
+    return pairs.view(np.complex128)[..., 0]
 

@@ -9,15 +9,18 @@ that stamps both with the build id and the config hash.
 Evaluation is the training chain: neural transmit, front-end and receiver
 are the stage functions of :mod:`paprlab.chain`, run on tape-free tensors.
 
-Evaluation runs on one shared batch stream per command: batch bi draws its
-bits from the stream "<command>/data/<bi>" and every method transmits it
-exactly once.  The command's accumulator then reuses those waveforms at every
-point of its grid: BER adds one noise draw per (SNR point, batch), and the
-OBO/ACPR sweep reruns only the amplifier and the PSD per IBO point.  So all
-methods share data and noise at every point (common random numbers), and the
-points of an SNR or IBO grid share one data draw per batch.  Accumulation
-runs over fixed-size batches in a fixed order, so results do not depend on
-how work is chunked.
+Evaluation runs on one data stream: every command draws its bits from the
+stream "eval/data", eval.batch symbols at a time, so symbol k has the same
+bits in every command and at every batch size, and each command evaluates
+exactly its configured symbol count.  Every method transmits each batch
+exactly once, and the command's accumulator then reuses those waveforms at
+every point of its grid: BER adds noise drawn from one stream per SNR point,
+"ber/noise/<pi>", and the OBO/ACPR sweep reruns only the amplifier and the
+PSD per IBO point.  So all methods share data and noise at every point
+(common random numbers), and the points of a grid share one data draw.
+eval.batch sets how many symbols go through at a time and the window over
+which the BER receiver estimates its Bussgang gain; otherwise it moves
+results only by float rounding (the PSD sums and a neural encoder's GEMM).
 """
 
 from __future__ import annotations
@@ -180,21 +183,18 @@ class _MethodBank:
         return ml_detect(symbols)
 
 
-def _num_batches(total: int, batch: int) -> int:
-    return math.ceil(total / batch)
-
-
-def _batch_stream(config: ExperimentConfig, bank: _MethodBank, symbols: int, label: str):
+def _batch_stream(config: ExperimentConfig, bank: _MethodBank, symbols: int):
     """Yield (bits, {method: (x_unit, aux)}) for each data batch of one command.
 
-    Batch bi draws its bits from the stream f"{label}/data/{bi}" and every
-    method transmits it exactly once.
+    The batches hold the first `symbols` rows of the "eval/data" stream,
+    eval.batch rows each (the last one may be shorter); every method
+    transmits each batch exactly once.
     """
     n = config.system.n_subcarriers
-    batch = config.eval.batch
-    for bi in range(_num_batches(symbols, batch)):
-        data_rng = derive_rng(config.seed, f"{label}/data/{bi}")
-        bits = data_rng.integers(0, 2, size=(batch, 2 * n), dtype=np.int64)
+    data_rng = derive_rng(config.seed, "eval/data")
+    for lo in range(0, symbols, config.eval.batch):
+        rows = min(config.eval.batch, symbols - lo)
+        bits = data_rng.integers(0, 2, size=(rows, 2 * n), dtype=np.int64)
         blocks = qam4_map(bits)
         yield bits, {method: bank.transmit(method, blocks) for method in config.methods}
 
@@ -213,14 +213,13 @@ def eval_ber(config: ExperimentConfig, checkpoints: dict | None = None) -> Path:
     n = config.system.n_subcarriers
     ell = config.system.oversampling
     ev = config.eval
-    batches = _num_batches(ev.ber_symbols, ev.batch)
-    n_bits = batches * ev.batch * 2 * n
+    n_bits = ev.ber_symbols * 2 * n
 
+    noise_rngs = [derive_rng(config.seed, f"ber/noise/{pi}") for pi in range(len(ev.p_snr_db))]
     errors = {m: np.zeros(len(ev.p_snr_db), dtype=np.int64) for m in config.methods}
-    for bi, (bits, sent) in enumerate(_batch_stream(config, bank, ev.ber_symbols, "ber")):
-        noises = [complex_noise((ev.batch, n * ell), p_snr, config.hpa,
-                                derive_rng(config.seed, f"ber/noise/{pi}/{bi}"))
-                  for pi, p_snr in enumerate(ev.p_snr_db)]
+    for bits, sent in _batch_stream(config, bank, ev.ber_symbols):
+        noises = [complex_noise((len(bits), n * ell), p_snr, config.hpa, rng)
+                  for p_snr, rng in zip(ev.p_snr_db, noise_rngs)]
         for method, (x_unit, aux) in sent.items():
             _, x_p, alpha = chain.front_end(Tensor(x_unit), config.hpa)
             for pi, noise in enumerate(noises):
@@ -236,7 +235,7 @@ def eval_ber(config: ExperimentConfig, checkpoints: dict | None = None) -> Path:
                          *_wilson(count, n_bits)))
     rows.sort(key=lambda r: (r[0], r[2]))
     return _write(config, "ber", "eval-ber",
-                  {"symbols_per_point": batches * ev.batch, "ci": "95% Wilson score"},
+                  {"symbols_per_point": ev.ber_symbols, "ci": "95% Wilson score"},
                   ["p_snr_db", "ber", "method", "bits", "errors", "ci_low", "ci_high"], rows,
                   ber={m: {repr(float(p)): errors[m][i] / n_bits
                            for i, p in enumerate(ev.p_snr_db)} for m in config.methods})
@@ -249,11 +248,10 @@ def eval_ccdf(config: ExperimentConfig, checkpoints: dict | None = None) -> Path
     is read off each method's unit-power transmit waveform.
     """
     bank = _MethodBank(config, checkpoints)
-    ev = config.eval
-    batches = _num_batches(ev.ccdf_symbols, ev.batch)
+    symbols = config.eval.ccdf_symbols
 
     values = {m: [] for m in config.methods}
-    for _, sent in _batch_stream(config, bank, ev.ccdf_symbols, "ccdf"):
+    for _, sent in _batch_stream(config, bank, symbols):
         for method, (x_unit, _) in sent.items():
             values[method].append(papr_db(x_unit))
 
@@ -262,28 +260,23 @@ def eval_ccdf(config: ExperimentConfig, checkpoints: dict | None = None) -> Path
         probs = ccdf(np.concatenate(values[method]), CCDF_THRESHOLDS_DB)
         rows.extend((float(t), float(p), method) for t, p in zip(CCDF_THRESHOLDS_DB, probs))
     rows.sort(key=lambda r: (r[0], r[2]))
-    symbols = batches * ev.batch
     return _write(config, "ccdf", "eval-ccdf", {"symbols": symbols},
                   ["papr0_db", "prob_exceed", "method"], rows, symbols=symbols)
 
 
-def _accumulate_spectra(config: ExperimentConfig, bank: _MethodBank, symbols: int,
-                        label: str, ibo_grid):
-    """Batch-averaged PSD of the PA output, one {method: psd} dict per IBO
-    point, and the symbol count.  The bins of a PSD sum to the mean PA-output
-    power.  Each batch is transmitted once; only the front-end and the PSD
-    run per IBO point.
+def _accumulate_spectra(config: ExperimentConfig, bank: _MethodBank, symbols: int, ibo_grid):
+    """Symbol-averaged PSD of the PA output, one {method: psd} dict per IBO
+    point.  The bins of a PSD sum to the mean PA-output power.  Each batch is
+    transmitted once; only the front-end and the PSD run per IBO point.
     """
     hpas = [replace(config.hpa, ibo_db=float(ibo_db)) for ibo_db in ibo_grid]
     psd_sum = [dict.fromkeys(config.methods, 0.0) for _ in hpas]
-    for _, sent in _batch_stream(config, bank, symbols, label):
+    for _, sent in _batch_stream(config, bank, symbols):
         for method, (x_unit, _) in sent.items():
             for i, hpa in enumerate(hpas):
                 _, x_p, _ = chain.front_end(Tensor(x_unit), hpa)
-                psd_sum[i][method] = psd_sum[i][method] + psd(x_p.data)
-    batches = _num_batches(symbols, config.eval.batch)
-    spectra = [{m: total / batches for m, total in point.items()} for point in psd_sum]
-    return spectra, batches * config.eval.batch
+                psd_sum[i][method] = psd_sum[i][method] + len(x_unit) * psd(x_p.data)
+    return [{m: total / symbols for m, total in point.items()} for point in psd_sum]
 
 
 def eval_psd(config: ExperimentConfig, checkpoints: dict | None = None) -> Path:
@@ -296,8 +289,8 @@ def eval_psd(config: ExperimentConfig, checkpoints: dict | None = None) -> Path:
     bank = _MethodBank(config, checkpoints)
     n = config.system.n_subcarriers
     total_bins = n * config.system.oversampling
-    (spectra,), symbols = _accumulate_spectra(config, bank, config.eval.psd_symbols, "psd",
-                                              [config.hpa.ibo_db])
+    symbols = config.eval.psd_symbols
+    (spectra,) = _accumulate_spectra(config, bank, symbols, [config.hpa.ibo_db])
 
     freqs = (np.arange(total_bins) - total_bins // 2) / total_bins
     floor = 10.0 ** (ACPR_FLOOR_DB / 10.0)
@@ -331,8 +324,8 @@ def _acpr_obo(config: ExperimentConfig, spectrum: np.ndarray):
 def eval_table(config: ExperimentConfig, checkpoints: dict | None = None):
     """ACPR and OBO per method (the summary table of the operating point)."""
     bank = _MethodBank(config, checkpoints)
-    (spectra,), symbols = _accumulate_spectra(config, bank, config.eval.table_symbols, "table",
-                                              [config.hpa.ibo_db])
+    symbols = config.eval.table_symbols
+    (spectra,) = _accumulate_spectra(config, bank, symbols, [config.hpa.ibo_db])
     table = {}
     for method in config.methods:
         acpr_db, obo_db = _acpr_obo(config, spectra[method])
@@ -348,7 +341,7 @@ def eval_obo_vs_acpr(config: ExperimentConfig, checkpoints: dict | None = None) 
     """Sweep the input back-off and record the (ACPR, OBO) operating curves."""
     bank = _MethodBank(config, checkpoints)
     grid = config.eval.obo_acpr_ibo_db
-    spectra, _ = _accumulate_spectra(config, bank, config.eval.table_symbols, "obo_acpr", grid)
+    spectra = _accumulate_spectra(config, bank, config.eval.table_symbols, grid)
     rows = [(*_acpr_obo(config, spectra[i][method]), method, float(ibo_db))
             for i, ibo_db in enumerate(grid) for method in config.methods]
     rows.sort(key=lambda r: (r[0], r[2]))

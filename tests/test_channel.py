@@ -41,13 +41,20 @@ class TestAwgn:
         assert abs(corr) < 4.0 / np.sqrt(10 ** 6)
 
     def test_fixed_seed_is_bit_identical(self):
-        """Same seed, same noise; the real part is drawn before the imaginary."""
+        """Same seed, same noise; each sample's real part is drawn just before
+        its imaginary part."""
         shape = (4, 64)
-        rng = np.random.default_rng(10)
         scale = noise_std(5.0, HPA) / np.sqrt(2.0)
-        want = scale * rng.standard_normal(shape) + 1j * (scale * rng.standard_normal(shape))
+        draws = scale * np.random.default_rng(10).standard_normal((*shape, 2))
+        want = draws[..., 0] + 1j * draws[..., 1]
         np.testing.assert_array_equal(
             complex_noise(shape, 5.0, HPA, np.random.default_rng(10)), want)
+
+    def test_rows_do_not_depend_on_the_draw_size(self):
+        whole = complex_noise((6, 64), 5.0, HPA, np.random.default_rng(12))
+        rng = np.random.default_rng(12)
+        parts = [complex_noise((rows, 64), 5.0, HPA, rng) for rows in (2, 4)]
+        np.testing.assert_array_equal(np.concatenate(parts), whole)
 
     def test_explicit_rng_stream_advances(self):
         rng = np.random.default_rng(11)

@@ -189,7 +189,7 @@ class TestEvals:
         table, _ = eval_table(cfg)
         bank = harness._MethodBank(cfg, None)
         powers = {m: [] for m in cfg.methods}
-        for _, sent in harness._batch_stream(cfg, bank, 1000, "table"):
+        for _, sent in harness._batch_stream(cfg, bank, 1000):
             for method, (x_unit, _) in sent.items():
                 x_f, x_p, _ = chain.front_end(Tensor(x_unit), cfg.hpa)
                 powers[method].append((np.mean(np.abs(x_f.data) ** 2),
@@ -327,8 +327,9 @@ def test_every_output_carries_build_and_config_hash(tmp_path):
 ], ids=["ber", "ccdf", "psd", "table", "obo_acpr"])
 def test_each_batch_is_transmitted_once(tmp_path, monkeypatch, command, symbols_key,
                                         grid_key):
-    """Symbols transmitted per method are ceil(symbols / batch) * batch,
-    whatever the length of the command's SNR or IBO grid."""
+    """Symbols transmitted per method are the configured count, also when
+    the last batch is short, whatever the length of the command's SNR or IBO
+    grid."""
     counts = Counter()
     transmit = harness._MethodBank.transmit
 
@@ -344,7 +345,55 @@ def test_each_batch_is_transmitted_once(tmp_path, monkeypatch, command, symbols_
         if grid_key:
             overrides[grid_key] = grid
         command(tiny_config(tmp_path, eval=overrides))
-        assert counts == {m: math.ceil(450 / 200) * 200 for m in ("none", "cf", "slm")}
+        assert counts == dict.fromkeys(("none", "cf", "slm"), 450)
+
+
+def test_results_do_not_depend_on_the_batch_size(tmp_path):
+    """Symbol k has the same bits and noise at every eval.batch: the BER and
+    CCDF rows are byte-identical, the PSD-based rows agree to rounding, and
+    every command reports its configured symbol count."""
+    digests, spectra = {}, {}
+    for batch in (100, 150, 200, 1000):
+        cfg = tiny_config(tmp_path, eval={"batch": batch},
+                          output_dir=str(tmp_path / str(batch)))
+        ev = cfg.eval
+        counts = {"ber.csv": ("symbols_per_point", ev.ber_symbols),
+                  "ccdf.csv": ("symbols", ev.ccdf_symbols),
+                  "psd.csv": ("symbols", ev.psd_symbols),
+                  "table.csv": ("symbols", ev.table_symbols)}
+        for path in (eval_ber(cfg), eval_ccdf(cfg), eval_psd(cfg), eval_table(cfg)[1],
+                     eval_obo_vs_acpr(cfg)):
+            meta, columns, rows = read_curve(path)
+            if path.name in counts:
+                key, count = counts[path.name]
+                assert meta[key] == str(count), (batch, path.name)
+            if path.name in ("ber.csv", "ccdf.csv"):
+                digests.setdefault(path.name, set()).add(_data_digest(path))
+                continue
+            methods = [r[columns.index("method")] for r in rows]
+            values = [[float(c) for c, name in zip(r, columns) if name != "method"]
+                      for r in rows]
+            spectra.setdefault(path.name, []).append((methods, np.array(values)))
+    assert {name: len(d) for name, d in digests.items()} == {"ber.csv": 1, "ccdf.csv": 1}
+    for name, runs in spectra.items():
+        (methods, values), *others = runs
+        for other_methods, other_values in others:
+            assert other_methods == methods, name
+            np.testing.assert_allclose(other_values, values, rtol=1e-12, atol=0, err_msg=name)
+
+
+def test_table_is_the_obo_sweep_at_the_operating_point(tmp_path):
+    """eval_table and eval_obo_vs_acpr read the same symbols, so at the
+    configured IBO their (ACPR, OBO) pairs are equal bit for bit."""
+    cfg = tiny_config(tmp_path, hpa={"ibo_db": 5.0})
+    assert 5.0 in cfg.eval.obo_acpr_ibo_db
+    table, _ = eval_table(cfg)
+    _, columns, rows = read_curve(eval_obo_vs_acpr(cfg))
+    col = {name: i for i, name in enumerate(columns)}
+    sweep = {r[col["method"]]: {"acpr_db": float(r[col["acpr_db"]]),
+                                 "obo_db": float(r[col["obo_db"]])}
+             for r in rows if float(r[col["ibo_db"]]) == 5.0}
+    assert sweep == table
 
 
 def test_bank_models_record_no_tape(tmp_path):
