@@ -1,5 +1,6 @@
 """Model-driven PAPR-reduction baselines: clipping-and-filtering and selective mapping."""
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +27,8 @@ class CfParams:
     iterations: int = 1
 
     def __post_init__(self):
+        if not math.isfinite(self.clip_ratio_db):
+            raise ValueError(f"clip_ratio_db must be a finite number, got {self.clip_ratio_db}")
         if self.iterations < 1:
             raise ValueError(f"iterations must be >= 1, got {self.iterations}")
 
@@ -40,6 +43,8 @@ class SlmParams:
     def __post_init__(self):
         if self.num_sequences < 1:
             raise ValueError(f"num_sequences must be >= 1, got {self.num_sequences}")
+        if self.rng_seed < 0:
+            raise ValueError(f"rng_seed must be a nonnegative integer, got {self.rng_seed}")
 
 
 def clip_amplitude(wave: np.ndarray, a_clip: np.ndarray) -> np.ndarray:

@@ -57,6 +57,12 @@ class ModelConfig:
     dec_channels: tuple[int, int] = (11, 13)
     fc_hidden: tuple[int, int] = (2500, 3500)
 
+    def __post_init__(self):
+        for name in ("enc_channels", "dec_channels", "fc_hidden"):
+            if min(getattr(self, name)) < 1:
+                raise ValueError(f"{name} must be a list of positive sizes, "
+                                 f"got {list(getattr(self, name))}")
+
 
 @dataclass(frozen=True)
 class EvalConfig:
@@ -94,6 +100,8 @@ class ExperimentConfig:
     output_dir: str = "runs"
 
     def __post_init__(self):
+        if not math.isfinite(self.acpr_req_db):
+            raise ValueError(f"acpr_req_db must be a finite number, got {self.acpr_req_db}")
         for m in self.methods:
             if m not in VALID_METHODS:
                 raise ValueError(f"unknown method {m!r}, expected one of {VALID_METHODS}")
@@ -118,15 +126,17 @@ def _build(cls, data, path: str = ""):
 
     A field whose default is a config dataclass is a section, built the same
     way from its own mapping; path is the dotted name of cls ("" at the root).
+    A field whose default is an int, or a tuple of ints, takes only ints
+    (bools excluded).
     """
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: expected a mapping, got {type(data).__name__}" if path
                           else "config root must be a mapping")
     sections = {f.name: f.default_factory for f in fields(cls) if is_dataclass(f.default_factory)}
-    known = {f.name for f in fields(cls)}
+    defaults = {f.name: f.default for f in fields(cls)}
     prefix = f"{path}." if path else ""
     for key in data:
-        if key not in known:
+        if key not in defaults:
             raise ConfigError(f"unknown config field {prefix}{key}")
     kwargs = {}
     for name, value in data.items():
@@ -134,9 +144,25 @@ def _build(cls, data, path: str = ""):
             value = _build(sections[name], value, prefix + name)
         kwargs[name] = tuple(value) if isinstance(value, list) else value
     try:
+        for name, value in kwargs.items():
+            _check_whole(name, value, defaults[name])
         return cls(**kwargs)
     except (TypeError, ValueError) as err:
         raise ConfigError(f"{path}: {err}" if path else str(err)) from err
+
+
+def _whole(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_whole(name: str, value, default):
+    """Raise TypeError unless value is a whole number (or a tuple of them)
+    where the field's default is one."""
+    if _whole(default) and not _whole(value):
+        raise TypeError(f"{name} must be a whole number, got {value!r}")
+    if (isinstance(default, tuple) and default and all(map(_whole, default))
+            and not (isinstance(value, tuple) and all(map(_whole, value)))):
+        raise TypeError(f"{name} must be a list of whole numbers, got {value!r}")
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from . import autodiff as ad
@@ -22,6 +23,9 @@ class LossWeights:
     lambda3: float = 0.001
 
     def __post_init__(self):
+        for name in ("lambda2", "lambda3"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be a finite number, got {getattr(self, name)}")
         if min(self.lambda2, self.lambda3) < 0:
             raise ValueError("loss weights must be nonnegative")
 

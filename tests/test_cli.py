@@ -67,11 +67,18 @@ class TestCli:
         "system.n_subcarriers=7", "eval.batch=0", "eval.ber_symbols=0", "eval.ber_symbols=-3",
         "train.batches_per_epoch=0", "hpa.ibo_db=.nan", "hpa.ibo_db=.inf", "hpa.a0=.inf",
         "hpa.p=.nan", "eval.p_snr_db=[.nan]", "eval.p_snr_db=[-.inf]",
+        "train.snr_min_db=.nan", "train.lr=.nan", "train.weight_decay=.nan",
+        "loss.lambda2=.nan", "acpr_req_db=.inf", "cf.clip_ratio_db=.nan",
+        "train.batch_size=1", "train.batch_size=0", "train.batch_size=2.5", "eval.batch=2.5",
+        "slm.num_sequences=2.5", "cf.iterations=1.5", "slm.rng_seed=-1",
+        "model.enc_channels=[0,3]",
     ])
     def test_invalid_size_is_config_error(self, tmp_path, capsys, assignment):
         cfg = write_tiny_config(tmp_path)
         assert main(["--config", str(cfg), "--set", assignment, "eval-ccdf"]) == 2
-        assert f"{assignment.split('.')[0]}: " in capsys.readouterr().err
+        # "config error: <section>: <field> must be a ...", no section at the root
+        field = assignment.partition("=")[0].replace(".", ": ", 1)
+        assert f"config error: {field} must be a" in capsys.readouterr().err
 
     def test_unknown_config_field_reports_name(self, tmp_path, capsys):
         path = tmp_path / "bad.yaml"

@@ -110,10 +110,32 @@ class TestValidation:
         ("hpa", "ibo_db", math.inf, "finite number"),
         ("hpa", "a0", math.inf, "finite number"),
         ("hpa", "p", math.nan, "finite number"),
+        ("train", "snr_min_db", math.nan, "finite number"),
+        ("train", "snr_max_db", -math.inf, "finite number"),
+        ("train", "lr", math.nan, "finite number"),
+        ("train", "weight_decay", math.nan, "finite number"),
+        ("loss", "lambda2", math.nan, "finite number"),
+        ("cf", "clip_ratio_db", math.nan, "finite number"),
+        ("train", "batch_size", 1, "count of at least 2"),
+        ("train", "batch_size", 0, "count of at least 2"),
+        ("train", "batch_size", 2.5, "whole number"),
+        ("train", "epochs", True, "whole number"),
+        ("eval", "batch", 2.5, "whole number"),
+        ("slm", "num_sequences", 2.5, "whole number"),
+        ("cf", "iterations", 1.5, "whole number"),
+        ("slm", "rng_seed", -1, "nonnegative integer"),
+        ("model", "enc_channels", [0, 3], "list of positive sizes"),
+        ("model", "fc_hidden", [24, 2.5], "list of whole numbers"),
+        ("model", "dec_channels", 4, "list of whole numbers"),
     ])
     def test_invalid_size_names_section(self, section, key, value, message):
         with pytest.raises(ConfigError, match=f"{section}: {key} must be a {message}"):
             config_from_dict({section: {key: value}})
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_acpr_req_db_must_be_finite(self, value):
+        with pytest.raises(ConfigError, match="acpr_req_db must be a finite number"):
+            config_from_dict({"acpr_req_db": value})
 
     def test_unknown_method(self):
         with pytest.raises(ConfigError, match="method"):
