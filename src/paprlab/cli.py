@@ -5,16 +5,13 @@
 Commands: train, eval-ber, eval-ccdf, eval-psd, eval-table, eval-obo-acpr.
 CLI flags override config-file fields.  --seed sets the master seed, from
 which every random stream is derived except the SLM phase bank: transmitter
-and receiver must share that bank, so slm.rng_seed alone seeds it.  The
-default output directory can also come from the PAPRLAB_OUTPUT_DIR
-environment variable.
+and receiver must share that bank, so slm.rng_seed alone seeds it.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 
 import yaml
@@ -27,8 +24,6 @@ from .config import (
     load_config,
 )
 from .errors import ConfigError, TrainingDivergedError
-
-OUTPUT_DIR_ENV = "PAPRLAB_OUTPUT_DIR"
 
 
 def _apply_override(data: dict, assignment: str):
@@ -46,25 +41,14 @@ def _apply_override(data: dict, assignment: str):
 
 
 def _resolve_config(args) -> "ExperimentConfig":
-    """Precedence: flags > --set > config file > $PAPRLAB_OUTPUT_DIR > defaults."""
-    file_sets_output = False
-    if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            raw = yaml.safe_load(fh) or {}
-        file_sets_output = isinstance(raw, dict) and "output_dir" in raw
-        data = config_to_dict(load_config(args.config))
-    else:
-        data = config_to_dict(default_config())
+    """Precedence: flags > --set > config file > defaults."""
+    data = config_to_dict(load_config(args.config) if args.config else default_config())
     for assignment in args.set or []:
-        if assignment.partition("=")[0].strip() == "output_dir":
-            file_sets_output = True
         _apply_override(data, assignment)
     if args.seed is not None:
         data["seed"] = args.seed
     if args.output_dir is not None:
         data["output_dir"] = args.output_dir
-    elif not file_sets_output and os.environ.get(OUTPUT_DIR_ENV):
-        data["output_dir"] = os.environ[OUTPUT_DIR_ENV]
     return config_from_dict(data)
 
 
@@ -86,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "selective-mapping baselines.")
     parser.add_argument("--config", help="YAML experiment configuration")
     parser.add_argument("--seed", type=int, help="override the master seed")
-    parser.add_argument("--output-dir", help=f"output directory (or ${OUTPUT_DIR_ENV})")
+    parser.add_argument("--output-dir", help="output directory")
     parser.add_argument("--set", action="append", metavar="KEY=VALUE",
                         help="override a config field, e.g. --set train.epochs=10")
     sub = parser.add_subparsers(dest="command", required=True)

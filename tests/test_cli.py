@@ -103,20 +103,6 @@ class TestCli:
         for f in files:
             assert (tmp_path / "out" / f).read_bytes() == snapshot[f], f
 
-    def test_output_dir_env(self, tmp_path, monkeypatch):
-        data = {
-            "system": {"n_subcarriers": 8, "oversampling": 4},
-            "eval": {"p_snr_db": [10.0], "ccdf_symbols": 100, "batch": 100},
-            "methods": ["none"],
-            "seed": 5,
-        }
-        cfg = tmp_path / "noout.yaml"
-        cfg.write_text(yaml.safe_dump(data))
-        env_dir = tmp_path / "envout"
-        monkeypatch.setenv("PAPRLAB_OUTPUT_DIR", str(env_dir))
-        assert main(["--config", str(cfg), "eval-ccdf"]) == 0
-        assert (env_dir / "ccdf.csv").exists()
-
     def test_schedule_override(self, tmp_path):
         cfg = write_tiny_config(tmp_path)
         assert main(["--config", str(cfg), "--set", "train.schedule=fixed", "train",
