@@ -1,7 +1,9 @@
 import ast
 from pathlib import Path
+from types import SimpleNamespace
 
 import paprlab
+import paprlab.config
 
 SOURCES = sorted(Path(paprlab.__file__).parent.glob("*.py"))
 
@@ -36,3 +38,17 @@ def test_unused_import_is_flagged():
                      "import math\nimport os.path\nfrom .x import a, b as c\n"
                      "__all__ = ['a']\nprint(os.path.sep)\n")
     assert _unused_imports(tree) == ["line 2: math", "line 4: c"]
+
+
+def test_benchmark_configs_build(tmp_path, monkeypatch):
+    """Every benchmark workload's config builds, bare and with the benchmark
+    checks' tiny overrides.  The benchmark sets fields such as
+    train.schedule and eval.batch, so deleting one would fail every run."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]))
+    from perfbench import workloads
+    from perfbench.tests import check_perfbench
+
+    pkg = SimpleNamespace(config=paprlab.config)
+    for wl in workloads.WORKLOADS.values():
+        for overrides in (None, check_perfbench.TINY_TRAIN, check_perfbench.TINY_EVAL):
+            workloads.make_config(pkg, wl, 1, tmp_path, overrides)
