@@ -299,15 +299,8 @@ def eval_psd(config: ExperimentConfig, checkpoints: dict | None = None) -> Path:
     ideal[band_bins(n, total_bins)[0]] = ref_power / n
     ideal = np.fft.fftshift(ideal)
 
-    rows = []
-    for method in sorted(config.methods):
-        vals = spectra[method]
-        rows.extend(
-            (float(freqs[k]), float(10.0 * np.log10(max(vals[k], floor))), method)
-            for k in range(total_bins)
-        )
-    rows.extend((float(freqs[k]), float(10.0 * np.log10(ideal[k])), "ideal")
-                for k in range(total_bins))
+    rows = [(float(freqs[k]), float(10.0 * np.log10(max(vals[k], floor))), method)
+            for method, vals in [*spectra.items(), ("ideal", ideal)] for k in range(total_bins)]
     rows.sort(key=lambda r: (r[0], r[2]))
     return _write(config, "psd", "eval-psd", {"symbols": symbols},
                   ["freq_norm", "psd_db", "method"], rows, symbols=symbols,
@@ -326,14 +319,11 @@ def eval_table(config: ExperimentConfig, checkpoints: dict | None = None):
     bank = _MethodBank(config, checkpoints)
     symbols = config.eval.table_symbols
     (spectra,) = _accumulate_spectra(config, bank, symbols, [config.hpa.ibo_db])
-    table = {}
-    for method in config.methods:
-        acpr_db, obo_db = _acpr_obo(config, spectra[method])
-        table[method] = {"acpr_db": acpr_db, "obo_db": obo_db}
-    rows = [(m, table[m]["acpr_db"], table[m]["obo_db"]) for m in sorted(table)]
+    table = {m: dict(zip(("acpr_db", "obo_db"), _acpr_obo(config, spectra[m])))
+             for m in sorted(config.methods)}
     path = _write(config, "table", "eval-table", {"symbols": symbols},
-                  ["method", "acpr_db", "obo_db"], rows, symbols=symbols,
-                  table={m: table[m] for m in sorted(table)})
+                  ["method", "acpr_db", "obo_db"], [(m, *t.values()) for m, t in table.items()],
+                  symbols=symbols, table=table)
     return table, path
 
 
