@@ -1,6 +1,5 @@
 """Model-driven PAPR-reduction baselines: clipping-and-filtering and selective mapping."""
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +26,7 @@ class CfParams:
     iterations: int = 1
 
     def __post_init__(self):
-        if not math.isfinite(self.clip_ratio_db):
+        if not np.isfinite(self.clip_ratio_db):
             raise ValueError(f"clip_ratio_db must be a finite number, got {self.clip_ratio_db}")
         if self.iterations < 1:
             raise ValueError(f"iterations must be >= 1, got {self.iterations}")

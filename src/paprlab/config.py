@@ -59,9 +59,8 @@ class ModelConfig:
 
     def __post_init__(self):
         for name in ("enc_channels", "dec_channels", "fc_hidden"):
-            if min(getattr(self, name)) < 1:
-                raise ValueError(f"{name} must be a list of positive sizes, "
-                                 f"got {list(getattr(self, name))}")
+            if min(sizes := getattr(self, name)) < 1:
+                raise ValueError(f"{name} must be a list of positive sizes, got {list(sizes)}")
 
 
 @dataclass(frozen=True)
@@ -126,8 +125,7 @@ def _build(cls, data, path: str = ""):
 
     A field whose default is a config dataclass is a section, built the same
     way from its own mapping; path is the dotted name of cls ("" at the root).
-    A field whose default is an int, or a tuple of ints, takes only ints
-    (bools excluded).
+    A field whose default is an int, or a tuple of ints, takes only ints.
     """
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: expected a mapping, got {type(data).__name__}" if path
@@ -145,23 +143,18 @@ def _build(cls, data, path: str = ""):
         kwargs[name] = tuple(value) if isinstance(value, list) else value
     try:
         for name, value in kwargs.items():
-            _check_whole(name, value, defaults[name])
+            _check_ints(name, value, defaults[name])
         return cls(**kwargs)
     except (TypeError, ValueError) as err:
         raise ConfigError(f"{path}: {err}" if path else str(err)) from err
 
 
-def _whole(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _check_whole(name: str, value, default):
-    """Raise TypeError unless value is a whole number (or a tuple of them)
-    where the field's default is one."""
-    if _whole(default) and not _whole(value):
+def _check_ints(name: str, value, default):
+    """Raise TypeError for a non-int (or a bool) where the default holds ints."""
+    if type(default) is int and type(value) is not int:
         raise TypeError(f"{name} must be a whole number, got {value!r}")
-    if (isinstance(default, tuple) and default and all(map(_whole, default))
-            and not (isinstance(value, tuple) and all(map(_whole, value)))):
+    if isinstance(default, tuple) and type(default[0]) is int and not (
+            isinstance(value, tuple) and all(type(v) is int for v in value)):
         raise TypeError(f"{name} must be a list of whole numbers, got {value!r}")
 
 

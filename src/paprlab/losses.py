@@ -24,10 +24,9 @@ class LossWeights:
 
     def __post_init__(self):
         for name in ("lambda2", "lambda3"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be a finite number, got {getattr(self, name)}")
-        if min(self.lambda2, self.lambda3) < 0:
-            raise ValueError("loss weights must be nonnegative")
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:
+                raise ValueError(f"{name} must be a finite nonnegative number, got {value}")
 
 
 def joint_loss(taps: ChainTaps, target, weights: LossWeights, spectral: SpectralParams,

@@ -37,8 +37,7 @@ class TrainConfig:
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be a finite number, got {getattr(self, name)}")
         if self.batch_size < 2:
-            raise ValueError(f"batch_size must be a count of at least 2 (batch norm "
-                             f"normalises over the batch), got {self.batch_size}")
+            raise ValueError(f"batch_size must be a count of at least 2, got {self.batch_size}")
         if self.batches_per_epoch < 1:
             raise ValueError(
                 f"batches_per_epoch must be a positive count, got {self.batches_per_epoch}")

@@ -114,7 +114,8 @@ class TestValidation:
         ("train", "snr_max_db", -math.inf, "finite number"),
         ("train", "lr", math.nan, "finite number"),
         ("train", "weight_decay", math.nan, "finite number"),
-        ("loss", "lambda2", math.nan, "finite number"),
+        ("loss", "lambda2", math.nan, "finite nonnegative number"),
+        ("loss", "lambda3", -0.5, "finite nonnegative number"),
         ("cf", "clip_ratio_db", math.nan, "finite number"),
         ("train", "batch_size", 1, "count of at least 2"),
         ("train", "batch_size", 0, "count of at least 2"),
