@@ -84,10 +84,6 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    @property
-    def ndim(self):
-        return self.data.ndim
-
     def item(self) -> float:
         return float(self.data.real) if self.data.ndim == 0 else float(self.data)
 
@@ -129,8 +125,6 @@ class Tensor:
 
     def __add__(self, other):
         return _add(self, _as_tensor(other, self))
-
-    __radd__ = __add__
 
     def __sub__(self, other):
         return _add(self, _mul_scalar(_as_tensor(other, self), -1.0))

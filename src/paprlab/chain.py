@@ -44,10 +44,13 @@ def transmit(model, x: Tensor) -> Tensor:
 
 
 def front_end(x: Tensor, hpa: HpaParams):
-    """Back-off and RAPP amplifier; returns (x_f, x_p, alpha)."""
+    """Back-off and RAPP amplifier; returns (x_f, x_p).
+
+    A receiver estimates its Bussgang gain from the pair with
+    :func:`frontend.bussgang_alpha`; spectral measurements need no gain.
+    """
     x_f = ad.complex_scale(x, ibo_scale(hpa))
-    x_p = ad.rapp_nonlinearity(x_f, hpa.a0, hpa.v, hpa.p)
-    return x_f, x_p, bussgang_alpha(x_f.data, x_p.data)
+    return x_f, ad.rapp_nonlinearity(x_f, hpa.a0, hpa.v, hpa.p)
 
 
 def receive(received: Tensor, alpha: complex, oversampling: int) -> Tensor:
@@ -77,7 +80,8 @@ def run_chain(model, x_time: np.ndarray, hpa: HpaParams,
             f"expected waveform batch of shape (B, {model.n * model.oversampling}), "
             f"got {x_time.shape}"
         )
-    x_f, x_p, alpha = front_end(transmit(model, Tensor(x_time)), hpa)
+    x_f, x_p = front_end(transmit(model, Tensor(x_time)), hpa)
+    alpha = bussgang_alpha(x_f.data, x_p.data)
     received = ad.add_constant(x_p, noise) if noise is not None else x_p
     decoded = model.decode(receive(received, alpha, model.oversampling))
     return ChainTaps(x_f=x_f, x_p=x_p, decoded=decoded, alpha=alpha)

@@ -1,11 +1,9 @@
 """Command-line interface.
 
-    paprlab [--config FILE] [--seed N] [--output-dir DIR] [--set key=value]... COMMAND
+    paprlab [--config FILE] [--set key=value]... COMMAND
 
 Commands: train, eval-ber, eval-ccdf, eval-psd, eval-table, eval-obo-acpr.
-CLI flags override config-file fields.  --seed sets the master seed, from
-which every random stream is derived except the SLM phase bank: transmitter
-and receiver must share that bank, so slm.rng_seed alone seeds it.
+--set overrides config-file fields, e.g. --set seed=7 --set output_dir=runs2.
 """
 
 from __future__ import annotations
@@ -41,14 +39,10 @@ def _apply_override(data: dict, assignment: str):
 
 
 def _resolve_config(args) -> "ExperimentConfig":
-    """Precedence: flags > --set > config file > defaults."""
+    """Precedence: --set > config file > defaults."""
     data = config_to_dict(load_config(args.config) if args.config else default_config())
     for assignment in args.set or []:
         _apply_override(data, assignment)
-    if args.seed is not None:
-        data["seed"] = args.seed
-    if args.output_dir is not None:
-        data["output_dir"] = args.output_dir
     return config_from_dict(data)
 
 
@@ -69,8 +63,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "and evaluate it against clipping-and-filtering and "
                     "selective-mapping baselines.")
     parser.add_argument("--config", help="YAML experiment configuration")
-    parser.add_argument("--seed", type=int, help="override the master seed")
-    parser.add_argument("--output-dir", help="output directory")
     parser.add_argument("--set", action="append", metavar="KEY=VALUE",
                         help="override a config field, e.g. --set train.epochs=10")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -95,6 +95,8 @@ class ExperimentConfig:
     loss: LossWeights = field(default_factory=LossWeights)
     methods: tuple[str, ...] = ("none", "cf", "slm", "cae")
     eval: EvalConfig = field(default_factory=EvalConfig)
+    # master seed of every random stream except the SLM phase bank: transmitter
+    # and receiver must share that bank, so slm.rng_seed alone seeds it
     seed: int = 1234
     output_dir: str = "runs"
 

@@ -44,6 +44,7 @@ from .config import (
 )
 from .curvefile import write_curve, write_summary
 from .errors import ConfigError
+from .frontend import bussgang_alpha
 from .metrics import ACPR_FLOOR_DB, SpectralParams, acpr, ccdf, papr_db, psd
 from .models import CaeModel, FcAeModel, load_checkpoint, save_checkpoint
 from .ofdm import band_bins, ml_detect, ofdm_modulate, qam4_map
@@ -144,6 +145,10 @@ class _MethodBank:
 
     def __init__(self, config: ExperimentConfig, checkpoints: dict[str, str | Path] | None):
         checkpoints = checkpoints or {}
+        for method in checkpoints:
+            if method not in NEURAL_METHODS or method not in config.methods:
+                raise ConfigError(f"checkpoint for {method!r}, which is not a neural method "
+                                  f"of the evaluated methods {list(config.methods)}")
         self.config = config
         self.models = {}
         for method in config.methods:
@@ -221,7 +226,8 @@ def eval_ber(config: ExperimentConfig, checkpoints: dict | None = None) -> Path:
         noises = [complex_noise((len(bits), n * ell), p_snr, config.hpa, rng)
                   for p_snr, rng in zip(ev.p_snr_db, noise_rngs)]
         for method, (x_unit, aux) in sent.items():
-            _, x_p, alpha = chain.front_end(Tensor(x_unit), config.hpa)
+            x_f, x_p = chain.front_end(Tensor(x_unit), config.hpa)
+            alpha = bussgang_alpha(x_f.data, x_p.data)
             for pi, noise in enumerate(noises):
                 symbols = chain.receive(add_constant(x_p, noise), alpha, ell).data
                 decided = bank.receive_bits(method, symbols, aux)
@@ -274,7 +280,7 @@ def _accumulate_spectra(config: ExperimentConfig, bank: _MethodBank, symbols: in
     for _, sent in _batch_stream(config, bank, symbols):
         for method, (x_unit, _) in sent.items():
             for i, hpa in enumerate(hpas):
-                _, x_p, _ = chain.front_end(Tensor(x_unit), hpa)
+                _, x_p = chain.front_end(Tensor(x_unit), hpa)
                 psd_sum[i][method] = psd_sum[i][method] + len(x_unit) * psd(x_p.data)
     return [{m: total / symbols for m, total in point.items()} for point in psd_sum]
 

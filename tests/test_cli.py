@@ -1,3 +1,9 @@
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import yaml
@@ -90,9 +96,19 @@ class TestCli:
         cfg = write_tiny_config(tmp_path)
         assert main(["--config", str(cfg), "eval-ccdf"]) == 0
         first = (tmp_path / "out" / "ccdf.csv").read_bytes()
-        assert main(["--config", str(cfg), "--seed", "6", "eval-ccdf"]) == 0
+        assert main(["--config", str(cfg), "--set", "seed=6", "eval-ccdf"]) == 0
         second = (tmp_path / "out" / "ccdf.csv").read_bytes()
         assert first != second
+
+    @pytest.mark.parametrize("flag, value", [("--seed", "6"), ("--output-dir", "elsewhere")])
+    def test_config_values_have_no_own_flag(self, tmp_path, capsys, flag, value):
+        """The seed and output directory are config values, set with --set."""
+        cfg = write_tiny_config(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", str(cfg), flag, value, "eval-ccdf"])
+        assert exc.value.code == 2
+        assert "paprlab: error:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg = write_tiny_config(tmp_path)
@@ -109,3 +125,13 @@ class TestCli:
                      "--tag", "cae_fixed"]) == 0
         _, _, rows = read_curve(tmp_path / "out" / "train_cae_fixed.csv")
         assert rows[0][1] == "2"  # stage 2 from the first epoch
+
+
+def test_module_entry_point_offers_config_and_set_only():
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run([sys.executable, "-m", "paprlab.cli", "--help"],
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert set(re.findall(r"(?<![\w-])--[a-z][\w-]*", done.stdout)) == {
+        "--help", "--config", "--set"}

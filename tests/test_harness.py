@@ -13,6 +13,7 @@ from paprlab.channel import complex_noise
 from paprlab.config import build_id, config_from_dict, config_hash
 from paprlab.curvefile import read_curve, write_curve
 from paprlab.errors import ConfigError
+from paprlab.frontend import bussgang_alpha
 from paprlab.harness import (
     eval_ber,
     eval_ccdf,
@@ -191,7 +192,7 @@ class TestEvals:
         powers = {m: [] for m in cfg.methods}
         for _, sent in harness._batch_stream(cfg, bank, 1000):
             for method, (x_unit, _) in sent.items():
-                x_f, x_p, _ = chain.front_end(Tensor(x_unit), cfg.hpa)
+                x_f, x_p = chain.front_end(Tensor(x_unit), cfg.hpa)
                 powers[method].append((np.mean(np.abs(x_f.data) ** 2),
                                        np.mean(np.abs(x_p.data) ** 2)))
         for method, pairs in powers.items():
@@ -216,6 +217,16 @@ class TestEvals:
         cfg = tiny_config(tmp_path, methods=["none", "cae"])
         with pytest.raises(ConfigError, match="cae"):
             eval_ber(cfg)
+
+    @pytest.mark.parametrize("methods, method", [
+        (["none"], "cae"), (["none", "cae"], "fc_ae"), (["none", "cf"], "cf"),
+    ])
+    def test_checkpoint_for_unevaluated_method_rejected(self, tmp_path, methods, method):
+        """A checkpoint no evaluated neural method reads is an error, before
+        any path is opened."""
+        cfg = tiny_config(tmp_path, methods=methods)
+        with pytest.raises(ConfigError, match=repr(method)):
+            eval_ccdf(cfg, {method: tmp_path / "missing.npz"})
 
     def test_neural_method_with_checkpoint(self, tmp_path):
         cfg = tiny_config(tmp_path, methods=["none", "cae"])
@@ -348,6 +359,27 @@ def test_each_batch_is_transmitted_once(tmp_path, monkeypatch, command, symbols_
         assert counts == dict.fromkeys(("none", "cf", "slm"), 450)
 
 
+def test_only_the_ber_receiver_estimates_a_bussgang_gain(tmp_path, monkeypatch):
+    """The spectral commands compute no Bussgang gain; BER computes one per
+    batch and method, shared by every SNR point."""
+    calls = []
+
+    def counting(x, x_pa):
+        calls.append(len(x))
+        return bussgang_alpha(x, x_pa)
+
+    monkeypatch.setattr(chain, "bussgang_alpha", counting)
+    monkeypatch.setattr(harness, "bussgang_alpha", counting)
+    cfg = tiny_config(tmp_path, eval={"psd_symbols": 450, "table_symbols": 450,
+                                      "ber_symbols": 450, "batch": 200})
+    eval_psd(cfg)
+    eval_table(cfg)
+    eval_obo_vs_acpr(cfg)
+    assert calls == []
+    eval_ber(cfg)
+    assert calls == [200, 200, 200, 200, 200, 200, 50, 50, 50]  # 3 batches x 3 methods
+
+
 def test_results_do_not_depend_on_the_batch_size(tmp_path):
     """Symbol k has the same bits and noise at every eval.batch: the BER and
     CCDF rows are byte-identical, the PSD-based rows agree to rounding, and
@@ -419,7 +451,7 @@ def test_every_method_feeds_the_amplifier_at_the_back_off(tmp_path):
     want = cfg.hpa.a0 ** 2 * 10.0 ** (-cfg.hpa.ibo_db / 10.0)
     for method in cfg.methods:
         x_unit, _ = bank.transmit(method, blocks)
-        x_f, _, _ = chain.front_end(Tensor(x_unit), cfg.hpa)
+        x_f, _ = chain.front_end(Tensor(x_unit), cfg.hpa)
         np.testing.assert_allclose(np.mean(np.abs(x_f.data) ** 2, axis=-1), want, rtol=1e-12,
                                    err_msg=method)
 
@@ -437,7 +469,8 @@ def test_eval_runs_the_training_chain(tmp_path):
     taps = chain.run_chain(model, ofdm_modulate(blocks, ell), cfg.hpa, noise)
 
     x_unit, _ = bank.transmit("cae", blocks)
-    x_f, x_p, alpha = chain.front_end(Tensor(x_unit), cfg.hpa)
+    x_f, x_p = chain.front_end(Tensor(x_unit), cfg.hpa)
+    alpha = bussgang_alpha(x_f.data, x_p.data)
     symbols = chain.receive(ad.add_constant(x_p, noise), alpha, ell).data
     decoded = model.decode(Tensor(symbols)).data
 

@@ -33,6 +33,13 @@ def test_no_unused_imports():
     assert not unused, unused
 
 
+def test_package_init_imports_nothing():
+    """Every name has one import path, its submodule."""
+    tree = ast.parse(Path(paprlab.__file__).read_text(encoding="utf-8"))
+    assert not [node.lineno for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))]
+
+
 def test_unused_import_is_flagged():
     tree = ast.parse("from __future__ import annotations\n"
                      "import math\nimport os.path\nfrom .x import a, b as c\n"
