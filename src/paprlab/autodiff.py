@@ -145,7 +145,10 @@ def _spent():
 
 
 def parameter(data) -> Tensor:
-    return Tensor(np.asarray(data, dtype=np.float64), requires_grad=True)
+    """A trainable leaf: float32 data stays float32, anything else is float64."""
+    data = np.asarray(data)
+    return Tensor(data if data.dtype == np.float32 else data.astype(np.float64, copy=False),
+                  requires_grad=True)
 
 
 def _as_tensor(value, like: Tensor) -> Tensor:

@@ -66,8 +66,9 @@ def run_chain(model, x_time: np.ndarray, hpa: HpaParams,
     ----------
     model : object with encode/decode methods and n/oversampling attributes
     x_time : complex (B, L*N) batch of modulated waveforms, cast once to the
-        complex dtype of the model's parameters (complex64 for a float32
-        model, complex128 for a float64 one or a model without parameters)
+        complex dtype of the model's parameters: complex64 for a float32
+        model (every built or loaded one), complex128 for a model cast to
+        float64 or one without parameters
     noise : complex (B, L*N) channel noise added to the PA output, drawn by
         the caller with :func:`channel.complex_noise`; None is a noiseless
         channel

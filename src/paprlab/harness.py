@@ -141,7 +141,8 @@ def run_train(config: ExperimentConfig, arch: str = "cae", tag: str | None = Non
 
 
 class _MethodBank:
-    """Loaded models and the SLM phase bank for the configured method set."""
+    """Loaded models, cast once to the float64 evaluation precision (the one
+    such cast), and the SLM phase bank for the configured method set."""
 
     def __init__(self, config: ExperimentConfig, checkpoints: dict[str, str | Path] | None):
         checkpoints = checkpoints or {}
@@ -156,7 +157,9 @@ class _MethodBank:
                 if method not in checkpoints:
                     raise ConfigError(f"method {method!r} needs a checkpoint (none supplied)")
                 model = load_checkpoint(checkpoints[method]).model
-                model.eval()
+                if model.kind != method:
+                    raise ConfigError(f"checkpoint for {method!r} holds a {model.kind!r} model")
+                model.eval().astype(np.float64)
                 for param in model.parameters():
                     param.requires_grad = False  # inference records no autodiff tape
                 expected = (config.system.n_subcarriers, config.system.oversampling)

@@ -15,7 +15,9 @@ class Module:
 
     Child modules and parameters are discovered from instance attributes in
     definition order, which keeps parameter ordering (and therefore optimizer
-    state and checkpoints) deterministic.
+    state and checkpoints) deterministic.  Every Tensor attribute is a
+    parameter, frozen or not.  Parameters and buffers are float32, the
+    training precision, from construction on.
     """
 
     def __init__(self):
@@ -28,7 +30,7 @@ class Module:
 
     def named_parameters(self, prefix: str = ""):
         for name, value in vars(self).items():
-            if isinstance(value, Tensor) and value.requires_grad:
+            if isinstance(value, Tensor):
                 yield prefix + name, value
         for name, child in self._children():
             yield from child.named_parameters(prefix + name + ".")
@@ -64,13 +66,15 @@ class Module:
         return {name: array.copy() for name, array in self.named_state()}
 
     def load_state_dict(self, state: dict[str, np.ndarray]):
+        """Fill every parameter and buffer from state, cast to float32; a
+        float32 parameter array is taken over, not copied."""
         expected = dict(self.named_parameters())
         buffers = dict(self.named_buffers())
         for name, array in state.items():
             if name in expected:
                 if expected[name].data.shape != array.shape:
                     raise ValueError(f"shape mismatch for parameter {name}")
-                expected[name].data = np.array(array, dtype=np.float64)
+                expected[name].data = np.asarray(array, dtype=np.float32)
             elif name in buffers:
                 buffers[name][...] = array
             else:
@@ -82,45 +86,36 @@ class Module:
     def astype(self, dtype) -> "Module":
         """Cast every parameter and buffer to dtype in place: the parameter
         tensors keep their identity, so optimizers and callers holding them
-        see the new arrays."""
+        see the new arrays.  An array already of dtype is kept, not copied."""
         for value in vars(self).values():
-            if isinstance(value, Tensor) and value.requires_grad:
-                value.data = value.data.astype(dtype)
+            if isinstance(value, Tensor):
+                value.data = value.data.astype(dtype, copy=False)
         for name in getattr(self, "_buffer_names", ()):
-            setattr(self, name, getattr(self, name).astype(dtype))
+            setattr(self, name, getattr(self, name).astype(dtype, copy=False))
         for _, child in self._children():
             child.astype(dtype)
         return self
 
 
-# Elements rounded to float32 per block in _lecun_normal (256 KiB at float32).
-_ROUND_BLOCK = 1 << 16
-
-
 def _lecun_normal(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
-    """The float64 draw rounded to float32 values, so that training's cast of
-    the weights to float32 and back is exact.  Scaled and rounded in place,
-    a cache-sized block at a time: at FC-AE size, full-size temporaries
-    cost a fifth of building the model."""
+    """A float32 LeCun-normal weight: the float64 draw, scaled, rounded once.
+    Drawing in float32 would take a different stream from the generator."""
     w = rng.standard_normal(shape)
     w /= np.sqrt(fan_in)
-    flat = w.reshape(-1)
-    for lo in range(0, flat.size, _ROUND_BLOCK):
-        block = flat[lo:lo + _ROUND_BLOCK]
-        block[...] = block.astype(np.float32)
-    return w
+    return w.astype(np.float32)
 
 
 def _weight(rng: np.random.Generator | None, shape, fan_in: int) -> Tensor:
     """A LeCun-normal weight; with rng None an unset one, for a checkpoint to fill."""
-    return ad.parameter(np.empty(shape) if rng is None else _lecun_normal(rng, shape, fan_in))
+    return ad.parameter(np.empty(shape, dtype=np.float32) if rng is None
+                        else _lecun_normal(rng, shape, fan_in))
 
 
 class Linear(Module):
     def __init__(self, in_features: int, out_features: int, rng: np.random.Generator | None):
         super().__init__()
         self.w = _weight(rng, (in_features, out_features), in_features)
-        self.b = ad.parameter(np.zeros(out_features))
+        self.b = ad.parameter(np.zeros(out_features, dtype=np.float32))
 
     def __call__(self, x: Tensor) -> Tensor:
         return ad.linear(x, self.w, self.b)
@@ -132,7 +127,7 @@ class Conv1d(Module):
         super().__init__()
         self.padding = padding
         self.w = _weight(rng, (out_channels, in_channels, kernel_size), in_channels * kernel_size)
-        self.b = ad.parameter(np.zeros(out_channels))
+        self.b = ad.parameter(np.zeros(out_channels, dtype=np.float32))
 
     def __call__(self, x: Tensor) -> Tensor:
         return ad.conv1d(x, self.w, self.b, padding=self.padding)
@@ -145,10 +140,10 @@ class BatchNorm1d(Module):
         super().__init__()
         self.eps = eps
         self.momentum = momentum
-        self.gamma = ad.parameter(np.ones(channels))
-        self.beta = ad.parameter(np.zeros(channels))
-        self.running_mean = np.zeros(channels)
-        self.running_var = np.ones(channels)
+        self.gamma = ad.parameter(np.ones(channels, dtype=np.float32))
+        self.beta = ad.parameter(np.zeros(channels, dtype=np.float32))
+        self.running_mean = np.zeros(channels, dtype=np.float32)
+        self.running_var = np.ones(channels, dtype=np.float32)
 
     def __call__(self, x: Tensor) -> Tensor:
         return ad.batch_norm(x, self.gamma, self.beta, self.running_mean, self.running_var,

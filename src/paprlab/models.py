@@ -164,8 +164,9 @@ def save_checkpoint(path, model, optimizer=None, epoch: int = 0, seed: int | Non
                     extra_meta: dict | None = None):
     """Write a model (and optional optimizer state) to a versioned .npz file.
 
-    Arrays round-trip bit-exactly; the architecture descriptor, epoch counter
-    and seed travel in an embedded JSON record.
+    Arrays round-trip bit-exactly, in the model's own dtype (float32 for a
+    built, trained or loaded model); the architecture descriptor, epoch
+    counter and seed travel in an embedded JSON record.
     """
     meta = {
         "format": CHECKPOINT_FORMAT,

@@ -68,7 +68,9 @@ def qam4_map(bits: np.ndarray) -> np.ndarray:
 def ml_detect(estimates: np.ndarray) -> np.ndarray:
     """Nearest-point 4-QAM decision, returning the Gray bit labels.
 
-    Ties are broken toward the lowest index in QAM4_POINTS.
+    For this labelling the decision is a sign slicer: b0 = imag < 0 and
+    b1 = real < 0.  A component exactly on a decision boundary (zero) is
+    decided as positive, so -1j gives the bits of (1 - j)/sqrt2.
 
     Parameters
     ----------
@@ -78,10 +80,8 @@ def ml_detect(estimates: np.ndarray) -> np.ndarray:
     -------
     int array of shape (..., 2*N)
     """
-    estimates = np.asarray(estimates, dtype=complex)
-    dist = np.abs(estimates[..., None] - QAM4_POINTS)
-    idx = np.argmin(dist, axis=-1)
-    bits = QAM4_LABELS[idx]                              # (..., N, 2)
+    estimates = np.asarray(estimates)
+    bits = np.stack([estimates.imag < 0, estimates.real < 0], axis=-1).astype(np.int64)
     return bits.reshape(*estimates.shape[:-1], -1)
 
 

@@ -22,14 +22,19 @@ float32, the training precision.
   dft_unpad, papr_loss and acpr_value (72 in-band bins) take the stock
   waveform batch (B, 288); mse_complex takes the (B, 72) symbol batch and
   scores it against the sent blocks, as the reconstruction loss does.
+- Loading the stock CAE for evaluation, as each eval command does:
+  load_checkpoint of a freshly built model plus the method bank's cast to
+  float64.
 """
 
 import numpy as np
 import pytest
 
 from paprlab import autodiff as ad
+from paprlab import harness
 from paprlab.autodiff import Tensor
-from paprlab.models import CaeModel
+from paprlab.config import config_from_dict
+from paprlab.models import CaeModel, save_checkpoint
 from paprlab.ofdm import ofdm_modulate, qam4_map
 from paprlab.optim import AdamW
 
@@ -168,3 +173,10 @@ def test_chain_forward(benchmark, op, batch, dtype, taped):
 @pytest.mark.parametrize("op", CHAIN_OPS)
 def test_chain_backward(benchmark, op, batch, dtype, taped):
     _bench_backward(benchmark, *_chain_call(op, batch, dtype, True))
+
+
+def test_eval_load(benchmark, tmp_path):
+    path = tmp_path / "cae.npz"
+    save_checkpoint(path, CaeModel())
+    cfg = config_from_dict({"methods": ["cae"], "output_dir": str(tmp_path)})
+    benchmark(harness._MethodBank, cfg, {"cae": path})

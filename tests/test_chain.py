@@ -93,7 +93,7 @@ class TestToyGradientSweep:
         4-subcarrier toy system, checked against central differences."""
         n, oversampling = 4, 4
         model = CaeModel(n_subcarriers=n, oversampling=oversampling,
-                         enc_channels=(2, 3), dec_channels=(3, 2), seed=11)
+                         enc_channels=(2, 3), dec_channels=(3, 2), seed=11).astype(np.float64)
         model.train()
         rng = np.random.default_rng(12)
         blocks = qam4_map(rng.integers(0, 2, (3, 2 * n)))

@@ -228,6 +228,14 @@ class TestEvals:
         with pytest.raises(ConfigError, match=repr(method)):
             eval_ccdf(cfg, {method: tmp_path / "missing.npz"})
 
+    def test_checkpoint_of_another_kind_rejected(self, tmp_path):
+        """A CAE checkpoint given for fc_ae is an error naming both kinds."""
+        cfg = tiny_config(tmp_path, methods=["none", "fc_ae"],
+                          train={"epochs": 0, "stage1_epochs": 0})
+        ckpt, _ = run_train(cfg, arch="cae")
+        with pytest.raises(ConfigError, match="'fc_ae'.*'cae'"):
+            eval_ccdf(cfg, {"fc_ae": ckpt})
+
     def test_neural_method_with_checkpoint(self, tmp_path):
         cfg = tiny_config(tmp_path, methods=["none", "cae"])
         ckpt, _ = run_train(cfg, arch="cae")
@@ -437,8 +445,27 @@ def test_bank_models_record_no_tape(tmp_path):
     encoded = bank.models["cae"].encode(Tensor(x))
     assert encoded._backward is None
     # the tape does not change the numbers
-    reference = load_checkpoint(ckpt).model.eval()
+    reference = load_checkpoint(ckpt).model.eval().astype(np.float64)
     np.testing.assert_array_equal(encoded.data, reference.encode(Tensor(x)).data)
+
+
+def test_training_checkpoint_holds_float32(tmp_path):
+    ckpt, _ = run_train(tiny_config(tmp_path), arch="cae")
+    with np.load(ckpt) as data:
+        assert {data[k].dtype for k in data.files if k != "meta"} == {np.dtype(np.float32)}
+
+
+def test_bank_models_are_frozen_float64(tmp_path):
+    """The bank casts each loaded model to the float64 evaluation precision
+    and freezes it; the frozen model keeps its parameters."""
+    cfg = tiny_config(tmp_path, methods=["none", "cae", "fc_ae"],
+                      train={"epochs": 0, "stage1_epochs": 0})
+    bank = harness._MethodBank(cfg, {arch: run_train(cfg, arch=arch)[0]
+                                     for arch in ("cae", "fc_ae")})
+    for method, model in bank.models.items():
+        assert {a.dtype for _, a in model.named_state()} == {np.dtype(np.float64)}, method
+        assert model.parameters(), method
+        assert not any(p.requires_grad for p in model.parameters()), method
 
 
 def test_every_method_feeds_the_amplifier_at_the_back_off(tmp_path):

@@ -69,7 +69,9 @@ class TestJointLoss:
 
     def test_term_by_term_oracle(self):
         """Stage-2 loss equals an independent term-by-term computation."""
-        taps, blocks, model = make_taps(seed=3)
+        model = CaeModel(n_subcarriers=N, oversampling=L, enc_channels=(3, 2),
+                         dec_channels=(2, 3), seed=3).astype(np.float64)
+        taps, blocks, _ = make_taps(seed=3, model=model.train())
         w = LossWeights(lambda2=0.004, lambda3=0.001)
         loss, parts = joint_loss(taps, blocks, w, SPECTRAL, stage=2)
 

@@ -66,6 +66,59 @@ class TestArchitecture:
             np.testing.assert_array_equal(pa.data, pb.data)
 
 
+def state_dtypes(model):
+    return {array.dtype for _, array in model.named_state()}
+
+
+FLOAT32 = {np.dtype(np.float32)}
+
+
+class TestFloat32AtRest:
+    @pytest.mark.parametrize("build", [CaeModel, FcAeModel], ids=["cae", "fc_ae"])
+    def test_built_model_is_float32(self, build):
+        assert state_dtypes(build()) == FLOAT32
+
+    def test_loaded_model_is_float32(self, tmp_path):
+        path = tmp_path / "m.npz"
+        save_checkpoint(path, small_cae(seed=2))
+        assert state_dtypes(load_checkpoint(path).model) == FLOAT32
+
+    def test_float64_checkpoint_loads_to_the_same_float32_weights(self, tmp_path):
+        """A checkpoint of float64 arrays, as earlier versions wrote it, loads
+        to the float32 weights and buffers it was written from, bit for bit."""
+        model = small_cae(seed=6)
+        rng = np.random.default_rng(7)
+        model.encode(Tensor(ofdm_modulate(qam4_map(rng.integers(0, 2, (8, 16))), 4)))
+        want = model.state_dict()
+        path = tmp_path / "f64.npz"
+        save_checkpoint(path, model.astype(np.float64))
+        with np.load(path) as data:
+            assert {data[k].dtype for k in data.files if k.startswith("state/")} == {
+                np.dtype(np.float64)}
+        got = load_checkpoint(path).model.state_dict()
+        assert sorted(got) == sorted(want)
+        for name in want:
+            assert got[name].dtype == np.float32, name
+            assert got[name].tobytes() == want[name].tobytes(), name
+
+    def test_frozen_model_casts_saves_and_loads_whole(self, tmp_path):
+        """A parameter with requires_grad False is still a parameter: the
+        cast reaches it and the checkpoint holds it."""
+        model = small_cae(seed=9)
+        params = model.parameters()
+        for p in params:
+            p.requires_grad = False
+        assert model.parameters() == params
+        model.astype(np.float64)
+        assert state_dtypes(model) == {np.dtype(np.float64)}
+        path = tmp_path / "frozen.npz"
+        save_checkpoint(path, model)
+        want, got = model.state_dict(), load_checkpoint(path).model.state_dict()
+        assert sorted(got) == sorted(want)
+        for name in want:
+            np.testing.assert_array_equal(got[name], want[name], err_msg=name)
+
+
 class TestCheckpoint:
     def test_roundtrip_is_bit_exact(self, tmp_path):
         model = small_cae(seed=3)

@@ -64,8 +64,24 @@ class TestMlDetect:
         np.testing.assert_array_equal(ml_detect(np.array([0.9 + 0.8j])), [0, 0])
 
     def test_tie_breaks_to_lowest_index(self):
-        # the origin is equidistant from all four points
+        # the origin is equidistant from all four points; index 0 is (1 + j)/sqrt2
         np.testing.assert_array_equal(ml_detect(np.array([0.0 + 0.0j])), [0, 0])
+
+    def test_boundary_components_decide_as_positive(self):
+        """A zero real or imaginary part is decided as positive: -1j lies
+        between (-1 - j)/sqrt2 and (1 - j)/sqrt2 and takes the latter's bits."""
+        points = np.array([-1j, 1j, 1, -1, -0.0 - 0.0j, -0.5 + 0.0j, 0.0 - 0.5j])
+        np.testing.assert_array_equal(ml_detect(points),
+                                      [1, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 1, 1, 0])
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    def test_matches_nearest_point_oracle(self, scale):
+        rng = np.random.default_rng(4)
+        estimates = scale * (rng.standard_normal((200, 72))
+                             + 1j * rng.standard_normal((200, 72)))
+        nearest = np.argmin(np.abs(estimates[..., None] - QAM4_POINTS), axis=-1)
+        np.testing.assert_array_equal(ml_detect(estimates),
+                                      QAM4_LABELS[nearest].reshape(200, 144))
 
     def test_roundtrip_identity(self):
         rng = np.random.default_rng(1)

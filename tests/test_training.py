@@ -151,8 +151,8 @@ def normwise(got, want) -> float:
 class TestFloat32Training:
     def test_stock_step_stays_in_single_precision(self, monkeypatch):
         """Every tensor a stock-CAE training step creates, its gradient, the
-        loss and the AdamW moments are float32 or complex64; the model is
-        float64 again afterwards."""
+        loss and the AdamW moments are float32 or complex64; the model stays
+        float32 afterwards."""
         model = CaeModel()
         made = []
         init = Tensor.__init__
@@ -168,7 +168,7 @@ class TestFloat32Training:
         moments = result.optimizer.m + result.optimizer.v
         assert len(grads) > len(model.parameters())
         assert {a.dtype for a in [t.data for t in made] + grads + moments} == SINGLE
-        assert {a.dtype for _, a in model.named_state()} == {np.dtype(np.float64)}
+        assert {a.dtype for _, a in model.named_state()} == {np.dtype(np.float32)}
 
     def test_step_transforms_only_single_precision(self, monkeypatch):
         """From each chain run to the next data draw, in both stages, every
