@@ -26,7 +26,7 @@ import math
 
 import numpy as np
 
-from .metrics import ACPR_FLOOR_DB, band_powers
+from .metrics import acpr_powers
 from .ofdm import band_bins, bpf, ofdm_demodulate, unit_power
 
 __all__ = [
@@ -145,10 +145,8 @@ def _spent():
 
 
 def parameter(data) -> Tensor:
-    """A trainable leaf: float32 data stays float32, anything else is float64."""
-    data = np.asarray(data)
-    return Tensor(data if data.dtype == np.float32 else data.astype(np.float64, copy=False),
-                  requires_grad=True)
+    """A trainable leaf, in :class:`Tensor`'s precision."""
+    return Tensor(data, requires_grad=True)
 
 
 def _as_tensor(value, like: Tensor) -> Tensor:
@@ -521,33 +519,20 @@ def papr_loss(z: Tensor) -> Tensor:
 def acpr_value(z: Tensor, bw_bins: int) -> Tensor:
     """Differentiable adjacent-channel power ratio (dB) of a complex batch.
 
-    Band powers come from the batch-averaged periodogram.  The max over the
-    two adjacent bands is the plain subgradient max (ties favor the upper
-    band).
+    The rule is :func:`metrics.acpr_powers`, the one behind the reported
+    ACPR, applied to the batch-averaged periodogram; this op adds only its
+    gradient, through the main band and the chosen adjacent band.
     """
     batch, total = z.data.shape
     spec = np.fft.fft(z.data, axis=-1)
     per_bin = (np.abs(spec) ** 2).sum(axis=0) / (batch * total * total)
-    main, up, lo = band_powers(per_bin, bw_bins)
-    # floor the adjacent powers at metrics.ACPR_FLOOR_DB below the main band,
-    # the floor metrics.acpr reads, so a perfectly band-limited input keeps
-    # the value and gradient finite
-    floor = main * 10.0 ** (ACPR_FLOOR_DB / 10.0)
-    up = max(up, floor)
-    lo = max(lo, floor)
-
-    up_db = 10.0 * np.log10(up / main)
-    lo_db = 10.0 * np.log10(lo / main)
-    value = max(up_db, lo_db)
-    w_up, w_lo = (1.0, 0.0) if up >= lo else (0.0, 1.0)
+    main, worse, worse_idx = acpr_powers(per_bin, bw_bins)
 
     def backward(g):
         g = float(g)
-        main_idx, up_idx, lo_idx = band_bins(bw_bins, total)
         coeff = np.zeros(total, dtype=per_bin.dtype)
-        coeff[up_idx] = g * w_up * 10.0 / (_LOG10 * up)
-        coeff[lo_idx] = g * w_lo * 10.0 / (_LOG10 * lo)
-        coeff[main_idx] = -g * 10.0 / (_LOG10 * main)
+        coeff[worse_idx] = g * 10.0 / (_LOG10 * worse)
+        coeff[band_bins(bw_bins, total)[0]] = -g * 10.0 / (_LOG10 * main)
         gz = np.fft.ifft(coeff * spec, axis=-1) * (2.0 / (batch * total))
         _accumulate(z, gz)
-    return _make(value, (z,), backward)
+    return _make(10.0 * np.log10(worse / main), (z,), backward)

@@ -59,8 +59,16 @@ class ModelConfig:
 
     def __post_init__(self):
         for name in ("enc_channels", "dec_channels", "fc_hidden"):
-            if min(sizes := getattr(self, name)) < 1:
-                raise ValueError(f"{name} must be a list of positive sizes, got {list(sizes)}")
+            if len(sizes := getattr(self, name)) != 2 or min(sizes) < 1:
+                raise ValueError(f"{name} must be a list of positive sizes, exactly two, "
+                                 f"got {list(sizes)}")
+
+
+def _check_distinct(name: str, values: tuple):
+    """Raise ValueError unless values is a nonempty list of distinct values:
+    an eval command writes one row per method and grid point."""
+    if not values or len(set(values)) < len(values):
+        raise ValueError(f"{name} must be a nonempty list of distinct values, got {list(values)}")
 
 
 @dataclass(frozen=True)
@@ -81,6 +89,8 @@ class EvalConfig:
             raise ValueError(f"p_snr_db must be a finite dB value or inf, got {self.p_snr_db}")
         if not all(map(math.isfinite, self.obo_acpr_ibo_db)):
             raise ValueError(f"obo_acpr_ibo_db must be a finite grid, got {self.obo_acpr_ibo_db}")
+        for name in ("p_snr_db", "obo_acpr_ibo_db"):
+            _check_distinct(name, getattr(self, name))
 
 
 @dataclass(frozen=True)
@@ -106,6 +116,7 @@ class ExperimentConfig:
         for m in self.methods:
             if m not in VALID_METHODS:
                 raise ValueError(f"unknown method {m!r}, expected one of {VALID_METHODS}")
+        _check_distinct("methods", self.methods)
 
 
 def default_config() -> ExperimentConfig:

@@ -65,10 +65,6 @@ __all__ = [
 CCDF_THRESHOLDS_DB = np.arange(0.0, 13.0 + 0.125, 0.25)
 
 
-def _spectral(config: ExperimentConfig) -> SpectralParams:
-    return SpectralParams(bw_bins=config.system.n_subcarriers, acpr_req_db=config.acpr_req_db)
-
-
 def _outdir(config: ExperimentConfig) -> Path:
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -121,7 +117,8 @@ def run_train(config: ExperimentConfig, arch: str = "cae", tag: str | None = Non
     tag = tag or arch
     out = _outdir(config)
     model = build_model_from_config(config, arch)
-    result = train(model, config.train, config.loss, config.hpa, _spectral(config),
+    spectral = SpectralParams(bw_bins=config.system.n_subcarriers, acpr_req_db=config.acpr_req_db)
+    result = train(model, config.train, config.loss, config.hpa, spectral,
                    seed=derive_seed(config.seed, f"train/{arch}"), log=log_progress)
 
     ckpt_path = out / f"{tag}.npz"
@@ -319,7 +316,7 @@ def eval_psd(config: ExperimentConfig, checkpoints: dict | None = None) -> Path:
 def _acpr_obo(config: ExperimentConfig, spectrum: np.ndarray):
     """(ACPR, OBO) in dB of one method's PA-output PSD at one back-off; OBO is
     a0^2 over the mean PA-output power, which the PSD bins sum to."""
-    return (float(acpr(spectrum, _spectral(config))),
+    return (float(acpr(spectrum, config.system.n_subcarriers)),
             float(10.0 * np.log10(config.hpa.a0 ** 2 / spectrum.sum())))
 
 

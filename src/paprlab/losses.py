@@ -35,8 +35,10 @@ def joint_loss(taps: ChainTaps, target, weights: LossWeights, spectral: Spectral
 
     l1 is the mean squared symbol error, l2 the batch-mean linear PAPR of the
     PA input x_f, and l3 the ACPR of the PA output x_p above the required
-    ACPR, in dB.  All three are computed in both stages; stage 1 trains on l1
-    alone, and stage 2 on l1 + lambda2 * l2 + lambda3 * l3.
+    ACPR, in dB; that ACPR is the reported one (the rule of
+    :func:`metrics.acpr_powers`) on the batch's periodogram.  All three are
+    computed in both stages; stage 1 trains on l1 alone, and stage 2 on
+    l1 + lambda2 * l2 + lambda3 * l3.
 
     Returns the scalar loss node and a dict of the three term values.
     """

@@ -4,6 +4,8 @@ PSD bins are ordered from -fs/2 to +fs/2 and use the unitary-DFT periodogram
 scaling, so the bins sum to the mean time-domain sample power.  ACPR band
 edges land exactly on bin boundaries because the main channel spans N bins of
 the L*N-bin spectrum; :func:`ofdm.band_bins` places the bands.
+:func:`acpr_powers` is the one ACPR rule: the reported ACPR and the training
+loss's spectral term, ``autodiff.acpr_value``, both read it.
 """
 
 from dataclasses import dataclass
@@ -20,7 +22,7 @@ __all__ = [
     "papr_db",
     "ccdf",
     "psd",
-    "band_powers",
+    "acpr_powers",
     "acpr",
 ]
 
@@ -29,14 +31,11 @@ ACPR_FLOOR_DB = -200.0
 
 @dataclass(frozen=True)
 class SpectralParams:
-    """Main-channel width in DFT bins and the target adjacent-channel ratio."""
+    """Parameters of the spectral loss term: the main-channel width in DFT
+    bins and the required ACPR in dB that the term is measured against."""
 
     bw_bins: int
     acpr_req_db: float = -45.0
-
-    def __post_init__(self):
-        if self.bw_bins < 2 or self.bw_bins % 2 != 0:
-            raise ValueError(f"bw_bins must be a positive even number, got {self.bw_bins}")
 
 
 def papr(wave: np.ndarray) -> np.ndarray | float:
@@ -83,28 +82,31 @@ def psd(batch: np.ndarray) -> np.ndarray:
     return np.fft.fftshift(spec.mean(axis=0))
 
 
-def band_powers(per_bin: np.ndarray, bw_bins: int) -> tuple:
-    """(main, upper, lower) band powers of an unshifted per-bin power spectrum."""
-    total = per_bin.shape[-1]
-    if 3 * bw_bins > total:
-        raise ValueError(
-            f"adjacent bands do not fit: 3*{bw_bins} bins exceed spectrum length {total}"
-        )
-    return tuple(per_bin[idx].sum() for idx in band_bins(bw_bins, total))
+def acpr_powers(per_bin: np.ndarray, bw_bins: int) -> tuple:
+    """The ACPR rule on an unshifted per-bin power spectrum.
 
-
-def acpr(psd_values: np.ndarray, sp: SpectralParams) -> float:
-    """Adjacent-channel power ratio in dB, floored at ACPR_FLOOR_DB.
-
-    The worse (higher-power) of the two N-bin bands immediately above and
-    below the main channel is compared against the main-channel power.
+    Returns (main, worse, bins): the main-channel power, the power of the
+    worse adjacent N-bin band and that band's bin indices.  Each adjacent band
+    is floored at ACPR_FLOOR_DB below the main band, so a band-limited
+    spectrum reads exactly the floor; ties go to the upper band.
     """
-    per_bin = np.fft.ifftshift(np.asarray(psd_values, dtype=float))
-    main, upper, lower = band_powers(per_bin, sp.bw_bins)
+    total = per_bin.shape[-1]
+    if bw_bins < 2 or bw_bins % 2 or 3 * bw_bins > total:
+        raise ValueError(f"bands of {bw_bins} bins do not fit a {total}-bin spectrum: "
+                         "the width must be even, from 2 to a third of the spectrum")
+    main_idx, up_idx, lo_idx = band_bins(bw_bins, total)
+    main = per_bin[main_idx].sum()
     if main <= 0.0:
         raise DegenerateInputError("main-channel power is zero")
-    adjacent = max(upper, lower)
-    if adjacent <= 0.0:
-        return ACPR_FLOOR_DB
-    return max(10.0 * np.log10(adjacent / main), ACPR_FLOOR_DB)
+    floor = main * 10.0 ** (ACPR_FLOOR_DB / 10.0)
+    up = max(per_bin[up_idx].sum(), floor)
+    lo = max(per_bin[lo_idx].sum(), floor)
+    return (main, up, up_idx) if up >= lo else (main, lo, lo_idx)
 
+
+def acpr(psd_values: np.ndarray, bw_bins: int) -> float:
+    """Adjacent-channel power ratio in dB of a PSD with bw_bins main-channel
+    bins: the worse adjacent band of :func:`acpr_powers` over the main band,
+    at least ACPR_FLOOR_DB."""
+    main, worse, _ = acpr_powers(np.fft.ifftshift(np.asarray(psd_values, dtype=float)), bw_bins)
+    return 10.0 * np.log10(worse / main)

@@ -12,8 +12,8 @@ from paprlab import autodiff as ad
 from paprlab.autodiff import Tensor
 from paprlab.errors import DegenerateInputError
 from paprlab.layers import BatchNorm1d, Conv1d, Linear
-from paprlab.metrics import ACPR_FLOOR_DB, SpectralParams, acpr, papr, psd
-from paprlab.ofdm import bpf
+from paprlab.metrics import ACPR_FLOOR_DB, acpr, acpr_powers, papr, psd
+from paprlab.ofdm import band_bins, bpf
 
 RNG = np.random.default_rng(2024)
 
@@ -387,9 +387,8 @@ class TestLossHeads:
 
     def test_acpr_value_matches_metric(self):
         z = RNG.standard_normal((8, 32)) + 1j * RNG.standard_normal((8, 32))
-        sp = SpectralParams(bw_bins=8)
         out = ad.acpr_value(Tensor(z), 8)
-        assert out.item() == pytest.approx(acpr(psd(z), sp), abs=1e-9)
+        assert out.item() == pytest.approx(acpr(psd(z), 8), abs=1e-9)
 
     def test_acpr_grad_hard_max(self):
         z = RNG.standard_normal((3, 32)) + 1j * RNG.standard_normal((3, 32))
@@ -412,8 +411,27 @@ class TestLossHeads:
         rng = np.random.default_rng(9)
         wave = bpf(rng.standard_normal((32, 288)) + 1j * rng.standard_normal((32, 288)), 4)
         got = ad.acpr_value(Tensor(wave), 72).item()
-        want = acpr(psd(wave), SpectralParams(bw_bins=72))
+        want = acpr(psd(wave), 72)
         assert got == want == ACPR_FLOOR_DB
+
+    @pytest.mark.parametrize("worse", ["upper", "lower"])
+    def test_acpr_grad_spectrum_on_main_and_chosen_band(self, worse):
+        """The gradient's spectrum lives on the main bins and the bins of the
+        band acpr_powers chose; every other bin is zero."""
+        rng = np.random.default_rng(11)
+        z = rng.standard_normal((4, 32)) + 1j * rng.standard_normal((4, 32))
+        main_idx, up_idx, lo_idx = band_bins(8, 32)
+        spec = np.fft.fft(z, axis=-1)
+        spec[:, up_idx if worse == "lower" else lo_idx] *= 0.1
+        t = Tensor(np.fft.ifft(spec, axis=-1), requires_grad=True)
+        ad.acpr_value(t, 8).backward()
+        _, _, chosen = acpr_powers((np.abs(np.fft.fft(t.data, axis=-1)) ** 2).sum(axis=0), 8)
+        np.testing.assert_array_equal(chosen, up_idx if worse == "upper" else lo_idx)
+        grad_spec = np.abs(np.fft.fft(t.grad, axis=-1))
+        support = np.zeros(32, dtype=bool)
+        support[main_idx] = support[chosen] = True
+        assert np.all(grad_spec[:, support] > 1e-6)
+        assert np.all(grad_spec[:, ~support] < 1e-12)
 
     def test_sq_norm_grad(self):
         x = RNG.standard_normal((3, 4))

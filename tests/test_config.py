@@ -128,10 +128,21 @@ class TestValidation:
         ("model", "enc_channels", [0, 3], "list of positive sizes"),
         ("model", "fc_hidden", [24, 2.5], "list of whole numbers"),
         ("model", "dec_channels", 4, "list of whole numbers"),
+        ("model", "enc_channels", [3], "list of positive sizes, exactly two"),
+        ("model", "fc_hidden", [10, 20, 30], "list of positive sizes, exactly two"),
+        ("model", "enc_channels", [], "list of positive sizes, exactly two"),
+        ("eval", "p_snr_db", [6.0, 6.0], "nonempty list of distinct values"),
+        ("eval", "p_snr_db", [], "nonempty list of distinct values"),
+        ("eval", "obo_acpr_ibo_db", [], "nonempty list of distinct values"),
+        ("eval", "obo_acpr_ibo_db", [2.0, 5.0, 2.0], "nonempty list of distinct values"),
+        ("", "methods", ["none", "none"], "nonempty list of distinct values"),
+        ("", "methods", [], "nonempty list of distinct values"),
     ])
     def test_invalid_size_names_section(self, section, key, value, message):
-        with pytest.raises(ConfigError, match=f"{section}: {key} must be a {message}"):
-            config_from_dict({section: {key: value}})
+        """An empty section is the config root, whose messages carry no prefix."""
+        data, prefix = ({section: {key: value}}, f"{section}: ") if section else ({key: value}, "")
+        with pytest.raises(ConfigError, match=f"{prefix}{key} must be a {message}"):
+            config_from_dict(data)
 
     @pytest.mark.parametrize("value", [math.inf, math.nan])
     def test_acpr_req_db_must_be_finite(self, value):

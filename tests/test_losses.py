@@ -77,7 +77,7 @@ class TestJointLoss:
 
         mse = np.mean(np.abs(taps.decoded.data - blocks) ** 2)
         mean_papr = np.mean(papr(taps.x_f.data))
-        acpr_gap = acpr(psd(taps.x_p.data), SPECTRAL) - SPECTRAL.acpr_req_db
+        acpr_gap = acpr(psd(taps.x_p.data), N) - SPECTRAL.acpr_req_db
         expected = mse + 0.004 * mean_papr + 0.001 * acpr_gap
         assert loss.item() == pytest.approx(expected, rel=1e-9)
         assert parts["l2"] == pytest.approx(mean_papr, rel=1e-9)

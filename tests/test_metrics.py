@@ -6,14 +6,14 @@ from hypothesis import strategies as st
 from paprlab.errors import DegenerateInputError
 from paprlab.metrics import (
     ACPR_FLOOR_DB,
-    SpectralParams,
     acpr,
+    acpr_powers,
     ccdf,
     papr,
     papr_db,
     psd,
 )
-from paprlab.ofdm import ofdm_modulate, qam4_map
+from paprlab.ofdm import band_bins, ofdm_modulate, qam4_map
 
 
 def brute_force_papr(wave):
@@ -120,38 +120,89 @@ class TestPsd:
 
 class TestAcpr:
     def test_flat_spectrum(self):
-        sp = SpectralParams(bw_bins=8)
-        assert acpr(np.ones(32), sp) == pytest.approx(0.0)
+        assert acpr(np.ones(32), 8) == pytest.approx(0.0)
 
     def test_inband_only_hits_floor(self):
-        sp = SpectralParams(bw_bins=8)
         spectrum = np.zeros(32)
         spectrum[12:20] = 1.0
-        assert acpr(spectrum, sp) == ACPR_FLOOR_DB
+        assert acpr(spectrum, 8) == ACPR_FLOOR_DB
 
     def test_scaling_invariance(self):
         rng = np.random.default_rng(5)
         spectrum = rng.random(64) + 0.01
-        sp = SpectralParams(bw_bins=16)
-        assert acpr(13.7 * spectrum, sp) == pytest.approx(acpr(spectrum, sp))
+        assert acpr(13.7 * spectrum, 16) == pytest.approx(acpr(spectrum, 16))
 
     def test_upper_bound(self):
         rng = np.random.default_rng(6)
-        sp = SpectralParams(bw_bins=16)
         for _ in range(20):
             spectrum = rng.random(64) + 1e-6
             main = spectrum[24:40].sum()
             bound = 10 * np.log10(spectrum.sum() / main)
-            assert acpr(spectrum, sp) <= bound + 1e-12
+            assert acpr(spectrum, 16) <= bound + 1e-12
 
     def test_band_windows_must_fit(self):
         with pytest.raises(ValueError, match="fit"):
-            acpr(np.ones(16), SpectralParams(bw_bins=8))
+            acpr(np.ones(16), 8)
 
     def test_asymmetric_spectrum_takes_worse_band(self):
-        sp = SpectralParams(bw_bins=4)
         spectrum = np.zeros(16)
         spectrum[6:10] = 1.0     # main
         spectrum[10:14] = 0.1    # upper
         spectrum[2:6] = 0.01     # lower
-        assert acpr(spectrum, sp) == pytest.approx(-10.0)
+        assert acpr(spectrum, 4) == pytest.approx(-10.0)
+
+
+def _bands(main, upper, lower, n=4, total=16):
+    """Unshifted per-bin spectrum with the given power per bin in each band."""
+    per_bin = np.zeros(total)
+    for power, idx in zip((main, upper, lower), band_bins(n, total)):
+        per_bin[idx] = power
+    return per_bin
+
+
+class TestAcprPowers:
+    """The one ACPR rule, on an unshifted per-bin spectrum (N = 4 of 16 bins)."""
+
+    _, UPPER, LOWER = band_bins(4, 16)
+
+    def test_upper_band_worse(self):
+        main, worse, bins = acpr_powers(_bands(1.0, 0.5, 0.25), 4)
+        assert (main, worse) == (4.0, 2.0)
+        np.testing.assert_array_equal(bins, self.UPPER)
+
+    def test_lower_band_worse(self):
+        main, worse, bins = acpr_powers(_bands(1.0, 0.25, 0.5), 4)
+        assert (main, worse) == (4.0, 2.0)
+        np.testing.assert_array_equal(bins, self.LOWER)
+
+    def test_tie_goes_to_upper_band(self):
+        _, worse, bins = acpr_powers(_bands(1.0, 0.5, 0.5), 4)
+        assert worse == 2.0
+        np.testing.assert_array_equal(bins, self.UPPER)
+
+    @pytest.mark.parametrize("adjacent", [0.0, 1e-30])
+    def test_both_bands_below_floor(self, adjacent):
+        main, worse, bins = acpr_powers(_bands(1.0, adjacent, adjacent), 4)
+        assert worse == main * 10.0 ** (ACPR_FLOOR_DB / 10.0)
+        assert 10.0 * np.log10(worse / main) == ACPR_FLOOR_DB
+        np.testing.assert_array_equal(bins, self.UPPER)
+
+    def test_floor_lifts_only_the_band_below_it(self):
+        _, worse, bins = acpr_powers(_bands(1.0, 0.0, 1e-19), 4)
+        assert worse == pytest.approx(4e-19, rel=1e-12)
+        np.testing.assert_array_equal(bins, self.LOWER)
+
+    def test_zero_main_band_rejected(self):
+        with pytest.raises(DegenerateInputError, match="main"):
+            acpr_powers(_bands(0.0, 0.5, 0.25), 4)
+
+    @pytest.mark.parametrize("n, total", [(8, 16), (6, 16), (0, 16), (3, 16)])
+    def test_bands_must_fit(self, n, total):
+        with pytest.raises(ValueError, match="fit"):
+            acpr_powers(np.ones(total), n)
+
+    def test_metric_reads_the_rule(self):
+        """acpr is ifftshift, then acpr_powers, then dB."""
+        spectrum = np.random.default_rng(7).random(32) + 1e-3
+        main, worse, _ = acpr_powers(np.fft.ifftshift(spectrum), 8)
+        assert acpr(spectrum, 8) == 10.0 * np.log10(worse / main)

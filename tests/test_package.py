@@ -1,4 +1,8 @@
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -59,3 +63,34 @@ def test_benchmark_configs_build(tmp_path, monkeypatch):
     for wl in workloads.WORKLOADS.values():
         for overrides in (None, check_perfbench.TINY_TRAIN, check_perfbench.TINY_EVAL):
             workloads.make_config(pkg, wl, 1, tmp_path, overrides)
+
+
+_RUN_WORKLOADS = """
+import json, sys
+from pathlib import Path
+from perfbench import workloads
+from perfbench.tests.check_perfbench import TINY_EVAL, TINY_TRAIN
+out = {}
+for name in ("train-cae", "train-fcae", "eval-suite"):
+    overrides = TINY_EVAL if name == "eval-suite" else TINY_TRAIN
+    r = workloads.run_workload(name, 1, 0.0, False, Path(sys.argv[1]) / name, overrides)
+    out[name] = [r.failed, len(r.checks), [c for c in r.checks if not c[1]]]
+print(json.dumps(out))
+"""
+
+
+def test_benchmark_workloads_pass_their_checks(tmp_path):
+    """Every benchmark workload runs untimed at the benchmark checks' tiny
+    sizes with no failed op and every check passing, so a change that drops
+    a name the benchmark looks up fails here.  It runs in a child process,
+    because the benchmark drops and re-imports every paprlab module."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), str(root)]),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", _RUN_WORKLOADS, str(tmp_path)], cwd=root,
+                          env=env, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    results = json.loads(proc.stdout.splitlines()[-1])
+    assert sorted(results) == ["eval-suite", "train-cae", "train-fcae"]
+    for name, (failed, checks, failing) in results.items():
+        assert failed == 0 and checks > 0 and failing == [], (name, failing)
