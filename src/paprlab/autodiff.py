@@ -216,7 +216,8 @@ def reshape(x: Tensor, shape) -> Tensor:
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Affine map x @ w + b for x of shape (B, F), w (F, O), b (O,)."""
     def backward(g):
-        _accumulate(x, g @ w.data.T)
+        if x.requires_grad:
+            _accumulate(x, g @ w.data.T)
         _accumulate(w, x.data.T @ g)
         _accumulate(b, g.sum(axis=0))
     return _make(x.data @ w.data + b.data, (x, w, b), backward)

@@ -1,4 +1,4 @@
-"""Per-op timings at the stock CAE shapes (opt-in).
+"""Per-op timings at the stock CAE shapes, and AdamW at FC-AE's (opt-in).
 
     OPENBLAS_NUM_THREADS=1 python -m pytest tests/bench_ops.py --benchmark-only
 
@@ -6,7 +6,8 @@ Run it from the root of the checkout: pyproject.toml puts src/ on the path.
 
 The name does not match test_*.py, so the default test run does not collect
 this file.  Every case runs at float64, the evaluation precision, and at
-float32, the training precision.
+float32, the training precision, except AdamW over FC-AE, which runs only
+at float32: no path runs it at float64.
 
 - conv1d, batch_norm and selu, forward call or the node's backward closure,
   on each of the stock CAE's four conv stages.  Forwards run as the
@@ -15,7 +16,9 @@ float32, the training precision.
   eval mode.  Backwards run on a tape at both batches.
 - linear, forward and backward, at the encoder and decoder FC shapes and the
   training batch.
-- AdamW.step over the stock CAE's parameter list.
+- AdamW.step over the stock CAE's parameter list (3.95M values) and over
+  FC-AE's (21.8M values, larger than cache): the train-cae and train-fcae
+  workloads' optimizers.
 - The chain ops, forward and backward, at B = 32 in float32 on a tape, as
   in training, and at B = 500 in float64, as in evaluation, where the
   forward runs tape-free.  power_norm, bandpass, rapp_nonlinearity,
@@ -34,7 +37,7 @@ from paprlab import autodiff as ad
 from paprlab import harness
 from paprlab.autodiff import Tensor
 from paprlab.config import config_from_dict
-from paprlab.models import CaeModel, save_checkpoint
+from paprlab.models import CaeModel, FcAeModel, save_checkpoint
 from paprlab.ofdm import ofdm_modulate, qam4_map
 from paprlab.optim import AdamW
 
@@ -138,9 +141,11 @@ def test_linear_backward(benchmark, shape, dtype):
     _bench_backward(benchmark, *_linear_call(shape, dtype))
 
 
-@DTYPES
-def test_adamw_step(benchmark, dtype):
-    model = CaeModel().astype(dtype)
+@pytest.mark.parametrize("model_cls, dtype", [(CaeModel, np.float64), (CaeModel, np.float32),
+                                              (FcAeModel, np.float32)],
+                         ids=["cae-float64", "cae-float32", "fc_ae-float32"])
+def test_adamw_step(benchmark, model_cls, dtype):
+    model = model_cls().astype(dtype)
     rng = np.random.default_rng(0)
     for p in model.parameters():
         p.grad = rng.standard_normal(p.data.shape).astype(dtype)

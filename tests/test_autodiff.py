@@ -66,6 +66,22 @@ class TestEngineBasics:
         b = RNG.standard_normal(5)
         check_grad(lambda *args: ad.sq_norm(ad.linear(*args)), [x, w, b])
 
+    def test_linear_grads_with_constant_input(self):
+        """A constant input, like FC-AE's waveform into its first layer, gets
+        no gradient; w and b get the same gradients as with a taped input."""
+        x = RNG.standard_normal((4, 3))
+        w = RNG.standard_normal((3, 5))
+        b = RNG.standard_normal(5)
+        check_grad(lambda *args: ad.sq_norm(ad.linear(Tensor(x), *args)), [w, b])
+        const = Tensor(x)
+        params = [Tensor(a, requires_grad=True) for a in (w, b)]
+        ad.sq_norm(ad.linear(const, *params)).backward()
+        taped = [Tensor(a, requires_grad=True) for a in (x, w, b)]
+        ad.sq_norm(ad.linear(*taped)).backward()
+        assert const.grad is None
+        for got, want in zip(params, taped[1:]):
+            np.testing.assert_array_equal(got.grad, want.grad)
+
     def test_reshape_grads(self):
         x = RNG.standard_normal((2, 6))
         check_grad(lambda t: ad.sq_norm(ad.reshape(t, (3, 4))), [x])
