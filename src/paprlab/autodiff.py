@@ -23,6 +23,7 @@ when a parent requires a gradient.
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import numpy as np
 
@@ -87,8 +88,12 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.real) if self.data.ndim == 0 else float(self.data)
 
-    def backward(self):
+    def backward(self, on_final=None):
         """Backpropagate from a scalar node through the recorded tape.
+
+        on_final(leaf), if given, runs once per leaf on the tape that needs a
+        gradient, as soon as the leaf's last consumer has run: its gradient is
+        final, so an optimizer may update it while the walk goes on.
 
         The tape is freed as the walk proceeds: each node drops its closure
         and parents once its gradient has been passed on, so the graph needs
@@ -113,13 +118,20 @@ class Tensor:
                     stack.append((parent, False))
         for node in topo:
             node.grad = None
+        uses = Counter(id(leaf) for node in topo for leaf in node._parents
+                       if leaf._backward is None and leaf.requires_grad)
         self.grad = np.ones(self.data.shape, dtype=self.data.real.dtype)
         while topo:
             node = topo.pop()
             if node._backward is not None:
                 node._backward()
+                parents = node._parents
                 node._backward = _spent
                 node._parents = ()
+                for parent in parents:
+                    uses[id(parent)] -= 1  # below 0 for a parent that is no leaf
+                    if on_final is not None and uses[id(parent)] == 0:
+                        on_final(parent)
 
     # -- arithmetic -------------------------------------------------------
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor, wait
+
 import numpy as np
 
 from .autodiff import Tensor
@@ -14,8 +16,15 @@ __all__ = ["adamw_update", "AdamW"]
 # slower at float32, over the stock CAE's and FC-AE's parameters.
 _BLOCK = 32768
 
+# Elements per update task, whole blocks; a step may end waiting for one.
+_TASK = 8 * _BLOCK
+
 # AdamW's moment decay rates and denominator guard: adamw_update's defaults.
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+# The process's update thread, started by the first task; it calls only
+# numpy and this module's private code.
+_updater = ThreadPoolExecutor(1, "adamw-update")
 
 
 def adamw_update(theta: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarray,
@@ -36,16 +45,46 @@ def adamw_update(theta: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarr
     return theta, m, v
 
 
+def _run(task):
+    """Update elements [lo, hi) of one parameter at a 1-based step, 13 passes
+    per block."""
+    *arrays, lo, hi, step, lr, weight_decay = task
+    b1, b2 = BETA1, BETA2
+    # Kingma & Ba's fold: lr * m_hat / (sqrt(v_hat) + EPS) is
+    # alpha * m / (sqrt(v) + eps_hat); the decoupled decay is one factor
+    root_bc2 = (1.0 - b2 ** step) ** 0.5
+    alpha = lr * root_bc2 / (1.0 - b1 ** step)
+    eps_hat, decay = EPS * root_bc2, 1.0 - lr * weight_decay
+    scratch = np.empty((2, _BLOCK), arrays[0].dtype)
+    for start in range(lo, hi, _BLOCK):
+        theta, g, mb, vb = (a[start:min(start + _BLOCK, hi)] for a in arrays)
+        t, u = scratch[:, :theta.size]
+        np.multiply(mb, b1, out=mb)
+        np.multiply(g, 1.0 - b1, out=t)
+        np.add(mb, t, out=mb)
+        np.multiply(vb, b2, out=vb)
+        np.multiply(g, 1.0 - b2, out=t)
+        np.multiply(t, g, out=t)
+        np.add(vb, t, out=vb)
+        np.sqrt(vb, out=t)
+        np.add(t, eps_hat, out=t)
+        np.divide(mb, t, out=u)
+        np.multiply(u, alpha, out=u)
+        np.multiply(theta, decay, out=theta)
+        np.subtract(theta, u, out=theta)
+
+
 class AdamW:
     """AdamW over a list of parameters, updated in place.
 
-    step() walks each parameter, its gradient and its moments in blocks of
-    _BLOCK elements, so the working set stays in cache and no full-size
-    temporary is allocated.  The moments are bit-identical to adamw_update's;
-    theta, with the bias corrections and the decay folded into scalars (13
-    passes per block, not 16), is within rounding of it.  The moments and
-    the scratch blocks take each parameter's dtype, and the hyper-parameters
-    stay Python floats, which do not promote float32.
+    queue(p) cuts p's update into tasks once p's gradient is final, as
+    ``loss.backward(opt.queue)`` reports it, for a second thread to run
+    during the rest of backward; step() queues the rest and finish()es.  A
+    task walks its arrays in cache-sized blocks, in the parameter's dtype,
+    elementwise, so the thread that runs it changes no bit.  The moments are
+    bit-identical to adamw_update's; theta, with the bias corrections and
+    the decay folded into Python-float scalars (13 passes per block, not
+    16), is within rounding of it.
     """
 
     def __init__(self, params: list[Tensor], lr: float = 1e-3, weight_decay: float = 0.01):
@@ -55,45 +94,53 @@ class AdamW:
         self.step_count = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
-        dtypes = {p.data.dtype for p in self.params}
-        self._scratch = {dt: np.empty((2, _BLOCK), dt) for dt in dtypes}
+        self._unqueued = {id(p): i for i, p in enumerate(self.params)}
+        self._pending = []
+
+    def queue(self, p: Tensor):
+        """Queue the update of parameter p, whose gradient must be final;
+        ignore a tensor that is no parameter or is queued this step already.
+        A parameter with no gradient still decays, as under a zero one."""
+        i = self._unqueued.pop(id(p), None)
+        if i is None:
+            return
+        grad = p.grad if p.grad is not None else np.zeros_like(p.data)
+        # copy=False: a non-contiguous array raises rather than being
+        # updated through a copy.
+        arrays = [np.reshape(a, -1, copy=False) for a in (p.data, grad, self.m[i], self.v[i])]
+        for lo in range(0, p.data.size, _TASK):
+            task = (*arrays, lo, min(lo + _TASK, p.data.size), self.step_count + 1,
+                    self.lr, self.weight_decay)
+            self._pending.append((_updater.submit(_run, task), task))
 
     def step(self):
-        """Apply one update using the gradients currently stored on the params.
+        """Apply one update using the gradients currently stored on the params:
+        queue every parameter not queued this step, then finish() the step."""
+        try:
+            for p in self.params:
+                self.queue(p)
+        finally:
+            self.finish()
 
-        Parameters with no gradient (e.g. unused in the current graph) are
-        still subject to the decoupled decay, matching the update rule with a
-        zero gradient.
-        """
-        self.step_count += 1
-        b1, b2 = BETA1, BETA2
-        # Kingma & Ba's fold: lr * m_hat / (sqrt(v_hat) + EPS) is
-        # alpha * m / (sqrt(v) + eps_hat); the decoupled decay is one factor
-        root_bc2 = (1.0 - b2 ** self.step_count) ** 0.5
-        alpha = self.lr * root_bc2 / (1.0 - b1 ** self.step_count)
-        eps_hat, decay = EPS * root_bc2, 1.0 - self.lr * self.weight_decay
-        for p, m, v in zip(self.params, self.m, self.v):
-            grad = p.grad if p.grad is not None else np.zeros_like(p.data)
-            # copy=False: a non-contiguous array raises rather than being
-            # updated through a copy.
-            flat = [np.reshape(a, -1, copy=False) for a in (p.data, grad, m, v)]
-            scratch = self._scratch[p.data.dtype]
-            for lo in range(0, flat[0].size, _BLOCK):
-                theta, g, mb, vb = (a[lo:lo + _BLOCK] for a in flat)
-                t, u = scratch[:, :theta.size]
-                np.multiply(mb, b1, out=mb)
-                np.multiply(g, 1.0 - b1, out=t)
-                np.add(mb, t, out=mb)
-                np.multiply(vb, b2, out=vb)
-                np.multiply(g, 1.0 - b2, out=t)
-                np.multiply(t, g, out=t)
-                np.add(vb, t, out=vb)
-                np.sqrt(vb, out=t)
-                np.add(t, eps_hat, out=t)
-                np.divide(mb, t, out=u)
-                np.multiply(u, alpha, out=u)
-                np.multiply(theta, decay, out=theta)
-                np.subtract(theta, u, out=theta)
+    def finish(self):
+        """Close the step: run here each queued task the update thread has
+        not started, wait for those it has, and raise the first error a task
+        raised.  Call it alone after a backward pass that raised, so that no
+        update outlives the step."""
+        pending, self._pending = self._pending, []
+        try:
+            for future, task in pending:
+                if future.cancel():
+                    _run(task)
+        finally:
+            for future, _ in pending:  # drop what an error here left unstarted
+                future.cancel()
+            taken = [future for future, _ in pending if not future.cancelled()]
+            wait(taken)
+            self.step_count += 1
+            self._unqueued = {id(p): i for i, p in enumerate(self.params)}
+        for future in taken:
+            future.result()
 
     def state_dict(self) -> dict:
         """Step count and copies of the moments, which step() updates in place."""

@@ -36,6 +36,13 @@ class TrainConfig:
         for name in ("lr", "weight_decay", "snr_min_db", "snr_max_db"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be a finite number, got {getattr(self, name)}")
+        # the decoupled decay scales theta by 1 - lr * weight_decay, in (0, 1]
+        for name, ok, rule in (
+                ("lr", self.lr > 0, "positive number"),
+                ("weight_decay", 0 <= self.lr * self.weight_decay < 1, "number in [0, 1/lr)"),
+                ("snr_min_db", self.snr_min_db <= self.snr_max_db, "number at most snr_max_db")):
+            if not ok:
+                raise ValueError(f"{name} must be a {rule}, got {getattr(self, name)}")
         if self.batch_size < 2:
             raise ValueError(f"batch_size must be a count of at least 2, got {self.batch_size}")
         if self.batches_per_epoch < 1:
@@ -78,10 +85,11 @@ def train(model, cfg: TrainConfig, weights: LossWeights, hpa: HpaParams,
     the seed), reshuffled every epoch; the channel peak-SNR is drawn per
     batch from the configured range, and the batch's noise at that SNR from
     the "train/noise" stream.  Deterministic for a given seed: one
-    optimizer step per batch, single-threaded reduction order.  Each epoch
-    record holds the epoch means of the loss and of joint_loss's three terms,
-    which are computed in both stages.  AdamW's decoupled weight decay is the
-    only regulariser.
+    optimizer step per batch, whose update runs on a second thread during
+    the rest of backward (AdamW.queue) and is elementwise, and reductions
+    in one thread's fixed order.  Each epoch record holds the epoch means
+    of the loss and of joint_loss's three terms, which are computed in both
+    stages.  AdamW's decoupled weight decay is the only regulariser.
 
     Every step runs in float32, as a built or loaded model already is: a
     model of another dtype is cast to float32 in place before the optimizer
@@ -126,7 +134,11 @@ def train(model, cfg: TrainConfig, weights: LossWeights, hpa: HpaParams,
             value = loss.item()
             if not math.isfinite(value):
                 raise TrainingDivergedError(epoch, "loss")
-            loss.backward()
+            try:
+                loss.backward(optimizer.queue)
+            except BaseException:
+                optimizer.finish()
+                raise
             optimizer.step()
             sums += (value, parts["l1"], parts["l2"], parts["l3"])
         record = EpochRecord(epoch, stage, *map(float, sums / cfg.batches_per_epoch))

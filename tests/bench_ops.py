@@ -1,4 +1,4 @@
-"""Per-op timings at the stock CAE shapes, and AdamW at FC-AE's (opt-in).
+"""Per-op timings at the stock CAE shapes, AdamW at FC-AE's, and whole training steps (opt-in).
 
     OPENBLAS_NUM_THREADS=1 python -m pytest tests/bench_ops.py --benchmark-only
 
@@ -6,8 +6,8 @@ Run it from the root of the checkout: pyproject.toml puts src/ on the path.
 
 The name does not match test_*.py, so the default test run does not collect
 this file.  Every case runs at float64, the evaluation precision, and at
-float32, the training precision, except AdamW over FC-AE, which runs only
-at float32: no path runs it at float64.
+float32, the training precision, except AdamW over FC-AE and the whole
+training steps, which run only at float32: no path runs them at float64.
 
 - conv1d, batch_norm and selu, forward call or the node's backward closure,
   on each of the stock CAE's four conv stages.  Forwards run as the
@@ -18,7 +18,12 @@ at float32: no path runs it at float64.
   training batch.
 - AdamW.step over the stock CAE's parameter list (3.95M values) and over
   FC-AE's (21.8M values, larger than cache): the train-cae and train-fcae
-  workloads' optimizers.
+  workloads' optimizers.  With nothing queued, step() splits the update
+  between the calling thread and the update thread.
+- A whole stage-2 training step of the stock CAE and of FC-AE at batch 32,
+  as train() runs it: chain and loss forward, backward with AdamW.queue as
+  its hook, so the update overlaps the backward pass, and step().  The
+  AdamW cases cannot see that overlap; these can.
 - The chain ops, forward and backward, at B = 32 in float32 on a tape, as
   in training, and at B = 500 in float64, as in evaluation, where the
   forward runs tape-free.  power_norm, bandpass, rapp_nonlinearity,
@@ -36,7 +41,12 @@ import pytest
 from paprlab import autodiff as ad
 from paprlab import harness
 from paprlab.autodiff import Tensor
+from paprlab.chain import run_chain
+from paprlab.channel import complex_noise
 from paprlab.config import config_from_dict
+from paprlab.frontend import HpaParams
+from paprlab.losses import LossWeights, joint_loss
+from paprlab.metrics import SpectralParams
 from paprlab.models import CaeModel, FcAeModel, save_checkpoint
 from paprlab.ofdm import ofdm_modulate, qam4_map
 from paprlab.optim import AdamW
@@ -150,6 +160,24 @@ def test_adamw_step(benchmark, model_cls, dtype):
     for p in model.parameters():
         p.grad = rng.standard_normal(p.data.shape).astype(dtype)
     benchmark(AdamW(model.parameters()).step)
+
+
+@pytest.mark.parametrize("model_cls", [CaeModel, FcAeModel], ids=["cae", "fc_ae"])
+def test_train_step(benchmark, model_cls):
+    model = model_cls().train()
+    hpa, spectral = HpaParams(), SpectralParams(bw_bins=72)
+    rng = np.random.default_rng(0)
+    blocks = qam4_map(rng.integers(0, 2, (32, 144)))
+    x = ofdm_modulate(blocks, 4)
+    noise = complex_noise(x.shape, 10.0, hpa, rng)
+    opt = AdamW(model.parameters())
+
+    def step():
+        loss, _ = joint_loss(run_chain(model, x, hpa, noise), blocks, LossWeights(),
+                             spectral, stage=2)
+        loss.backward(opt.queue)
+        opt.step()
+    benchmark(step)
 
 
 def _chain_call(op, batch, dtype, taped):

@@ -154,6 +154,38 @@ class TestEngineBasics:
         with pytest.raises(RuntimeError, match="already ran"):
             loss.backward()
 
+    def test_final_hook_reports_each_leaf_once_after_its_last_consumer(self):
+        """a feeds two ops and c one op twice; each is reported once, right
+        after the op that consumes it last, with its final gradient.  A
+        parameter off the tape and a constant on it are never reported."""
+        a, b, c, idle = (Tensor(np.arange(1.0, 3.0) * k, requires_grad=True)
+                         for k in (1, 2, 3, 4))
+        const = Tensor(np.ones(2))
+        names = {id(a): "a", id(b): "b", id(c): "c", id(idle): "idle", id(const): "const"}
+        events = []
+
+        def op(name, *parents):
+            def backward(g):
+                events.append(name)
+                for p in parents:
+                    ad._accumulate(p, g * 0.5)
+            return ad._make(sum(p.data for p in parents), parents, backward)
+
+        loss = ad.sq_norm(op("second", op("first", a, b, const), a) + op("third", c, c))
+        seen = {}
+
+        def on_final(leaf):
+            events.append(names[id(leaf)])
+            seen[names[id(leaf)]] = leaf.grad.copy()
+        loss.backward(on_final)
+        assert sorted(seen) == ["a", "b", "c"]
+        assert sorted(events) == sorted(["first", "second", "third", "a", "b", "c"])
+        assert events.index("third") + 1 == events.index("c")
+        first = events.index("first")
+        assert sorted(events[first + 1:first + 3]) == ["a", "b"]
+        for leaf in (a, b, c):
+            np.testing.assert_array_equal(seen[names[id(leaf)]], leaf.grad)
+
 
 class TestActivations:
     def test_selu_values(self):

@@ -79,7 +79,7 @@ class TestCli:
         "slm.num_sequences=2.5", "cf.iterations=1.5", "slm.rng_seed=-1",
         "model.enc_channels=[0,3]", "model.enc_channels=[3]", "model.fc_hidden=[10,20,30]",
         "model.enc_channels=[]", "methods=[none,none]", "methods=[]", "eval.p_snr_db=[6,6]",
-        "eval.p_snr_db=[]", "eval.obo_acpr_ibo_db=[]",
+        "eval.p_snr_db=[]", "eval.obo_acpr_ibo_db=[]", "train.snr_min_db=20",
     ])
     def test_invalid_size_is_config_error(self, tmp_path, capsys, assignment):
         cfg = write_tiny_config(tmp_path)

@@ -137,6 +137,12 @@ class TestValidation:
         ("eval", "obo_acpr_ibo_db", [2.0, 5.0, 2.0], "nonempty list of distinct values"),
         ("", "methods", ["none", "none"], "nonempty list of distinct values"),
         ("", "methods", [], "nonempty list of distinct values"),
+        ("train", "lr", 0.0, "positive number"),
+        ("train", "lr", -0.001, "positive number"),
+        ("train", "weight_decay", -0.01, r"number in \[0, 1/lr\)"),
+        ("train", "weight_decay", 1000.0, r"number in \[0, 1/lr\)"),
+        ("train", "weight_decay", 2500.0, r"number in \[0, 1/lr\)"),
+        ("train", "snr_min_db", 20.0, "number at most snr_max_db"),
     ])
     def test_invalid_size_names_section(self, section, key, value, message):
         """An empty section is the config root, whose messages carry no prefix."""

@@ -1,8 +1,25 @@
+from concurrent.futures import Future, wait
+
 import numpy as np
 import pytest
 
+from paprlab import optim
 from paprlab.autodiff import Tensor, parameter
-from paprlab.optim import _BLOCK, AdamW, adamw_update
+from paprlab.optim import _BLOCK, _TASK, AdamW, adamw_update
+
+
+class _IdleUpdater:
+    """An update thread that never starts a task."""
+
+    def submit(self, fn, *args):
+        return Future()
+
+
+def _big_params(seed):
+    """A parameter of two tasks and a short third, and a small one."""
+    rng = np.random.default_rng(seed)
+    return [parameter(rng.standard_normal(2 * _TASK + 5).astype(np.float32)),
+            parameter(rng.standard_normal((3, 4)).astype(np.float32))]
 
 
 class TestAdamWUpdate:
@@ -158,3 +175,46 @@ class TestAdamWClass:
         with pytest.raises(ValueError, match=message):
             opt.load_state_dict(state)
         assert opt.step_count == 0
+
+    @pytest.mark.parametrize("idle", [False, True], ids=["overlapped", "idle_thread"])
+    def test_queued_steps_match_plain_steps(self, monkeypatch, idle):
+        """theta, m and v after steps that queue a parameter before step()
+        equal those of plain step() calls bit for bit, also when the update
+        thread starts no task, so that step() runs every task itself."""
+        runs = []
+        for queued in (False, True):
+            if queued and idle:
+                monkeypatch.setattr(optim, "_updater", _IdleUpdater())
+            params = _big_params(3)
+            opt = AdamW(params, lr=0.01, weight_decay=0.02)
+            rng = np.random.default_rng(4)
+            for _ in range(3):
+                for p in params:
+                    p.grad = rng.standard_normal(p.data.shape).astype(np.float32)
+                if queued:
+                    opt.queue(params[0])
+                opt.step()
+            runs.append([p.data for p in params] + opt.m + opt.v + [opt.step_count])
+        for got, want in zip(*runs):
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("idle", [False, True], ids=["update_thread", "stepping_thread"])
+    def test_failed_task_is_raised_by_step(self, monkeypatch, idle):
+        """A task that raises on either thread is raised by step() once no
+        task runs, and the next step is whole."""
+        params = _big_params(5)
+        opt = AdamW(params, lr=0.01)
+        params[0].grad = np.ones(7, np.float32)  # the wrong size: every task fails
+        if idle:
+            monkeypatch.setattr(optim, "_updater", _IdleUpdater())
+        else:
+            opt.queue(params[0])
+            wait([future for future, _ in opt._pending])
+        with pytest.raises(ValueError):
+            opt.step()
+        assert opt._pending == []
+        params[0].grad = np.ones(params[0].data.shape, np.float32)
+        before = params[0].data.copy()
+        opt.step()
+        assert opt.step_count == 2
+        assert np.all(params[0].data < before)

@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -11,8 +12,9 @@ from paprlab.errors import TrainingDivergedError
 from paprlab.frontend import HpaParams
 from paprlab.losses import LossWeights, joint_loss
 from paprlab.metrics import SpectralParams, papr_db
-from paprlab.models import CaeModel
+from paprlab.models import CaeModel, FcAeModel
 from paprlab.ofdm import ofdm_modulate, qam4_map
+from paprlab.optim import BETA1, BETA2, EPS, _TASK, AdamW
 from paprlab.training import TrainConfig, train
 
 N, L = 8, 4
@@ -142,6 +144,83 @@ class TestTrain:
         model = toy_model(seed=16)
         train(model, toy_config(epochs=1), LossWeights(), HPA, SPECTRAL, seed=17)
         assert model.training is False
+
+
+class SequentialAdamW(AdamW):
+    """The reference loop's optimizer: backward queues nothing, and step()
+    updates every parameter on the calling thread, in whole arrays, in the
+    order of AdamW's 13 passes."""
+
+    def queue(self, p):
+        pass
+
+    def step(self):
+        self.step_count += 1
+        root_bc2 = (1.0 - BETA2 ** self.step_count) ** 0.5
+        alpha = self.lr * root_bc2 / (1.0 - BETA1 ** self.step_count)
+        eps_hat, decay = EPS * root_bc2, 1.0 - self.lr * self.weight_decay
+        for p, m, v in zip(self.params, self.m, self.v):
+            g = p.grad if p.grad is not None else np.zeros_like(p.data)
+            m *= BETA1
+            m += g * (1.0 - BETA1)
+            v *= BETA2
+            v += g * (1.0 - BETA2) * g
+            p.data *= decay
+            p.data -= m / (np.sqrt(v) + eps_hat) * alpha
+
+
+class TestOverlappedUpdate:
+    """train() updates each parameter on a second thread once backward has
+    finished its gradient (Tensor.backward's on_final hook, AdamW.queue)."""
+
+    @pytest.mark.parametrize("build, tasks", [
+        (lambda: toy_model(seed=22), 1),
+        # the hidden FC weight, 600 x 600, spans a whole task and a short one
+        (lambda: FcAeModel(n_subcarriers=N, oversampling=L, hidden=(600, 600), seed=22), 2),
+    ], ids=["cae", "fc_ae"])
+    def test_matches_sequential_reference(self, monkeypatch, build, tasks):
+        """Weights, buffers, moments and the train log equal those of the
+        same loop with a sequential whole-array update, bit for bit."""
+        cfg = toy_config(epochs=2, batches_per_epoch=3)
+        runs = []
+        for optimizer in (AdamW, SequentialAdamW):
+            monkeypatch.setattr(training, "AdamW", optimizer)
+            model = build()
+            result = train(model, cfg, LossWeights(), HPA, SPECTRAL, seed=23)
+            runs.append((model.state_dict(), result))
+        (state, result), (ref_state, ref) = runs
+        assert -(-max(p.data.size for p in result.optimizer.params) // _TASK) == tasks
+        assert result.records == ref.records
+        assert result.optimizer.step_count == ref.optimizer.step_count == 6
+        assert state.keys() == ref_state.keys()
+        for key in state:
+            np.testing.assert_array_equal(state[key], ref_state[key], err_msg=key)
+        for got, want in zip(result.optimizer.m + result.optimizer.v,
+                             ref.optimizer.m + ref.optimizer.v):
+            np.testing.assert_array_equal(got, want)
+
+    def test_no_update_outlives_train(self, monkeypatch):
+        """Repeated train() calls leave at most one thread more than before,
+        also after a train() whose backward raised with updates queued; that
+        train() raises only once every queued update has ended."""
+        before = threading.active_count()
+        for seed in (24, 25):
+            train(toy_model(seed=seed), toy_config(epochs=1, batches_per_epoch=2),
+                  LossWeights(), HPA, SPECTRAL, seed=seed)
+        queued = []
+        real_queue = AdamW.queue
+
+        def failing_queue(self, p):
+            real_queue(self, p)
+            queued.extend(future for future, _ in self._pending)
+            if len(self._unqueued) < len(self.params) - 2:
+                raise RuntimeError("backward failed")
+        monkeypatch.setattr(AdamW, "queue", failing_queue)
+        with pytest.raises(RuntimeError, match="backward failed"):
+            train(toy_model(seed=26), toy_config(epochs=1, batches_per_epoch=2),
+                  LossWeights(), HPA, SPECTRAL, seed=26)
+        assert queued and all(future.done() for future in queued)
+        assert threading.active_count() <= before + 1
 
 
 def normwise(got, want) -> float:
