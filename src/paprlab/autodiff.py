@@ -68,7 +68,7 @@ _KEPT_DTYPES = (np.float32, np.complex64)
 class Tensor:
     """A node in the reverse-mode graph wrapping a numpy array."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_own_grad")
 
     def __init__(self, data, requires_grad: bool = False):
         data = np.asarray(data)
@@ -80,6 +80,7 @@ class Tensor:
         self.requires_grad = requires_grad
         self._parents = ()
         self._backward = None
+        self._own_grad = None
 
     @property
     def shape(self):
@@ -98,6 +99,13 @@ class Tensor:
         The tape is freed as the walk proceeds: each node drops its closure
         and parents once its gradient has been passed on, so the graph needs
         no garbage-collector pass.  A second call on the same graph raises.
+
+        The next backward that reaches a parameter reuses its grad array: a
+        weight gradient that linear allocated is written over in place by
+        the next linear product of the same shape and dtype, when it is the
+        leaf's first contribution.  So keep a copy of a grad that must
+        outlive the next backward.  A grad set from outside, or summed over
+        two consumers, is never written over.
         """
         if self.data.size != 1:
             raise ValueError("backward() requires a scalar node")
@@ -117,6 +125,8 @@ class Tensor:
                 if id(parent) not in visited:
                     stack.append((parent, False))
         for node in topo:
+            if node.grad is not node._own_grad:
+                node._own_grad = None
             node.grad = None
         uses = Counter(id(leaf) for node in topo for leaf in node._parents
                        if leaf._backward is None and leaf.requires_grad)
@@ -174,6 +184,24 @@ def _accumulate(t: Tensor, g: np.ndarray):
         t.grad = g if t.grad is None else t.grad + g
 
 
+def _accumulate_product(t: Tensor, a: np.ndarray, b: np.ndarray):
+    """_accumulate(t, a @ b).  A first contribution is written into
+    t._own_grad, the array a product gave t's gradient in an earlier
+    backward, when its shape and dtype fit; backward() keeps that array only
+    while it is still t.grad.  A fresh array over 32 MiB costs an mmap and
+    its page faults every step."""
+    if not t.requires_grad:
+        return
+    own = t._own_grad
+    if t.grad is not None:
+        t.grad, t._own_grad = t.grad + a @ b, None
+    elif (own is not None and own.shape == (a.shape[0], b.shape[1])
+          and own.dtype == np.result_type(a.dtype, b.dtype)):
+        t.grad = np.matmul(a, b, out=own)
+    else:
+        t.grad = t._own_grad = a @ b
+
+
 def _make(data, parents, backward) -> Tensor:
     """Create a graph node; records the tape only when a parent requires a
     gradient.  backward(g) takes the node's output gradient."""
@@ -229,8 +257,10 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Affine map x @ w + b for x of shape (B, F), w (F, O), b (O,)."""
     def backward(g):
         if x.requires_grad:
-            _accumulate(x, g @ w.data.T)
-        _accumulate(w, x.data.T @ g)
+            # g @ w.T, bit for bit in float32, in BLAS's faster orientation;
+            # the copy keeps it C-contiguous for AdamW's flat views
+            _accumulate(x, np.ascontiguousarray((w.data @ g.T).T))
+        _accumulate_product(w, x.data.T, g)
         _accumulate(b, g.sum(axis=0))
     return _make(x.data @ w.data + b.data, (x, w, b), backward)
 

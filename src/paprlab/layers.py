@@ -67,15 +67,19 @@ class Module:
 
     def load_state_dict(self, state: dict[str, np.ndarray]):
         """Fill every parameter and buffer from state, cast to float32; a
-        float32 parameter array is taken over, not copied."""
+        float32 parameter array is taken over, not copied.  ValueError if an
+        array's shape is not its entry's, KeyError on a missing or unknown
+        entry."""
         expected = dict(self.named_parameters())
         buffers = dict(self.named_buffers())
         for name, array in state.items():
             if name in expected:
-                if expected[name].data.shape != array.shape:
+                if expected[name].data.shape != np.shape(array):
                     raise ValueError(f"shape mismatch for parameter {name}")
                 expected[name].data = np.asarray(array, dtype=np.float32)
             elif name in buffers:
+                if buffers[name].shape != np.shape(array):
+                    raise ValueError(f"shape mismatch for buffer {name}")
                 buffers[name][...] = array
             else:
                 raise KeyError(f"unexpected state entry {name}")

@@ -10,14 +10,17 @@ from .autodiff import Tensor
 
 __all__ = ["adamw_update", "AdamW"]
 
-# Elements per update block: 128 KiB per float32 array, so the six arrays a
-# block touches (parameter, gradient, both moments, two scratch) take 768 KiB
-# (1.5 MiB at float64) and stay in a core's L2.  16384 and 65536 measured
-# slower at float32, over the stock CAE's and FC-AE's parameters.
-_BLOCK = 32768
+# Elements per update block: 256 KiB per float32 array, so the six arrays a
+# block touches (parameter, gradient, both moments, two scratch) take 1.5 MiB
+# and stay in a 2 MiB L2.  Longer blocks mean fewer ufunc calls, between which
+# the calling thread and the update thread take the GIL in turn.  A plain
+# step() over FC-AE's parameters, on both threads, read 63-64 ms against
+# 70-76 ms at 32768; 131072 (3 MiB) read 55-67 ms but made neither model's
+# whole training step faster.
+_BLOCK = 65536
 
 # Elements per update task, whole blocks; a step may end waiting for one.
-_TASK = 8 * _BLOCK
+_TASK = 4 * _BLOCK
 
 # AdamW's moment decay rates and denominator guard: adamw_update's defaults.
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
@@ -84,17 +87,21 @@ class AdamW:
     elementwise, so the thread that runs it changes no bit.  The moments are
     bit-identical to adamw_update's; theta, with the bias corrections and
     the decay folded into Python-float scalars (13 passes per block, not
-    16), is within rounding of it.
+    16), is within rounding of it.  A parameter listed twice is a
+    ValueError.
     """
 
     def __init__(self, params: list[Tensor], lr: float = 1e-3, weight_decay: float = 0.01):
         self.params = list(params)
+        self._unqueued = {}
+        for i, p in enumerate(self.params):
+            if self._unqueued.setdefault(id(p), i) != i:
+                raise ValueError(f"parameter {i} repeats parameter {self._unqueued[id(p)]}")
         self.lr = lr
         self.weight_decay = weight_decay
         self.step_count = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
-        self._unqueued = {id(p): i for i, p in enumerate(self.params)}
         self._pending = []
 
     def queue(self, p: Tensor):

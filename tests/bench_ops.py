@@ -1,4 +1,4 @@
-"""Per-op timings at the stock CAE shapes, AdamW at FC-AE's, and whole training steps (opt-in).
+"""Per-op timings at the stock CAE shapes, linear and AdamW also at FC-AE's, and whole training steps (opt-in).
 
     OPENBLAS_NUM_THREADS=1 python -m pytest tests/bench_ops.py --benchmark-only
 
@@ -6,16 +6,20 @@ Run it from the root of the checkout: pyproject.toml puts src/ on the path.
 
 The name does not match test_*.py, so the default test run does not collect
 this file.  Every case runs at float64, the evaluation precision, and at
-float32, the training precision, except AdamW over FC-AE and the whole
-training steps, which run only at float32: no path runs them at float64.
+float32, the training precision, except linear at FC-AE's shapes, AdamW
+over FC-AE and the whole training steps, which run only at float32: no path
+runs them at float64.
 
 - conv1d, batch_norm and selu, forward call or the node's backward closure,
   on each of the stock CAE's four conv stages.  Forwards run as the
   workloads run them: at the training batch (32) on a tape with batch norm in
   training mode, and at the eval batch (500) tape-free with batch norm in
   eval mode.  Backwards run on a tape at both batches.
-- linear, forward and backward, at the encoder and decoder FC shapes and the
-  training batch.
+- linear, forward and backward, at the training batch, at the stock CAE's
+  encoder and decoder FC shapes and at FC-AE's (hidden 2500/3500; its
+  encoder and decoder share 2500 -> 3500).  From the second round on, the
+  backward writes the weight gradient into the last round's array, as
+  training does from its second step on.
 - AdamW.step over the stock CAE's parameter list (3.95M values) and over
   FC-AE's (21.8M values, larger than cache): the train-cae and train-fcae
   workloads' optimizers.  With nothing queued, step() splits the update
@@ -56,9 +60,16 @@ from paprlab.optim import AdamW
 STOCK_CONVS = [(1, 13, 576), (13, 11, 578), (1, 11, 144), (11, 13, 146)]
 STAGE_IDS = [f"{c}to{o}x{n}" for c, o, n in STOCK_CONVS]
 OPS = ["conv1d", "batch_norm", "selu"]
-# (in features, out features) of the encoder's and decoder's FC layers
+# (in features, out features) of the stock CAE's encoder and decoder FC layers,
+# and of FC-AE's six, whose encoder and decoder share the 2500 -> 3500 layer
 STOCK_FCS = [(6380, 576), (1924, 144)]
-FC_IDS = [f"{i}to{o}" for i, o in STOCK_FCS]
+FC_AE_FCS = [(576, 2500), (2500, 3500), (3500, 576), (144, 2500), (3500, 144)]
+# linear runs the CAE's FCs at both precisions and FC-AE's at float32, the
+# only precision FC-AE trains in
+LINEAR_CASES = pytest.mark.parametrize("shape, dtype", [
+    pytest.param(shape, dtype, id=f"{shape[0]}to{shape[1]}-{np.dtype(dtype).name}")
+    for shape, dtype in [(s, d) for s in STOCK_FCS for d in (np.float64, np.float32)]
+    + [(s, np.float32) for s in FC_AE_FCS]])
 # chain op -> its forward on the input z and the sent symbol blocks
 CHAIN_OPS = {
     "power_norm": lambda z, _: ad.power_norm(z),
@@ -138,15 +149,13 @@ def test_backward(benchmark, op, stage, batch, dtype):
     _bench_backward(benchmark, *_op_call(op, stage, batch, True, dtype))
 
 
-@DTYPES
-@pytest.mark.parametrize("shape", STOCK_FCS, ids=FC_IDS)
+@LINEAR_CASES
 def test_linear_forward(benchmark, shape, dtype):
     call, _ = _linear_call(shape, dtype)
     benchmark(call)
 
 
-@DTYPES
-@pytest.mark.parametrize("shape", STOCK_FCS, ids=FC_IDS)
+@LINEAR_CASES
 def test_linear_backward(benchmark, shape, dtype):
     _bench_backward(benchmark, *_linear_call(shape, dtype))
 

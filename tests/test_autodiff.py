@@ -14,6 +14,7 @@ from paprlab.errors import DegenerateInputError
 from paprlab.layers import BatchNorm1d, Conv1d, Linear
 from paprlab.metrics import ACPR_FLOOR_DB, acpr, acpr_powers, papr, psd
 from paprlab.ofdm import band_bins, bpf
+from paprlab.optim import AdamW
 
 RNG = np.random.default_rng(2024)
 
@@ -185,6 +186,92 @@ class TestEngineBasics:
         assert sorted(events[first + 1:first + 3]) == ["a", "b"]
         for leaf in (a, b, c):
             np.testing.assert_array_equal(seen[names[id(leaf)]], leaf.grad)
+
+
+class TestLinearBackward:
+    """linear's float32 backward at the trained models' shapes, and the reuse
+    of a weight's gradient array from one backward to the next."""
+
+    # (in, out) of the stock CAE's two FC layers and FC-AE's six, which
+    # share 2500 -> 3500 between the encoder and the decoder
+    FC_SHAPES = [(6380, 576), (1924, 144), (576, 2500), (2500, 3500), (3500, 576),
+                 (144, 2500), (3500, 144)]
+
+    @staticmethod
+    def _leaves(rng, batch, shape):
+        fan_in, fan_out = shape
+        x = rng.standard_normal((batch, fan_in)).astype(np.float32)
+        w = (rng.standard_normal(shape) / np.sqrt(fan_in)).astype(np.float32)
+        return [Tensor(a, requires_grad=True) for a in (x, w, np.zeros(fan_out, np.float32))]
+
+    @staticmethod
+    def _loss(batches, w, b):
+        """sq_norm of the SELU of each batch's linear output, summed."""
+        out = None
+        for x in batches:
+            term = ad.sq_norm(ad.selu(ad.linear(Tensor(x), w, b)))
+            out = term if out is None else out + term
+        return out
+
+    @pytest.mark.parametrize("shape", FC_SHAPES, ids=[f"{i}to{o}" for i, o in FC_SHAPES])
+    def test_float32_grads_equal_the_plain_products(self, shape):
+        """The input gradient is g @ w.T and the weight gradient x.T @ g, bit
+        for bit, at the training batch: a property of the BLAS build that the
+        training digests rest on.  The input gradient is C-contiguous."""
+        rng = np.random.default_rng(7)
+        x, w, b = self._leaves(rng, 32, shape)
+        out = ad.linear(x, w, b)
+        out.grad = rng.standard_normal(out.data.shape).astype(np.float32)
+        out._backward()
+        np.testing.assert_array_equal(x.grad, out.grad @ w.data.T)
+        np.testing.assert_array_equal(w.grad, x.data.T @ out.grad)
+        assert x.grad.dtype == w.grad.dtype == np.float32
+        assert x.grad.flags.c_contiguous
+
+    def test_parameter_as_input_can_be_stepped(self):
+        """AdamW updates through flat views, which a non-contiguous gradient
+        would refuse."""
+        x, w, b = self._leaves(np.random.default_rng(8), 4, (3, 5))
+        before = x.data.copy()
+        ad.sq_norm(ad.linear(x, w, b)).backward()
+        AdamW([x, w, b], lr=0.1).step()
+        assert not np.array_equal(x.data, before)
+
+    def test_second_backward_reuses_the_weight_gradient(self):
+        """A second pass over another batch writes the weight's gradient into
+        the first pass's array, with the bits of a fresh graph's gradients.
+        A gradient set from outside is replaced, never written over."""
+        rng = np.random.default_rng(9)
+        _, w, b = self._leaves(rng, 32, (600, 300))
+        batches = [rng.standard_normal((32, 600)).astype(np.float32) for _ in range(3)]
+        self._loss(batches[:1], w, b).backward()
+        first = w.grad
+        self._loss(batches[1:2], w, b).backward()
+        assert w.grad is first
+        fresh = [Tensor(t.data.copy(), requires_grad=True) for t in (w, b)]
+        self._loss(batches[1:2], *fresh).backward()
+        for got, want in zip((w, b), fresh):
+            np.testing.assert_array_equal(got.grad, want.grad)
+        outside = np.zeros_like(w.data)
+        w.grad = outside
+        self._loss(batches[2:], w, b).backward()
+        assert w.grad is not outside and not outside.any()
+
+    def test_shared_weight_gets_the_sum(self):
+        """A weight fed to two linear ops gets both gradients summed, on the
+        first pass and on a pass that could reuse an array."""
+        rng = np.random.default_rng(10)
+        _, w, b = self._leaves(rng, 32, (60, 40))
+        for _ in range(2):
+            batches = [rng.standard_normal((32, 60)).astype(np.float32) for _ in range(2)]
+            self._loss(batches, w, b).backward()
+            parts = []
+            for x in batches:
+                fresh = [Tensor(t.data.copy(), requires_grad=True) for t in (w, b)]
+                self._loss([x], *fresh).backward()
+                parts.append(fresh)
+            for i, t in enumerate((w, b)):
+                np.testing.assert_array_equal(t.grad, parts[0][i].grad + parts[1][i].grad)
 
 
 class TestActivations:

@@ -161,6 +161,19 @@ class TestCheckpoint:
         for name, array in state.items():
             np.testing.assert_array_equal(array, before[name], err_msg=name)
 
+    @pytest.mark.parametrize("name, value", [("running_mean", [5.0]),
+                                             ("running_var", np.ones((1, 4), np.float32)),
+                                             ("gamma", np.ones(1, np.float32))])
+    def test_load_rejects_a_wrongly_shaped_entry(self, name, value):
+        """A buffer or parameter of the wrong shape is an error, not broadcast."""
+        bn = layers.BatchNorm1d(4)
+        state = bn.state_dict()
+        state[name] = value
+        kind = "buffer" if name.startswith("running") else "parameter"
+        with pytest.raises(ValueError, match=f"shape mismatch for {kind} {name}"):
+            bn.load_state_dict(state)
+        np.testing.assert_array_equal(bn.running_mean, np.zeros(4))
+
     def test_same_model_writes_identical_bytes(self, tmp_path):
         model = small_cae(seed=5)
         p1, p2 = tmp_path / "a.npz", tmp_path / "b.npz"

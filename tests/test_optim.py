@@ -125,6 +125,13 @@ class TestAdamWClass:
                 bound = 4 * eps * (np.abs(before) + np.abs(theta - before))
                 assert np.all(np.abs(t.data - theta) <= bound), (step, i)
 
+    def test_repeated_parameter_is_rejected(self):
+        """A parameter listed twice would be updated once and carry a
+        second, unused moment pair into the state_dict."""
+        p, q = parameter(np.zeros(3)), parameter(np.zeros(2))
+        with pytest.raises(ValueError, match="parameter 2 repeats parameter 0"):
+            AdamW([p, q, p])
+
     def test_non_contiguous_parameter_raises(self):
         p = parameter(np.zeros((4, 3)))
         opt = AdamW([p], lr=0.1)
