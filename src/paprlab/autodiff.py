@@ -38,7 +38,6 @@ __all__ = [
     "batch_norm",
     "selu",
     "reshape",
-    "sq_norm",
     "interleaved_to_complex",
     "complex_to_interleaved",
     "complex_scale",
@@ -56,6 +55,10 @@ SELU_SCALE = 1.0507009873554804934193349852946
 SELU_ALPHA = 1.6732632423543772848170429916717
 
 _LOG10 = math.log(10.0)
+
+# Batch norm's running-statistics rate and variance guard.
+BN_MOMENTUM = 0.1
+BN_EPS = 1e-5
 
 # Elements in conv1d's column buffer (2 MiB at float64, 1 MiB at float32).
 # Blocks of samples are lowered into it one at a time, so no full-batch column
@@ -149,11 +152,9 @@ class Tensor:
         return _add(self, _as_tensor(other, self))
 
     def __sub__(self, other):
-        return _add(self, _mul_scalar(_as_tensor(other, self), -1.0))
+        return self + -float(other)
 
     def __mul__(self, other):
-        if isinstance(other, Tensor):
-            return _mul(self, other)
         return _mul_scalar(self, float(other))
 
     __rmul__ = __mul__
@@ -172,11 +173,11 @@ def parameter(data) -> Tensor:
 
 
 def _as_tensor(value, like: Tensor) -> Tensor:
-    """value as a node; a real constant takes like's precision, since a
-    float64 0-d array would promote a float32 operand."""
+    """value as a node; a number becomes a constant of like's shape in like's
+    precision, since a float64 array would promote a float32 operand."""
     if isinstance(value, Tensor):
         return value
-    return Tensor(np.asarray(value, dtype=like.data.real.dtype))
+    return Tensor(np.full(like.data.shape, float(value), dtype=like.data.real.dtype))
 
 
 def _accumulate(t: Tensor, g: np.ndarray):
@@ -213,32 +214,18 @@ def _make(data, parents, backward) -> Tensor:
     return out
 
 
-def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum a gradient down to the shape of a broadcast operand."""
-    extra = g.ndim - len(shape)
-    if extra > 0:
-        g = g.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, s in enumerate(shape) if s == 1 and g.shape[i] != 1)
-    if axes:
-        g = g.sum(axis=axes, keepdims=True)
-    return g
-
-
 # -- elementwise / generic ops ----------------------------------------------
 
 
 def _add(a: Tensor, b: Tensor) -> Tensor:
+    """a + b for operands of one shape; nothing is broadcast."""
+    if a.data.shape != b.data.shape:
+        raise ValueError(f"cannot add shapes {a.data.shape} and {b.data.shape}")
+
     def backward(g):
-        _accumulate(a, _unbroadcast(g, a.data.shape))
-        _accumulate(b, _unbroadcast(g, b.data.shape))
+        _accumulate(a, g)
+        _accumulate(b, g)
     return _make(a.data + b.data, (a, b), backward)
-
-
-def _mul(a: Tensor, b: Tensor) -> Tensor:
-    def backward(g):
-        _accumulate(a, _unbroadcast(g * b.data, a.data.shape))
-        _accumulate(b, _unbroadcast(g * a.data, b.data.shape))
-    return _make(a.data * b.data, (a, b), backward)
 
 
 def _mul_scalar(a: Tensor, s: float) -> Tensor:
@@ -290,13 +277,6 @@ def selu(x: Tensor) -> Tensor:
     return _make(data, (x,), backward)
 
 
-def sq_norm(x: Tensor) -> Tensor:
-    """Sum of squared entries of a real tensor, as a scalar node."""
-    def backward(g):
-        _accumulate(x, g * (2.0 * x.data))
-    return _make(np.sum(x.data * x.data), (x,), backward)
-
-
 def _fill_columns(col: np.ndarray, x: np.ndarray, taps) -> np.ndarray:
     """Lower the samples x (n, C, L) into col (>= n, C, K, Lout) and return
     them as (n, C*K, Lout) columns.  Each tap copies one shifted slice; the
@@ -308,7 +288,7 @@ def _fill_columns(col: np.ndarray, x: np.ndarray, taps) -> np.ndarray:
     return col[:n].reshape(n, -1, col.shape[3])
 
 
-def conv1d(x: Tensor, w: Tensor, b: Tensor, padding: int = 2) -> Tensor:
+def conv1d(x: Tensor, w: Tensor, b: Tensor, padding: int) -> Tensor:
     """1-D cross-correlation with zero padding and stride 1.
 
     x: (B, C, L); w: (O, C, K); b: (O,).  Output length is L + 2*padding - K + 1.
@@ -364,11 +344,12 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor, padding: int = 2) -> Tensor:
 
 def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
                running_mean: np.ndarray, running_var: np.ndarray,
-               training: bool, momentum: float = 0.1, eps: float = 1e-5) -> Tensor:
+               training: bool) -> Tensor:
     """Per-channel batch normalization for x of shape (B, C, L).
 
     Training mode standardizes with batch statistics and updates the running
-    buffers in place; eval mode uses the running estimates.
+    buffers in place at rate BN_MOMENTUM; eval mode uses the running
+    estimates.
     """
     if x.data.ndim != 3:
         raise ValueError("batch_norm expects input of shape (B, C, L)")
@@ -384,14 +365,14 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
         xhat = x.data - mean[:, None]
         # the reduction np.var runs: the sum of squared deviations over n
         var = np.square(xhat, out=data).sum(axis=axes) / n
-        running_mean *= 1.0 - momentum
-        running_mean += momentum * mean
-        running_var *= 1.0 - momentum
-        running_var += momentum * var
+        running_mean *= 1.0 - BN_MOMENTUM
+        running_mean += BN_MOMENTUM * mean
+        running_var *= 1.0 - BN_MOMENTUM
+        running_var += BN_MOMENTUM * var
     else:
         xhat = x.data - running_mean[:, None]
         var = running_var
-    inv_std = 1.0 / np.sqrt(var + eps)
+    inv_std = 1.0 / np.sqrt(var + BN_EPS)
     xhat *= inv_std[:, None]
     if taped:
         np.multiply(gamma.data[:, None], xhat, out=data)

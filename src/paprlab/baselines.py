@@ -58,7 +58,7 @@ def clip_amplitude(wave: np.ndarray, a_clip: np.ndarray) -> np.ndarray:
     return np.where(mag <= a_clip, wave, wave * (a_clip / safe))
 
 
-def clip_filter(wave: np.ndarray, cf: CfParams = CfParams(), oversampling: int = 4) -> np.ndarray:
+def clip_filter(wave: np.ndarray, cf: CfParams, oversampling: int) -> np.ndarray:
     """Iterated amplitude clipping and band-pass filtering.
 
     Each iteration clips at RMS * 10^(clip_ratio_db/20) (RMS taken per
@@ -92,8 +92,8 @@ def slm_phase_bank(n_subcarriers: int, slm: SlmParams) -> np.ndarray:
     return bank
 
 
-def slm_select_batch(blocks: np.ndarray, slm: SlmParams = SlmParams(),
-                     oversampling: int = 4) -> tuple[np.ndarray, np.ndarray]:
+def slm_select_batch(blocks: np.ndarray, slm: SlmParams,
+                     oversampling: int) -> tuple[np.ndarray, np.ndarray]:
     """Pick the lowest-PAPR candidate among phase-rotated versions of each block.
 
     blocks has shape (B, N).  Returns the selected time-domain waveforms and

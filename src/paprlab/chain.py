@@ -58,8 +58,7 @@ def receive(received: Tensor, alpha: complex, oversampling: int) -> Tensor:
     return ad.dft_unpad(ad.complex_scale(received, 1.0 / alpha), oversampling)
 
 
-def run_chain(model, x_time: np.ndarray, hpa: HpaParams,
-              noise: np.ndarray | None = None) -> ChainTaps:
+def run_chain(model, x_time: np.ndarray, hpa: HpaParams, noise: np.ndarray) -> ChainTaps:
     """Run one batch through encoder, front-end, channel and decoder.
 
     Parameters
@@ -70,8 +69,7 @@ def run_chain(model, x_time: np.ndarray, hpa: HpaParams,
         model (every built or loaded one), complex128 for a model cast to
         float64 or one without parameters
     noise : complex (B, L*N) channel noise added to the PA output, drawn by
-        the caller with :func:`channel.complex_noise`; None is a noiseless
-        channel
+        the caller with :func:`channel.complex_noise`
     """
     params = model.parameters()
     dtype = np.result_type(params[0].data, np.complex64) if params else np.complex128
@@ -83,6 +81,5 @@ def run_chain(model, x_time: np.ndarray, hpa: HpaParams,
         )
     x_f, x_p = front_end(transmit(model, Tensor(x_time)), hpa)
     alpha = bussgang_alpha(x_f.data, x_p.data)
-    received = ad.add_constant(x_p, noise) if noise is not None else x_p
-    decoded = model.decode(receive(received, alpha, model.oversampling))
+    decoded = model.decode(receive(ad.add_constant(x_p, noise), alpha, model.oversampling))
     return ChainTaps(x_f=x_f, x_p=x_p, decoded=decoded, alpha=alpha)

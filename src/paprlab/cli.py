@@ -69,7 +69,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_train = sub.add_parser("train", help="train a model and write its checkpoint")
     p_train.add_argument("--arch", choices=("cae", "fc_ae"), default="cae")
-    p_train.add_argument("--tag", help="checkpoint/log name (default: the arch)")
 
     for name, help_text in (
         ("eval-ber", "BER vs peak-SNR curves"),
@@ -95,8 +94,7 @@ def main(argv=None) -> int:
                 print(f"epoch {record.epoch:4d} stage {record.stage} "
                       f"loss {record.loss:.6f} papr {10.0 * math.log10(record.l2):.2f} dB "
                       f"acpr {record.l3 + config.acpr_req_db:.2f} dB", flush=True)
-            ckpt, log = harness.run_train(config, arch=args.arch, tag=args.tag,
-                                          log_progress=progress)
+            ckpt, log = harness.run_train(config, arch=args.arch, log_progress=progress)
             print(f"checkpoint: {ckpt}")
             print(f"log: {log}")
             return 0

@@ -106,29 +106,26 @@ def build_model_from_config(config: ExperimentConfig, arch: str):
     raise ConfigError(f"unknown architecture {arch!r} (expected 'cae' or 'fc_ae')")
 
 
-def run_train(config: ExperimentConfig, arch: str = "cae", tag: str | None = None,
-              log_progress=None) -> tuple[Path, Path]:
-    """Train one model and write its checkpoint plus a per-epoch log.
-
-    The training stream seed depends on the architecture but not on the tag,
-    so schedule ablations of the same architecture share initialization, data
-    order and channel noise.
+def run_train(config: ExperimentConfig, arch: str = "cae", log_progress=None) -> tuple[Path, Path]:
+    """Train one model and write its checkpoint <arch>.npz plus a per-epoch
+    log train_<arch>.csv; separate runs of one arch take separate
+    output_dirs.  The streams derive from the seed and the arch, so schedule
+    ablations of one arch share initialization, data order and channel noise.
     """
-    tag = tag or arch
     out = _outdir(config)
     model = build_model_from_config(config, arch)
     spectral = SpectralParams(bw_bins=config.system.n_subcarriers, acpr_req_db=config.acpr_req_db)
     result = train(model, config.train, config.loss, config.hpa, spectral,
                    seed=derive_seed(config.seed, f"train/{arch}"), log=log_progress)
 
-    ckpt_path = out / f"{tag}.npz"
+    ckpt_path = out / f"{arch}.npz"
     save_checkpoint(ckpt_path, model, optimizer=result.optimizer,
                     epoch=config.train.epochs, seed=config.seed,
-                    extra_meta={"tag": tag, "config_hash": config_hash(config)})
+                    extra_meta={"config_hash": config_hash(config)})
     rows = [(r.epoch, r.stage, r.loss, r.l1, r.l2, r.l3) for r in result.records]
-    log_path = _write(config, f"train_{tag}", "train", {"arch": arch, "tag": tag},
+    log_path = _write(config, f"train_{arch}", "train", {"arch": arch},
                       ["epoch", "stage", "loss", "l1", "l2", "l3"], rows,
-                      arch=arch, tag=tag, config=config_to_dict(config),
+                      arch=arch, config=config_to_dict(config),
                       epochs=config.train.epochs, final=rows[-1][2:] if rows else None,
                       outputs=[ckpt_path.name])
     return ckpt_path, log_path

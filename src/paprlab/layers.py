@@ -127,7 +127,7 @@ class Linear(Module):
 
 class Conv1d(Module):
     def __init__(self, in_channels: int, out_channels: int, rng: np.random.Generator | None,
-                 kernel_size: int = 3, padding: int = 2):
+                 kernel_size: int, padding: int):
         super().__init__()
         self.padding = padding
         self.w = _weight(rng, (out_channels, in_channels, kernel_size), in_channels * kernel_size)
@@ -140,10 +140,8 @@ class Conv1d(Module):
 class BatchNorm1d(Module):
     _buffer_names = ("running_mean", "running_var")
 
-    def __init__(self, channels: int, eps: float = 1e-5, momentum: float = 0.1):
+    def __init__(self, channels: int):
         super().__init__()
-        self.eps = eps
-        self.momentum = momentum
         self.gamma = ad.parameter(np.ones(channels, dtype=np.float32))
         self.beta = ad.parameter(np.zeros(channels, dtype=np.float32))
         self.running_mean = np.zeros(channels, dtype=np.float32)
@@ -151,4 +149,4 @@ class BatchNorm1d(Module):
 
     def __call__(self, x: Tensor) -> Tensor:
         return ad.batch_norm(x, self.gamma, self.beta, self.running_mean, self.running_var,
-                             training=self.training, momentum=self.momentum, eps=self.eps)
+                             training=self.training)

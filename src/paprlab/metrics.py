@@ -35,7 +35,7 @@ class SpectralParams:
     bins and the required ACPR in dB that the term is measured against."""
 
     bw_bins: int
-    acpr_req_db: float = -45.0
+    acpr_req_db: float
 
 
 def papr(wave: np.ndarray) -> np.ndarray | float:

@@ -9,7 +9,9 @@ weights for the stock channel sizes.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Any
 
 import numpy as np
@@ -94,9 +96,8 @@ class CaeModel(_Autoencoder):
 
     kind = "cae"
 
-    def __init__(self, n_subcarriers: int = 72, oversampling: int = 4,
-                 enc_channels: tuple[int, int] = (13, 11),
-                 dec_channels: tuple[int, int] = (11, 13), seed: int = 0):
+    def __init__(self, n_subcarriers: int, oversampling: int, enc_channels: tuple[int, int],
+                 dec_channels: tuple[int, int], seed: int):
         super().__init__(dict(n_subcarriers=n_subcarriers, oversampling=oversampling,
                               enc_channels=list(enc_channels), dec_channels=list(dec_channels),
                               seed=seed), np.random.default_rng(seed))
@@ -120,8 +121,8 @@ class FcAeModel(_Autoencoder):
 
     kind = "fc_ae"
 
-    def __init__(self, n_subcarriers: int = 72, oversampling: int = 4,
-                 hidden: tuple[int, int] = (2500, 3500), seed: int = 0):
+    def __init__(self, n_subcarriers: int, oversampling: int, hidden: tuple[int, int],
+                 seed: int):
         super().__init__(dict(n_subcarriers=n_subcarriers, oversampling=oversampling,
                               hidden=list(hidden), seed=seed), np.random.default_rng(seed))
 
@@ -166,7 +167,9 @@ def save_checkpoint(path, model, optimizer=None, epoch: int = 0, seed: int | Non
 
     Arrays round-trip bit-exactly, in the model's own dtype (float32 for a
     built, trained or loaded model); the architecture descriptor, epoch
-    counter and seed travel in an embedded JSON record.
+    counter and seed travel in an embedded JSON record.  The file is written
+    to <path>.tmp, synced and then renamed over path, so a run killed while
+    saving leaves the previous checkpoint whole.
     """
     meta = {
         "format": CHECKPOINT_FORMAT,
@@ -186,8 +189,15 @@ def save_checkpoint(path, model, optimizer=None, epoch: int = 0, seed: int | Non
     arrays["meta"] = np.frombuffer(
         json.dumps(meta, sort_keys=True).encode("utf-8"), dtype=np.uint8
     )
-    with open(path, "wb") as fh:
-        np.savez(fh, **arrays)
+    tmp = Path(f"{os.fspath(path)}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            np.savez(fh, **arrays)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def load_checkpoint(path) -> Checkpoint:

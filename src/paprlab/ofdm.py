@@ -106,7 +106,7 @@ def _check_sizes(n_subcarriers: int, oversampling: int):
         raise ValueError(f"subcarrier count must be a positive even number, got {n_subcarriers}")
 
 
-def ofdm_modulate(block: np.ndarray, oversampling: int = 4) -> np.ndarray:
+def ofdm_modulate(block: np.ndarray, oversampling: int) -> np.ndarray:
     """Oversampled OFDM modulation of a symbol block.
 
     Zero-pads the N-symbol block into the centered bins of a length L*N
@@ -128,7 +128,7 @@ def _as_complex(wave) -> np.ndarray:
     return wave.astype(np.result_type(wave.dtype, np.complex64), copy=False)
 
 
-def ofdm_demodulate(wave: np.ndarray, oversampling: int = 4) -> np.ndarray:
+def ofdm_demodulate(wave: np.ndarray, oversampling: int) -> np.ndarray:
     """Inverse of :func:`ofdm_modulate`: forward DFT plus out-of-band removal."""
     wave = _as_complex(wave)
     total = wave.shape[-1]
@@ -142,7 +142,7 @@ def ofdm_demodulate(wave: np.ndarray, oversampling: int = 4) -> np.ndarray:
     return spectrum[..., band_bins(n, total)[0]]
 
 
-def bpf(wave: np.ndarray, oversampling: int = 4) -> np.ndarray:
+def bpf(wave: np.ndarray, oversampling: int) -> np.ndarray:
     """Rectangular band-pass filter matched to the data bandwidth.
 
     Zeroes every DFT bin outside the N in-band bins and transforms back.

@@ -91,7 +91,7 @@ class AdamW:
     ValueError.
     """
 
-    def __init__(self, params: list[Tensor], lr: float = 1e-3, weight_decay: float = 0.01):
+    def __init__(self, params: list[Tensor], lr: float, weight_decay: float):
         self.params = list(params)
         self._unqueued = {}
         for i, p in enumerate(self.params):

@@ -47,13 +47,14 @@ from paprlab import harness
 from paprlab.autodiff import Tensor
 from paprlab.chain import run_chain
 from paprlab.channel import complex_noise
-from paprlab.config import config_from_dict
-from paprlab.frontend import HpaParams
-from paprlab.losses import LossWeights, joint_loss
+from paprlab.config import config_from_dict, default_config
+from paprlab.losses import joint_loss
 from paprlab.metrics import SpectralParams
-from paprlab.models import CaeModel, FcAeModel, save_checkpoint
+from paprlab.models import save_checkpoint
 from paprlab.ofdm import ofdm_modulate, qam4_map
 from paprlab.optim import AdamW
+
+CFG = default_config()
 
 # (in channels, out channels, input length) of the encoder's and decoder's
 # convs; kernel 3 and padding 2 make each output 2 samples longer
@@ -99,8 +100,8 @@ def _op_call(op, stage, batch, taped, dtype):
         # the first conv of each coder takes data, which needs no gradient
         leaves = (Tensor(x, requires_grad=taped and channels > 1),
                   Tensor(w, requires_grad=taped), Tensor(b, requires_grad=taped))
-        return lambda: ad.conv1d(*leaves), leaves
-    x = Tensor(ad.conv1d(Tensor(x), Tensor(w), Tensor(b)).data, requires_grad=taped)
+        return lambda: ad.conv1d(*leaves, padding=2), leaves
+    x = Tensor(ad.conv1d(Tensor(x), Tensor(w), Tensor(b), padding=2).data, requires_grad=taped)
     if op == "selu":
         return lambda: ad.selu(x), (x,)
     gamma = Tensor(np.ones(out_ch, dtype), requires_grad=taped)
@@ -160,29 +161,34 @@ def test_linear_backward(benchmark, shape, dtype):
     _bench_backward(benchmark, *_linear_call(shape, dtype))
 
 
-@pytest.mark.parametrize("model_cls, dtype", [(CaeModel, np.float64), (CaeModel, np.float32),
-                                              (FcAeModel, np.float32)],
+def _adamw(model) -> AdamW:
+    return AdamW(model.parameters(), lr=CFG.train.lr, weight_decay=CFG.train.weight_decay)
+
+
+@pytest.mark.parametrize("arch, dtype", [("cae", np.float64), ("cae", np.float32),
+                                         ("fc_ae", np.float32)],
                          ids=["cae-float64", "cae-float32", "fc_ae-float32"])
-def test_adamw_step(benchmark, model_cls, dtype):
-    model = model_cls().astype(dtype)
+def test_adamw_step(benchmark, arch, dtype):
+    model = harness.build_model_from_config(CFG, arch).astype(dtype)
     rng = np.random.default_rng(0)
     for p in model.parameters():
         p.grad = rng.standard_normal(p.data.shape).astype(dtype)
-    benchmark(AdamW(model.parameters()).step)
+    benchmark(_adamw(model).step)
 
 
-@pytest.mark.parametrize("model_cls", [CaeModel, FcAeModel], ids=["cae", "fc_ae"])
-def test_train_step(benchmark, model_cls):
-    model = model_cls().train()
-    hpa, spectral = HpaParams(), SpectralParams(bw_bins=72)
+@pytest.mark.parametrize("arch", ["cae", "fc_ae"])
+def test_train_step(benchmark, arch):
+    model = harness.build_model_from_config(CFG, arch).train()
+    hpa = CFG.hpa
+    spectral = SpectralParams(bw_bins=72, acpr_req_db=CFG.acpr_req_db)
     rng = np.random.default_rng(0)
     blocks = qam4_map(rng.integers(0, 2, (32, 144)))
     x = ofdm_modulate(blocks, 4)
     noise = complex_noise(x.shape, 10.0, hpa, rng)
-    opt = AdamW(model.parameters())
+    opt = _adamw(model)
 
     def step():
-        loss, _ = joint_loss(run_chain(model, x, hpa, noise), blocks, LossWeights(),
+        loss, _ = joint_loss(run_chain(model, x, hpa, noise), blocks, CFG.loss,
                              spectral, stage=2)
         loss.backward(opt.queue)
         opt.step()
@@ -219,6 +225,6 @@ def test_chain_backward(benchmark, op, batch, dtype, taped):
 
 def test_eval_load(benchmark, tmp_path):
     path = tmp_path / "cae.npz"
-    save_checkpoint(path, CaeModel())
+    save_checkpoint(path, harness.build_model_from_config(CFG, "cae"))
     cfg = config_from_dict({"methods": ["cae"], "output_dir": str(tmp_path)})
     benchmark(harness._MethodBank, cfg, {"cae": path})

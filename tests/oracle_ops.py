@@ -9,7 +9,8 @@ copy, a ``batch_norm`` with textbook forward and backward, and a masked
 
 import numpy as np
 
-from paprlab.autodiff import SELU_ALPHA, SELU_SCALE, Tensor, _accumulate, _make
+from paprlab.autodiff import (BN_EPS, BN_MOMENTUM, SELU_ALPHA, SELU_SCALE, Tensor, _accumulate,
+                              _make)
 
 
 def selu(x: Tensor) -> Tensor:
@@ -23,7 +24,7 @@ def selu(x: Tensor) -> Tensor:
     return _make(data, (x,), backward)
 
 
-def conv1d(x: Tensor, w: Tensor, b: Tensor, padding: int = 2) -> Tensor:
+def conv1d(x: Tensor, w: Tensor, b: Tensor, padding: int) -> Tensor:
     """1-D cross-correlation with zero padding and stride 1, as im2col."""
     batch, channels, length = x.data.shape
     out_ch, _, k = w.data.shape
@@ -50,19 +51,19 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor, padding: int = 2) -> Tensor:
 
 def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
                running_mean: np.ndarray, running_var: np.ndarray,
-               training: bool, momentum: float = 0.1, eps: float = 1e-5) -> Tensor:
+               training: bool) -> Tensor:
     """Per-channel batch normalization for x of shape (B, C, L)."""
     if training:
         mean = x.data.mean(axis=(0, 2))
         var = x.data.var(axis=(0, 2))
-        running_mean *= 1.0 - momentum
-        running_mean += momentum * mean
-        running_var *= 1.0 - momentum
-        running_var += momentum * var
+        running_mean *= 1.0 - BN_MOMENTUM
+        running_mean += BN_MOMENTUM * mean
+        running_var *= 1.0 - BN_MOMENTUM
+        running_var += BN_MOMENTUM * var
     else:
         mean = running_mean
         var = running_var
-    inv_std = 1.0 / np.sqrt(var + eps)
+    inv_std = 1.0 / np.sqrt(var + BN_EPS)
     xhat = (x.data - mean[:, None]) * inv_std[:, None]
     data = gamma.data[:, None] * xhat + beta.data[:, None]
 

@@ -41,7 +41,7 @@ class TestChainWiring:
         blocks = qam4_map(rng.integers(0, 2, (6, 32)))
         x = ofdm_modulate(blocks, 4)
         stub = IdentityCodec(16, 4)
-        taps = run_chain(stub, x, LINEAR_HPA)
+        taps = run_chain(stub, x, LINEAR_HPA, np.zeros_like(x))
         assert taps.alpha == pytest.approx(1.0)
         assert np.max(np.abs(taps.decoded.data - blocks)) < 1e-8
 
@@ -50,26 +50,26 @@ class TestChainWiring:
         blocks = qam4_map(rng.integers(0, 2, (4, 16)))
         x = ofdm_modulate(blocks, 4)
         stub = IdentityCodec(8, 4)
-        taps = run_chain(stub, x, LINEAR_HPA)
+        taps = run_chain(stub, x, LINEAR_HPA, np.zeros_like(x))
         mse = ad.mse_complex(taps.decoded, blocks)
         assert mse.item() < 1e-16
 
     def test_zero_batch_raises_cleanly(self):
         stub = IdentityCodec(8, 4)
         with pytest.raises(DegenerateInputError):
-            run_chain(stub, np.zeros((2, 32), complex), HpaParams())
+            run_chain(stub, np.zeros((2, 32), complex), HpaParams(), np.zeros((2, 32), complex))
 
     def test_shape_validation(self):
         stub = IdentityCodec(8, 4)
         with pytest.raises(ValueError, match="shape"):
-            run_chain(stub, np.zeros((2, 30), complex), HpaParams())
+            run_chain(stub, np.zeros((2, 30), complex), HpaParams(), np.zeros((2, 30), complex))
 
     def test_taps_exposed(self):
         rng = np.random.default_rng(2)
         x = ofdm_modulate(qam4_map(rng.integers(0, 2, (3, 16))), 4)
         stub = IdentityCodec(8, 4)
         hpa = HpaParams(ibo_db=3.0)
-        taps = run_chain(stub, x, hpa)
+        taps = run_chain(stub, x, hpa, np.zeros_like(x))
         # x_f carries the back-off: unit power scaled by 10^(-3/20)
         assert np.mean(np.abs(taps.x_f.data) ** 2) == pytest.approx(10 ** -0.3, rel=1e-9)
         # PA compresses peaks: output power strictly below input power
@@ -83,7 +83,7 @@ class TestChainWiring:
         taps_a, taps_b = (run_chain(stub, x, hpa, complex_noise(
             x.shape, 10.0, hpa, np.random.default_rng(42))) for _ in range(2))
         np.testing.assert_array_equal(taps_a.decoded.data, taps_b.decoded.data)
-        clean = run_chain(stub, x, hpa)
+        clean = run_chain(stub, x, hpa, np.zeros_like(x))
         assert np.any(taps_a.decoded.data != clean.decoded.data)
 
 
@@ -99,7 +99,7 @@ class TestToyGradientSweep:
         blocks = qam4_map(rng.integers(0, 2, (3, 2 * n)))
         x_time = ofdm_modulate(blocks, oversampling)
         hpa = HpaParams(ibo_db=3.0)
-        spectral = SpectralParams(bw_bins=n)
+        spectral = SpectralParams(bw_bins=n, acpr_req_db=-45.0)
         weights = LossWeights(lambda2=0.01, lambda3=0.002)
         sigma = hpa.a0 * 10 ** (-12.0 / 20.0)
         noise = sigma / np.sqrt(2) * (rng.standard_normal(x_time.shape)

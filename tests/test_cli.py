@@ -122,11 +122,16 @@ class TestCli:
             assert (tmp_path / "out" / f).read_bytes() == snapshot[f], f
 
     def test_schedule_override(self, tmp_path):
+        """An ablation run goes to its own output_dir; train has no --tag."""
         cfg = write_tiny_config(tmp_path)
-        assert main(["--config", str(cfg), "--set", "train.schedule=fixed", "train",
-                     "--tag", "cae_fixed"]) == 0
-        _, _, rows = read_curve(tmp_path / "out" / "train_cae_fixed.csv")
+        fixed = tmp_path / "fixed"
+        assert main(["--config", str(cfg), "--set", "train.schedule=fixed",
+                     "--set", f"output_dir={fixed}", "train"]) == 0
+        _, _, rows = read_curve(fixed / "train_cae.csv")
         assert rows[0][1] == "2"  # stage 2 from the first epoch
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", str(cfg), "train", "--tag", "cae_fixed"])
+        assert exc.value.code == 2
 
 
 def test_module_entry_point_offers_config_and_set_only():

@@ -79,7 +79,7 @@ class TestConv1dOracle:
         for x_needs in (False, True):
             xt = Tensor(x, requires_grad=x_needs)
             wt, bt = ad.parameter(w), ad.parameter(b)
-            ad.sq_norm(ad.conv1d(xt, wt, bt)).backward()
+            ad.mse_complex(ad.conv1d(xt, wt, bt, padding=2), 0.0).backward()
             assert (xt.grad is not None) == x_needs
             grads[x_needs] = (wt.grad, bt.grad)
         for skipped, computed in zip(grads[False], grads[True]):
@@ -146,7 +146,7 @@ class TestBatchSplitInvariance:
         w, b, gamma, beta = Tensor(w), Tensor(b), Tensor(gamma), Tensor(beta)
 
         def stages(xs):
-            conv = ad.conv1d(Tensor(xs), w, b)
+            conv = ad.conv1d(Tensor(xs), w, b, padding=2)
             norm = ad.batch_norm(conv, gamma, beta, mean, var, training=False)
             return conv.data, norm.data, ad.selu(norm).data
 
@@ -159,7 +159,9 @@ class TestBatchSplitInvariance:
                 joined = np.concatenate([p[stage] for p in pieces])
                 np.testing.assert_array_equal(joined, whole[stage], err_msg=f"{name} {sizes}")
 
-    @pytest.mark.parametrize("model", [CaeModel(n_subcarriers=8, oversampling=4, seed=3),
+    @pytest.mark.parametrize("model", [CaeModel(n_subcarriers=8, oversampling=4,
+                                                enc_channels=(13, 11), dec_channels=(11, 13),
+                                                seed=3),
                                        FcAeModel(n_subcarriers=8, oversampling=4,
                                                  hidden=(32, 48), seed=3)],
                              ids=["cae", "fc_ae"])

@@ -12,7 +12,7 @@ from paprlab.models import CaeModel
 from paprlab.ofdm import ofdm_modulate, qam4_map
 
 N, L = 8, 4
-SPECTRAL = SpectralParams(bw_bins=N)
+SPECTRAL = SpectralParams(bw_bins=N, acpr_req_db=-45.0)
 HPA = HpaParams(ibo_db=3.0)
 
 

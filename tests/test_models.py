@@ -1,3 +1,4 @@
+import io
 import json
 
 import numpy as np
@@ -5,6 +6,8 @@ import pytest
 
 from paprlab import chain, layers
 from paprlab.autodiff import Tensor
+from paprlab.config import default_config
+from paprlab.harness import build_model_from_config
 from paprlab.models import (
     CaeModel,
     FcAeModel,
@@ -23,9 +26,14 @@ def small_cae(**kw):
     return CaeModel(**args)
 
 
+def stock(arch):
+    """The model the default config trains: 72 subcarriers, 4x oversampling."""
+    return build_model_from_config(default_config(), arch)
+
+
 class TestArchitecture:
     def test_transmitter_conv_weight_count_is_468(self):
-        model = CaeModel()  # stock 72-subcarrier configuration
+        model = stock("cae")
         assert model.encoder.conv1.w.data.size + model.encoder.conv2.w.data.size == 468
         # 3*1*13 kernel weights in the first layer, 3*13*11 in the second
         assert model.encoder.conv1.w.data.size == 39
@@ -36,7 +44,7 @@ class TestArchitecture:
         assert model.encoder.conv1.w.data.size + model.encoder.conv2.w.data.size == 468
 
     def test_fc_ae_parameter_count_order(self):
-        model = FcAeModel()  # 2500/3500 hidden at the stock system size
+        model = stock("fc_ae")  # 2500/3500 hidden
         assert 5e6 <= sum(p.data.size for p in model.parameters()) <= 5e7
 
     def test_forward_shapes(self):
@@ -74,9 +82,9 @@ FLOAT32 = {np.dtype(np.float32)}
 
 
 class TestFloat32AtRest:
-    @pytest.mark.parametrize("build", [CaeModel, FcAeModel], ids=["cae", "fc_ae"])
-    def test_built_model_is_float32(self, build):
-        assert state_dtypes(build()) == FLOAT32
+    @pytest.mark.parametrize("arch", ["cae", "fc_ae"])
+    def test_built_model_is_float32(self, arch):
+        assert state_dtypes(stock(arch)) == FLOAT32
 
     def test_loaded_model_is_float32(self, tmp_path):
         path = tmp_path / "m.npz"
@@ -126,7 +134,7 @@ class TestCheckpoint:
         rng = np.random.default_rng(4)
         x = ofdm_modulate(qam4_map(rng.integers(0, 2, (8, 16))), 4)
         model.encode(Tensor(x))
-        opt = AdamW(model.parameters(), lr=1e-3)
+        opt = AdamW(model.parameters(), lr=1e-3, weight_decay=0.01)
         for p in model.parameters():
             p.grad = np.ones_like(p.data)
         opt.step()
@@ -151,7 +159,7 @@ class TestCheckpoint:
         rng = np.random.default_rng(5)
         x = ofdm_modulate(qam4_map(rng.integers(0, 2, (8, 16))), 4)
         model.encode(Tensor(x))  # training mode: updates the BN running stats
-        opt = AdamW(model.parameters(), lr=1e-3)
+        opt = AdamW(model.parameters(), lr=1e-3, weight_decay=0.01)
         for p in model.parameters():
             p.grad = np.ones_like(p.data)
         opt.step()
@@ -174,6 +182,32 @@ class TestCheckpoint:
             bn.load_state_dict(state)
         np.testing.assert_array_equal(bn.running_mean, np.zeros(4))
 
+    def test_interrupted_save_keeps_the_previous_checkpoint(self, tmp_path, monkeypatch):
+        """A save that dies after writing part of its file leaves the previous
+        checkpoint whole, bit for bit, and no temporary file."""
+        path = tmp_path / "m.npz"
+        model = small_cae(seed=10)
+        save_checkpoint(path, model, epoch=1)
+        before = path.read_bytes()
+        real_savez = np.savez
+
+        def dying_savez(fh, **arrays):
+            whole = io.BytesIO()
+            real_savez(whole, **arrays)
+            fh.write(whole.getvalue()[:len(whole.getvalue()) // 2])
+            raise OSError("killed while saving")
+        monkeypatch.setattr(np, "savez", dying_savez)
+        with pytest.raises(OSError, match="killed"):
+            save_checkpoint(path, small_cae(seed=11), epoch=2)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["m.npz"]
+        ck = load_checkpoint(path)
+        assert ck.epoch == 1
+        want, got = model.state_dict(), ck.model.state_dict()
+        assert sorted(got) == sorted(want)
+        for name in want:
+            assert got[name].tobytes() == want[name].tobytes(), name
+
     def test_same_model_writes_identical_bytes(self, tmp_path):
         model = small_cae(seed=5)
         p1, p2 = tmp_path / "a.npz", tmp_path / "b.npz"
@@ -190,7 +224,8 @@ class TestCheckpoint:
         assert ck.model.descriptor() == model.descriptor()
 
     @pytest.mark.parametrize("model", [small_cae(seed=4),
-                                       FcAeModel(n_subcarriers=8, hidden=(16, 24), seed=4)],
+                                       FcAeModel(n_subcarriers=8, oversampling=4,
+                                                 hidden=(16, 24), seed=4)],
                              ids=["cae", "fc_ae"])
     def test_load_draws_no_weights(self, tmp_path, monkeypatch, model):
         path = tmp_path / "m.npz"

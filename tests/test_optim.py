@@ -130,11 +130,11 @@ class TestAdamWClass:
         second, unused moment pair into the state_dict."""
         p, q = parameter(np.zeros(3)), parameter(np.zeros(2))
         with pytest.raises(ValueError, match="parameter 2 repeats parameter 0"):
-            AdamW([p, q, p])
+            AdamW([p, q, p], lr=0.1, weight_decay=0.01)
 
     def test_non_contiguous_parameter_raises(self):
         p = parameter(np.zeros((4, 3)))
-        opt = AdamW([p], lr=0.1)
+        opt = AdamW([p], lr=0.1, weight_decay=0.01)
         p.data = np.asfortranarray(np.ones((4, 3)))
         p.grad = np.ones((4, 3))
         with pytest.raises(ValueError):
@@ -142,7 +142,7 @@ class TestAdamWClass:
 
     def test_state_dict_is_a_snapshot(self):
         p = parameter(np.ones(3))
-        opt = AdamW([p], lr=0.1)
+        opt = AdamW([p], lr=0.1, weight_decay=0.01)
         p.grad = np.ones(3)
         opt.step()
         state = opt.state_dict()
@@ -153,13 +153,13 @@ class TestAdamWClass:
 
     def test_state_dict_roundtrip(self):
         p = parameter(np.ones(3))
-        opt = AdamW([p], lr=0.1)
+        opt = AdamW([p], lr=0.1, weight_decay=0.01)
         p.grad = np.ones(3)
         opt.step()
         state = opt.state_dict()
 
         p2 = parameter(np.ones(3))
-        opt2 = AdamW([p2], lr=0.1)
+        opt2 = AdamW([p2], lr=0.1, weight_decay=0.01)
         opt2.load_state_dict(state)
         assert opt2.step_count == 1
         np.testing.assert_array_equal(opt2.m[0], opt.m[0])
@@ -175,8 +175,8 @@ class TestAdamWClass:
         """A state whose moments do not match the parameters raises, naming
         the parameter, and leaves the optimizer as it was."""
         params = [parameter(np.ones(3)), parameter(np.ones((2, 1)))]
-        opt = AdamW(params, lr=0.1)
-        state = AdamW(params, lr=0.1).state_dict()
+        opt = AdamW(params, lr=0.1, weight_decay=0.01)
+        state = AdamW(params, lr=0.1, weight_decay=0.01).state_dict()
         state["step"] = 7
         edit(state)
         with pytest.raises(ValueError, match=message):
@@ -210,7 +210,7 @@ class TestAdamWClass:
         """A task that raises on either thread is raised by step() once no
         task runs, and the next step is whole."""
         params = _big_params(5)
-        opt = AdamW(params, lr=0.01)
+        opt = AdamW(params, lr=0.01, weight_decay=0.01)
         params[0].grad = np.ones(7, np.float32)  # the wrong size: every task fails
         if idle:
             monkeypatch.setattr(optim, "_updater", _IdleUpdater())

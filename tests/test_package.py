@@ -7,6 +7,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import paprlab
+import paprlab.autodiff
 import paprlab.config
 
 SOURCES = sorted(Path(paprlab.__file__).parent.glob("*.py"))
@@ -35,6 +36,37 @@ def test_no_unused_imports():
     unused = {path.name: found for path in SOURCES
               if (found := _unused_imports(ast.parse(path.read_text(encoding="utf-8"))))}
     assert not unused, unused
+
+
+def _autodiff_names_used(tree: ast.Module) -> set[str]:
+    """Names a module takes from paprlab.autodiff: imported from it by name,
+    or read as attributes of an alias of the module."""
+    names, aliases = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                if node.module == "autodiff":
+                    names.add(alias.name)
+                elif node.module is None and alias.name == "autodiff":
+                    aliases.add(alias.asname or alias.name)
+    names.update(node.attr for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                 and node.value.id in aliases)
+    return names
+
+
+def test_every_autodiff_export_is_used_by_the_package():
+    """An op of the engine that no other module calls is an op only tests run."""
+    used = set().union(*(_autodiff_names_used(ast.parse(path.read_text(encoding="utf-8")))
+                         for path in SOURCES if path.name != "autodiff.py"))
+    unused = sorted(set(paprlab.autodiff.__all__) - used)
+    assert not unused, unused
+
+
+def test_autodiff_use_is_found_both_ways():
+    tree = ast.parse("from . import autodiff as ad\nfrom .autodiff import Tensor\n"
+                     "import numpy as np\nad.selu(ad.linear)\nnp.reshape\n")
+    assert _autodiff_names_used(tree) == {"Tensor", "selu", "linear"}
 
 
 def test_package_init_imports_nothing():

@@ -8,8 +8,10 @@ from paprlab import training
 from paprlab.autodiff import Tensor
 from paprlab.chain import run_chain
 from paprlab.channel import complex_noise
+from paprlab.config import default_config
 from paprlab.errors import TrainingDivergedError
 from paprlab.frontend import HpaParams
+from paprlab.harness import build_model_from_config
 from paprlab.losses import LossWeights, joint_loss
 from paprlab.metrics import SpectralParams, papr_db
 from paprlab.models import CaeModel, FcAeModel
@@ -19,7 +21,9 @@ from paprlab.training import TrainConfig, train
 
 N, L = 8, 4
 HPA = HpaParams(ibo_db=3.0)
-SPECTRAL = SpectralParams(bw_bins=N)
+SPECTRAL = SpectralParams(bw_bins=N, acpr_req_db=-45.0)
+STOCK = default_config()
+STOCK_SPECTRAL = SpectralParams(bw_bins=STOCK.system.n_subcarriers, acpr_req_db=STOCK.acpr_req_db)
 
 # Float32 against the float64 reference, with tolerances set from float32's
 # unit roundoff before any float32 step was measured.  The longest sums run
@@ -49,7 +53,7 @@ def eval_mean_papr_db(model, seed=123):
     model.eval()
     rng = np.random.default_rng(seed)
     x = ofdm_modulate(qam4_map(rng.integers(0, 2, (256, 2 * N))), L)
-    taps = run_chain(model, x, HPA)
+    taps = run_chain(model, x, HPA, np.zeros_like(x))
     return float(np.mean(papr_db(taps.x_f.data)))
 
 
@@ -232,7 +236,7 @@ class TestFloat32Training:
         """Every tensor a stock-CAE training step creates, its gradient, the
         loss and the AdamW moments are float32 or complex64; the model stays
         float32 afterwards."""
-        model = CaeModel()
+        model = build_model_from_config(STOCK, "cae")
         made = []
         init = Tensor.__init__
 
@@ -241,8 +245,7 @@ class TestFloat32Training:
             made.append(self)
         monkeypatch.setattr(Tensor, "__init__", recording)
         cfg = TrainConfig(epochs=1, batches_per_epoch=1, schedule="fixed", stage1_epochs=0)
-        result = train(model, cfg, LossWeights(), HpaParams(), SpectralParams(bw_bins=72),
-                       seed=1)
+        result = train(model, cfg, STOCK.loss, STOCK.hpa, STOCK_SPECTRAL, seed=1)
         grads = [t.grad for t in made + model.parameters() if t.grad is not None]
         moments = result.optimizer.m + result.optimizer.v
         assert len(grads) > len(model.parameters())
@@ -282,13 +285,13 @@ class TestFloat32Training:
         rng = np.random.default_rng(21)
         blocks = qam4_map(rng.integers(0, 2, (32, 144)))
         x = ofdm_modulate(blocks, 4)
-        hpa, spectral = HpaParams(), SpectralParams(bw_bins=72)
+        hpa = STOCK.hpa
         noise = complex_noise(x.shape, 10.0, hpa, rng)
         steps = {}
         for dtype in (np.float64, np.float32):
-            model = CaeModel(seed=4).astype(dtype)
+            model = build_model_from_config(STOCK, "cae").astype(dtype)
             taps = run_chain(model, x, hpa, noise)
-            loss, _ = joint_loss(taps, blocks, LossWeights(), spectral, stage=2)
+            loss, _ = joint_loss(taps, blocks, STOCK.loss, STOCK_SPECTRAL, stage=2)
             loss.backward()
             assert loss.data.dtype == dtype
             steps[dtype] = loss.item(), {k: p.grad for k, p in model.named_parameters()}
