@@ -18,6 +18,11 @@ defines a rule backward(g) that receives the output gradient g and hands
 each operand its share through _accumulate, and returns
 _make(data, parents, backward), which records the rule on the tape only
 when a parent requires a gradient.
+
+The layout ops, reshape and the complex <-> interleaved re/im bridges (numpy's
+own complex layout), are views of their input, gradient included; no op
+writes into its input.  Arithmetic with a number runs add_constant or
+complex_scale.
 """
 
 from __future__ import annotations
@@ -149,13 +154,15 @@ class Tensor:
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other):
-        return _add(self, _as_tensor(other, self))
+        if isinstance(other, Tensor):
+            return _add(self, other)
+        return add_constant(self, float(other))
 
     def __sub__(self, other):
-        return self + -float(other)
+        return add_constant(self, -float(other))
 
     def __mul__(self, other):
-        return _mul_scalar(self, float(other))
+        return complex_scale(self, float(other))
 
     __rmul__ = __mul__
 
@@ -170,14 +177,6 @@ def _spent():
 def parameter(data) -> Tensor:
     """A trainable leaf, in :class:`Tensor`'s precision."""
     return Tensor(data, requires_grad=True)
-
-
-def _as_tensor(value, like: Tensor) -> Tensor:
-    """value as a node; a number becomes a constant of like's shape in like's
-    precision, since a float64 array would promote a float32 operand."""
-    if isinstance(value, Tensor):
-        return value
-    return Tensor(np.full(like.data.shape, float(value), dtype=like.data.real.dtype))
 
 
 def _accumulate(t: Tensor, g: np.ndarray):
@@ -226,18 +225,6 @@ def _add(a: Tensor, b: Tensor) -> Tensor:
         _accumulate(a, g)
         _accumulate(b, g)
     return _make(a.data + b.data, (a, b), backward)
-
-
-def _mul_scalar(a: Tensor, s: float) -> Tensor:
-    def backward(g):
-        _accumulate(a, g * s)
-    return _make(a.data * s, (a,), backward)
-
-
-def reshape(x: Tensor, shape) -> Tensor:
-    def backward(g):
-        _accumulate(x, g.reshape(x.data.shape))
-    return _make(x.data.reshape(shape), (x,), backward)
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -400,42 +387,40 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
     return _make(data, (x, gamma, beta), backward)
 
 
-# -- complex <-> real bridging ------------------------------------------------
+# -- layout views ----------------------------------------------------------------
 
 
-def interleaved_to_complex(x: Tensor) -> Tensor:
-    """Real (..., 2M) with interleaved re/im pairs -> complex (..., M)."""
-    data = x.data[..., 0::2] + 1j * x.data[..., 1::2]
-
+def _view(x: Tensor, data: np.ndarray) -> Tensor:
+    """data, a view of x.data under another shape or dtype, as a node whose
+    gradient is read back through the same reinterpretation, without a copy."""
     def backward(g):
-        gx = np.empty(x.data.shape, x.data.dtype)
-        gx[..., 0::2] = g.real
-        gx[..., 1::2] = g.imag
-        _accumulate(x, gx)
+        _accumulate(x, np.ascontiguousarray(g).view(x.data.dtype).reshape(x.data.shape))
     return _make(data, (x,), backward)
 
 
-def complex_to_interleaved(z: Tensor) -> Tensor:
-    """Complex (..., M) -> real (..., 2M) with interleaved re/im pairs."""
-    data = np.empty(z.data.shape[:-1] + (2 * z.data.shape[-1],), dtype=z.data.real.dtype)
-    data[..., 0::2] = z.data.real
-    data[..., 1::2] = z.data.imag
+def reshape(x: Tensor, shape) -> Tensor:
+    return _view(x, x.data.reshape(shape))
 
-    def backward(g):
-        _accumulate(z, g[..., 0::2] + 1j * g[..., 1::2])
-    return _make(data, (z,), backward)
+
+def interleaved_to_complex(x: Tensor) -> Tensor:
+    """Real (..., 2M) with interleaved re/im pairs -> complex (..., M): numpy's
+    own complex layout, so the output is a view of x."""
+    return _view(x, np.ascontiguousarray(x.data).view(np.result_type(x.data, np.complex64)))
+
+
+def complex_to_interleaved(z: Tensor) -> Tensor:
+    """Complex (..., M) -> real (..., 2M) with interleaved re/im pairs, a view
+    of z."""
+    return _view(z, np.ascontiguousarray(z.data).view(z.data.real.dtype))
 
 
 # -- chain stages --------------------------------------------------------------
 
 
-def complex_scale(z: Tensor, c: complex) -> Tensor:
-    """Multiply by a constant complex scalar; backward applies conj(c).
-
-    c stays a Python complex, which does not promote complex64 data.
-    """
-    c = complex(c)
-
+def complex_scale(z: Tensor, c: complex | float) -> Tensor:
+    """Multiply by a constant scalar, real or complex; backward applies
+    conj(c).  c stays a Python number, which does not promote float32 or
+    complex64 data."""
     def backward(g):
         _accumulate(z, g * c.conjugate())
     return _make(z.data * c, (z,), backward)

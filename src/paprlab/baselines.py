@@ -4,7 +4,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInputError
 from .metrics import papr
 from .ofdm import bpf, ofdm_modulate, unit_power
 
@@ -66,8 +65,6 @@ def clip_filter(wave: np.ndarray, cf: CfParams, oversampling: int) -> np.ndarray
     power per waveform, the level every method feeds the back-off stage at.
     """
     out = np.asarray(wave, dtype=complex)
-    if np.any(np.mean(np.abs(out) ** 2, axis=-1) <= 0.0):
-        raise DegenerateInputError("cannot clip an all-zero waveform")
     ratio = 10.0 ** (cf.clip_ratio_db / 20.0)
     for _ in range(cf.iterations):
         rms = np.sqrt(np.mean(np.abs(out) ** 2, axis=-1, keepdims=True))

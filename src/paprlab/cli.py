@@ -28,7 +28,10 @@ def _apply_override(data: dict, assignment: str):
     key, sep, raw = assignment.partition("=")
     if not sep:
         raise ConfigError(f"--set expects key=value, got {assignment!r}")
-    value = yaml.safe_load(raw)
+    try:
+        value = yaml.safe_load(raw)
+    except yaml.YAMLError as err:
+        raise ConfigError(f"--set {key}: {raw!r} is not a YAML value") from err
     node = data
     parts = key.strip().split(".")
     for part in parts[:-1]:

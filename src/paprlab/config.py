@@ -138,7 +138,7 @@ def _build(cls, data, path: str = ""):
 
     A field whose default is a config dataclass is a section, built the same
     way from its own mapping; path is the dotted name of cls ("" at the root).
-    A field whose default is an int, or a tuple of ints, takes only ints.
+    A number field's value is checked and typed by :func:`_typed`.
     """
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: expected a mapping, got {type(data).__name__}" if path
@@ -155,20 +155,29 @@ def _build(cls, data, path: str = ""):
             value = _build(sections[name], value, prefix + name)
         kwargs[name] = tuple(value) if isinstance(value, list) else value
     try:
-        for name, value in kwargs.items():
-            _check_ints(name, value, defaults[name])
-        return cls(**kwargs)
-    except (TypeError, ValueError) as err:
+        return cls(**{name: _typed(name, value, defaults[name]) for name, value in kwargs.items()})
+    except (TypeError, ValueError, OverflowError) as err:
         raise ConfigError(f"{path}: {err}" if path else str(err)) from err
 
 
-def _check_ints(name: str, value, default):
-    """Raise TypeError for a non-int (or a bool) where the default holds ints."""
+def _typed(name: str, value, default):
+    """value in the number type of default: only an int where default holds
+    ints, and any number where it holds floats, stored as a float so that 1
+    and 1.0 hash alike.  A bool is taken for neither (TypeError)."""
     if type(default) is int and type(value) is not int:
         raise TypeError(f"{name} must be a whole number, got {value!r}")
     if isinstance(default, tuple) and type(default[0]) is int and not (
             isinstance(value, tuple) and all(type(v) is int for v in value)):
         raise TypeError(f"{name} must be a list of whole numbers, got {value!r}")
+    if type(default) is float:
+        if type(value) not in (int, float):
+            raise TypeError(f"{name} must be a number, got {value!r}")
+        return float(value)
+    if isinstance(default, tuple) and type(default[0]) is float:
+        if not (isinstance(value, tuple) and all(type(v) in (int, float) for v in value)):
+            raise TypeError(f"{name} must be a list of numbers, got {value!r}")
+        return tuple(map(float, value))
+    return value
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
@@ -176,11 +185,14 @@ def config_from_dict(data: dict) -> ExperimentConfig:
 
 
 def load_config(path) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        data = yaml.safe_load(fh)
-    if data is None:
-        data = {}
-    return config_from_dict(data)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = yaml.safe_load(fh)
+    except OSError as err:
+        raise ConfigError(f"cannot read config file {path}: {err.strerror}") from err
+    except (yaml.YAMLError, UnicodeDecodeError) as err:
+        raise ConfigError(f"config file {path} is not valid YAML: {err}") from err
+    return config_from_dict({} if data is None else data)
 
 
 def config_hash(config: ExperimentConfig) -> str:

@@ -26,6 +26,7 @@ results only by float rounding (the PSD sums and a neural encoder's GEMM).
 from __future__ import annotations
 
 import math
+import zipfile
 from dataclasses import replace
 from pathlib import Path
 
@@ -150,7 +151,13 @@ class _MethodBank:
             if method in NEURAL_METHODS:
                 if method not in checkpoints:
                     raise ConfigError(f"method {method!r} needs a checkpoint (none supplied)")
-                model = load_checkpoint(checkpoints[method]).model
+                path = checkpoints[method]
+                try:
+                    model = load_checkpoint(path).model
+                except OSError as err:
+                    raise ConfigError(f"cannot read checkpoint {path}: {err.strerror}") from err
+                except (EOFError, KeyError, TypeError, ValueError, zipfile.BadZipFile) as err:
+                    raise ConfigError(f"{path} is not a paprlab checkpoint") from err
                 if model.kind != method:
                     raise ConfigError(f"checkpoint for {method!r} holds a {model.kind!r} model")
                 model.eval().astype(np.float64)

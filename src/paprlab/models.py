@@ -201,7 +201,8 @@ def save_checkpoint(path, model, optimizer=None, epoch: int = 0, seed: int | Non
 
 
 def load_checkpoint(path) -> Checkpoint:
-    with np.load(path) as data:
+    # the file is opened here, so it is closed also when np.load fails on it
+    with open(path, "rb") as fh, np.load(fh) as data:
         meta = json.loads(bytes(data["meta"]).decode("utf-8"))
         if meta.get("format") != CHECKPOINT_FORMAT:
             raise ValueError(f"unsupported checkpoint format {meta.get('format')!r}")

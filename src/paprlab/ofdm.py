@@ -121,16 +121,11 @@ def ofdm_modulate(block: np.ndarray, oversampling: int) -> np.ndarray:
     return np.fft.ifft(spectrum, axis=-1) * (total / np.sqrt(n))
 
 
-def _as_complex(wave) -> np.ndarray:
-    """wave as a complex array: complex64 for float32 or complex64 input,
-    complex128 otherwise.  bpf and ofdm_demodulate run in this precision."""
+def _spectrum(wave, oversampling: int) -> tuple[np.ndarray, int]:
+    """(DFT along the last axis, N) of a waveform of L*N samples, N even: in
+    complex64 for float32 or complex64 input, complex128 otherwise."""
     wave = np.asarray(wave)
-    return wave.astype(np.result_type(wave.dtype, np.complex64), copy=False)
-
-
-def ofdm_demodulate(wave: np.ndarray, oversampling: int) -> np.ndarray:
-    """Inverse of :func:`ofdm_modulate`: forward DFT plus out-of-band removal."""
-    wave = _as_complex(wave)
+    wave = wave.astype(np.result_type(wave.dtype, np.complex64), copy=False)
     total = wave.shape[-1]
     if total % oversampling != 0:
         raise ValueError(
@@ -138,8 +133,13 @@ def ofdm_demodulate(wave: np.ndarray, oversampling: int) -> np.ndarray:
         )
     n = total // oversampling
     _check_sizes(n, oversampling)
-    spectrum = np.fft.fft(wave, axis=-1) / (oversampling * math.sqrt(n))
-    return spectrum[..., band_bins(n, total)[0]]
+    return np.fft.fft(wave, axis=-1), n
+
+
+def ofdm_demodulate(wave: np.ndarray, oversampling: int) -> np.ndarray:
+    """Inverse of :func:`ofdm_modulate`: forward DFT plus out-of-band removal."""
+    spectrum, n = _spectrum(wave, oversampling)
+    return spectrum[..., band_bins(n, spectrum.shape[-1])[0]] / (oversampling * math.sqrt(n))
 
 
 def bpf(wave: np.ndarray, oversampling: int) -> np.ndarray:
@@ -148,16 +148,8 @@ def bpf(wave: np.ndarray, oversampling: int) -> np.ndarray:
     Zeroes every DFT bin outside the N in-band bins and transforms back.
     This is a linear, idempotent projection; in-band signals pass unchanged.
     """
-    wave = _as_complex(wave)
-    total = wave.shape[-1]
-    if total % oversampling != 0:
-        raise ValueError(
-            f"waveform length {total} is not a multiple of the oversampling factor {oversampling}"
-        )
-    n = total // oversampling
-    half = n // 2
-    spectrum = np.fft.fft(wave, axis=-1)
-    spectrum[..., half:total - half] = 0.0
+    spectrum, n = _spectrum(wave, oversampling)
+    spectrum[..., n // 2:spectrum.shape[-1] - n // 2] = 0.0
     return np.fft.ifft(spectrum, axis=-1)
 
 

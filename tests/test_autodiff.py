@@ -417,6 +417,22 @@ class TestComplexBridging:
         x = RNG.standard_normal((2, 8))
         check_grad(lambda t: scalarize(ad.interleaved_to_complex(t)), [x])
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_layout_ops_are_views(self, dtype):
+        """The bridges and reshape share memory with their input, and each
+        hands back its output gradient without a copy."""
+        x = Tensor(RNG.standard_normal((2, 3, 8)).astype(dtype), requires_grad=True)
+        z = ad.interleaved_to_complex(x)
+        back = ad.complex_to_interleaved(z)
+        flat = ad.reshape(back, (2, 24))
+        assert z.data.dtype == np.result_type(dtype, np.complex64)
+        assert back.data.dtype == dtype
+        for out in (z, back, flat):
+            assert np.shares_memory(out.data, x.data)
+        scalarize(flat).backward()
+        for node, out in ((x, z), (z, back), (back, flat)):
+            assert np.shares_memory(node.grad, out.grad)
+
 
 class TestChainOps:
     def test_complex_scale_value_and_grad(self):

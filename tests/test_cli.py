@@ -88,6 +88,47 @@ class TestCli:
         field = assignment.partition("=")[0].replace(".", ": ", 1)
         assert f"config error: {field} must be a" in capsys.readouterr().err
 
+    def test_missing_config_file_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "absent.yaml"
+        assert main(["--config", str(path), "eval-ccdf"]) == 2
+        assert f"config error: cannot read config file {path}" in capsys.readouterr().err
+
+    def test_config_file_yaml_error_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "broken.yaml"
+        path.write_text("train: {epochs: 3\n")
+        assert main(["--config", str(path), "eval-ccdf"]) == 2
+        assert f"config error: config file {path} is not valid YAML" in capsys.readouterr().err
+
+    def test_set_yaml_error_is_config_error(self, tmp_path, capsys):
+        cfg = write_tiny_config(tmp_path)
+        assert main(["--config", str(cfg), "--set", "eval.p_snr_db=[6, 8", "eval-ccdf"]) == 2
+        assert ("config error: --set eval.p_snr_db: '[6, 8' is not a YAML value"
+                in capsys.readouterr().err)
+
+    def test_missing_checkpoint_file_is_config_error(self, tmp_path, capsys):
+        cfg = write_tiny_config(tmp_path, methods=["none", "cae"])
+        path = tmp_path / "absent.npz"
+        assert main(["--config", str(cfg), "eval-ccdf", "--checkpoint", f"cae={path}"]) == 2
+        assert f"config error: cannot read checkpoint {path}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content", [b"not a checkpoint", b"", b"PK\x03\x04 cut short"],
+                             ids=["text", "empty", "truncated-zip"])
+    def test_foreign_checkpoint_file_is_config_error(self, tmp_path, capsys, content):
+        cfg = write_tiny_config(tmp_path, methods=["none", "cae"])
+        path = tmp_path / "foreign.npz"
+        path.write_bytes(content)
+        assert main(["--config", str(cfg), "eval-ccdf", "--checkpoint", f"cae={path}"]) == 2
+        assert f"config error: {path} is not a paprlab checkpoint" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, save", [("arrays.npz", lambda p: np.savez(p, a=np.zeros(3))),
+                                            ("array.npy", lambda p: np.save(p, np.zeros(3)))])
+    def test_numpy_file_without_metadata_is_config_error(self, tmp_path, capsys, name, save):
+        cfg = write_tiny_config(tmp_path, methods=["none", "cae"])
+        path = tmp_path / name
+        save(path)
+        assert main(["--config", str(cfg), "eval-ccdf", "--checkpoint", f"cae={path}"]) == 2
+        assert "is not a paprlab checkpoint" in capsys.readouterr().err
+
     def test_unknown_config_field_reports_name(self, tmp_path, capsys):
         path = tmp_path / "bad.yaml"
         path.write_text(yaml.safe_dump({"train": {"warmup": 3}}))

@@ -57,6 +57,16 @@ class TestRoundTrip:
         c = config_from_dict({**config_to_dict(a), "seed": 7})
         assert config_hash(c) != config_hash(a)
 
+    def test_whole_number_for_a_float_hashes_as_the_float(self):
+        data = config_to_dict(default_config())
+        data["hpa"]["a0"] = 1
+        data["train"]["lr"] = 0.001
+        data["eval"]["p_snr_db"] = [6, 8.0, 10, 12, 14, 16]
+        cfg = config_from_dict(data)
+        assert type(cfg.hpa.a0) is float and type(cfg.eval.p_snr_db[0]) is float
+        assert cfg == default_config()
+        assert config_hash(cfg) == config_hash(default_config())
+
     def test_build_id_shape(self):
         bid = build_id()
         assert len(bid) == 12
@@ -143,12 +153,20 @@ class TestValidation:
         ("train", "weight_decay", 1000.0, r"number in \[0, 1/lr\)"),
         ("train", "weight_decay", 2500.0, r"number in \[0, 1/lr\)"),
         ("train", "snr_min_db", 20.0, "number at most snr_max_db"),
+        ("hpa", "a0", True, "number"),
+        ("train", "lr", "fast", "number"),
+        ("eval", "p_snr_db", [6.0, False], "list of numbers"),
+        ("eval", "obo_acpr_ibo_db", 3.0, "list of numbers"),
     ])
     def test_invalid_size_names_section(self, section, key, value, message):
         """An empty section is the config root, whose messages carry no prefix."""
         data, prefix = ({section: {key: value}}, f"{section}: ") if section else ({key: value}, "")
         with pytest.raises(ConfigError, match=f"{prefix}{key} must be a {message}"):
             config_from_dict(data)
+
+    def test_whole_number_beyond_float_range_is_config_error(self):
+        with pytest.raises(ConfigError, match="hpa: int too large"):
+            config_from_dict({"hpa": {"ibo_db": 10 ** 400}})
 
     @pytest.mark.parametrize("value", [math.inf, math.nan])
     def test_acpr_req_db_must_be_finite(self, value):

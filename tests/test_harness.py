@@ -320,6 +320,36 @@ def test_golden_curve_rows(tmp_path):
     assert {p.name: _summary_digest(p) for p in summaries} == GOLDEN_SUMMARIES
 
 
+# The five eval commands at tiny_config with methods [none, cae], the CAE
+# loaded from an untrained (epochs 0) checkpoint: curve rows, then summaries,
+# pinned like GOLDEN_ROWS.  The largest GEMM's inner dimension is 204 (the
+# encoder's FC input), so the BLAS thread count cannot move a bit.
+GOLDEN_CAE = {
+    "ber.csv": "88e8c36c4c3af652ce7772d63bd88fdd85d9233b9f6d7d4bf034e3bd6181d9f5",
+    "ccdf.csv": "4f3e96e99d1c83fd5c51d54e7976a4d4fbf3e5ec2a9e0a070d5e5f6f71d0efa8",
+    "psd.csv": "fe38f778e9dbbe816477b1b575b483404ddbb6fdd04fb9755998c2c41c757998",
+    "table.csv": "8ff57981980688135603c2269078427baf7c75b21cd78b4aa510dc18b6a949eb",
+    "obo_acpr.csv": "b69220a0aecdcba61c02695854bbd7aaf17569b8fe543071210c87b4089a1730",
+    "ber_summary.json": "5b16300be50249c5456dc8636efffa4b14b3070d1c6c9122896ff0930ad52af6",
+    "ccdf_summary.json": "b425598cbb3ebbc6df30e14bd29e508bb21e65e797cbae173085a77f56587a99",
+    "psd_summary.json": "e8e657e65532e2c5b22d5df821ba407a4da0d0bcc4c26e2ff7146a9c5c8a735e",
+    "table_summary.json": "27d4c9f97b8410edbe0ee144faa3c1dff6c7bea958a28dc3db67fbb579890303",
+    "obo_acpr_summary.json": "03f1c3821948962ed96b6470be8285a2bee7e1ff9cdfe7fc9c26e4031c825743",
+}
+
+
+def test_golden_cae_rows(tmp_path):
+    cfg = tiny_config(tmp_path, methods=["none", "cae"], train={"epochs": 0, "stage1_epochs": 0})
+    checkpoints = {"cae": run_train(cfg, arch="cae")[0]}
+    paths = [eval_ber(cfg, checkpoints), eval_ccdf(cfg, checkpoints),
+             eval_psd(cfg, checkpoints), eval_table(cfg, checkpoints)[1],
+             eval_obo_vs_acpr(cfg, checkpoints)]
+    summaries = [p.with_name(f"{p.stem}_summary.json") for p in paths]
+    got = {p.name: _data_digest(p) for p in paths}
+    got.update((p.name, _summary_digest(p)) for p in summaries)
+    assert got == GOLDEN_CAE
+
+
 def test_every_output_carries_build_and_config_hash(tmp_path):
     """Each curve file and summary that run_train and the five eval commands
     write names the build and the config; each summary lists files that exist."""

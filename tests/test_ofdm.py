@@ -208,6 +208,10 @@ class TestBpf:
         np.testing.assert_allclose(bpf(a * x + b * y, 4),
                                    a * bpf(x, 4) + b * bpf(y, 4), atol=1e-12)
 
+    def test_rejects_odd_subcarrier_count(self):
+        with pytest.raises(ValueError, match="positive even"):
+            bpf(np.zeros(4 * 7, dtype=complex), 4)
+
     def test_removes_out_of_band_power(self):
         rng = np.random.default_rng(10)
         x = ofdm_modulate(qam4_map(rng.integers(0, 2, 144)), 4)

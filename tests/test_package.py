@@ -1,3 +1,4 @@
+import argparse
 import ast
 import json
 import os
@@ -9,6 +10,7 @@ from types import SimpleNamespace
 import paprlab
 import paprlab.autodiff
 import paprlab.config
+from paprlab.cli import build_parser
 
 SOURCES = sorted(Path(paprlab.__file__).parent.glob("*.py"))
 
@@ -81,6 +83,28 @@ def test_unused_import_is_flagged():
                      "import math\nimport os.path\nfrom .x import a, b as c\n"
                      "__all__ = ['a']\nprint(os.path.sep)\n")
     assert _unused_imports(tree) == ["line 2: math", "line 4: c"]
+
+
+def _readme_commands(text: str) -> list[str]:
+    """The first word of each row of the README's | Command | table."""
+    lines = text.splitlines()
+    start = lines.index("| Command | Writes |") + 2
+    rows = []
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        rows.append(line.split("|")[1].strip().strip("`").split()[0])
+    return rows
+
+
+def test_readme_lists_every_command():
+    """The README's command table has one row per subcommand of the CLI."""
+    subparsers = next(action for action in build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    listed = _readme_commands(readme.read_text(encoding="utf-8"))
+    assert sorted(listed) == sorted(subparsers.choices)
+    assert len(listed) == len(set(listed))
 
 
 def test_benchmark_configs_build(tmp_path, monkeypatch):
