@@ -16,6 +16,7 @@ import yaml
 
 from . import harness
 from .config import (
+    ConfigLoader,
     config_from_dict,
     config_to_dict,
     default_config,
@@ -29,7 +30,7 @@ def _apply_override(data: dict, assignment: str):
     if not sep:
         raise ConfigError(f"--set expects key=value, got {assignment!r}")
     try:
-        value = yaml.safe_load(raw)
+        value = yaml.load(raw, Loader=ConfigLoader)
     except yaml.YAMLError as err:
         raise ConfigError(f"--set {key}: {raw!r} is not a YAML value") from err
     node = data

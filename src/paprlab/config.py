@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import re
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
@@ -22,6 +23,7 @@ from .losses import LossWeights
 from .training import TrainConfig
 
 __all__ = [
+    "ConfigLoader",
     "SystemConfig",
     "ModelConfig",
     "EvalConfig",
@@ -36,6 +38,17 @@ __all__ = [
 
 VALID_METHODS = ("none", "cf", "slm", "cae", "fc_ae")
 NEURAL_METHODS = ("cae", "fc_ae")
+
+
+class ConfigLoader(yaml.SafeLoader):
+    """SafeLoader that also reads YAML 1.2's floats without a point, such as
+    1e-3, which YAML 1.1 leaves a string.  Config files and --set both use it."""
+
+
+ConfigLoader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9_]+)[eE][-+]?[0-9]+$"),
+    list("-+.0123456789"))
 
 
 @dataclass(frozen=True)
@@ -187,7 +200,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
 def load_config(path) -> ExperimentConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = yaml.safe_load(fh)
+            data = yaml.load(fh, Loader=ConfigLoader)
     except OSError as err:
         raise ConfigError(f"cannot read config file {path}: {err.strerror}") from err
     except (yaml.YAMLError, UnicodeDecodeError) as err:

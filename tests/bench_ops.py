@@ -37,6 +37,9 @@ runs them at float64.
 - Loading the stock CAE for evaluation, as each eval command does:
   load_checkpoint of a freshly built model plus the method bank's cast to
   float64.
+- The baselines' transmit at the eval batch (500) in float64: SLM selection
+  over the stock bank (U = 128, 72 subcarriers), and clipping-and-filtering
+  of the modulated batch, as the eval commands run them.
 """
 
 import numpy as np
@@ -45,6 +48,7 @@ import pytest
 from paprlab import autodiff as ad
 from paprlab import harness
 from paprlab.autodiff import Tensor
+from paprlab.baselines import clip_filter, slm_select_batch
 from paprlab.chain import run_chain
 from paprlab.channel import complex_noise
 from paprlab.config import config_from_dict, default_config
@@ -228,3 +232,17 @@ def test_eval_load(benchmark, tmp_path):
     save_checkpoint(path, harness.build_model_from_config(CFG, "cae"))
     cfg = config_from_dict({"methods": ["cae"], "output_dir": str(tmp_path)})
     benchmark(harness._MethodBank, cfg, {"cae": path})
+
+
+def _eval_blocks():
+    """One eval batch of stock symbol blocks: 500 x 72 4-QAM symbols."""
+    return qam4_map(np.random.default_rng(0).integers(0, 2, (500, 144)))
+
+
+def test_slm_select(benchmark):
+    benchmark(slm_select_batch, _eval_blocks(), CFG.slm, 4)
+
+
+def test_cf_transmit(benchmark):
+    blocks = _eval_blocks()
+    benchmark(lambda: clip_filter(ofdm_modulate(blocks, 4), CFG.cf, 4))

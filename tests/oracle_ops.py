@@ -1,16 +1,22 @@
-"""Reference forms of the conv stack ops, kept as test oracles.
+"""Reference forms of the conv stack ops and of SLM selection, kept as test oracles.
 
 These are the straightforward implementations that ``paprlab.autodiff``
 replaced with faster ones: an im2col ``conv1d`` over a full-batch column
 copy, a ``batch_norm`` with textbook forward and backward, and a masked
 ``selu``.  They build tape nodes through the engine's own ``_make`` and
 ``_accumulate``, so their gradients can be compared with the engine's.
+``slm_select_batch`` is the float64 per-block loop that
+``paprlab.baselines.slm_select_batch`` replaced with a complex64 screen and
+a float64 recheck.
 """
 
 import numpy as np
 
+from paprlab import baselines
 from paprlab.autodiff import (BN_EPS, BN_MOMENTUM, SELU_ALPHA, SELU_SCALE, Tensor, _accumulate,
                               _make)
+from paprlab.metrics import papr
+from paprlab.ofdm import ofdm_modulate
 
 
 def selu(x: Tensor) -> Tensor:
@@ -80,3 +86,20 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
             gx = gxhat * inv_std[:, None]
         _accumulate(x, gx)
     return _make(data, (x, gamma, beta), backward)
+
+
+def slm_select_batch(blocks, slm, oversampling):
+    """Selective mapping block by block: every candidate modulated and its
+    PAPR taken in float64, the argmin kept (ties to the lowest index).  The
+    bank is looked up on ``paprlab.baselines``, so a test that patches it
+    there patches both forms."""
+    blocks = np.atleast_2d(np.asarray(blocks, dtype=complex))
+    batch, n = blocks.shape
+    bank = baselines.slm_phase_bank(n, slm)
+    waves = np.empty((batch, n * oversampling), dtype=complex)
+    indices = np.empty(batch, dtype=np.int64)
+    for i, block in enumerate(blocks):
+        candidates = ofdm_modulate(block * bank, oversampling)
+        indices[i] = np.argmin(papr(candidates))
+        waves[i] = candidates[indices[i]]
+    return waves, indices

@@ -1,6 +1,8 @@
 import numpy as np
+import oracle_ops
 import pytest
 
+from paprlab import baselines
 from paprlab.baselines import (
     CfParams,
     SlmParams,
@@ -11,7 +13,7 @@ from paprlab.baselines import (
 )
 from paprlab.errors import DegenerateInputError
 from paprlab.metrics import papr
-from paprlab.ofdm import ml_detect, ofdm_demodulate, ofdm_modulate, qam4_map
+from paprlab.ofdm import band_bins, ml_detect, ofdm_demodulate, ofdm_modulate, qam4_map
 
 
 def oracle_clip_filter(wave, clip_ratio_db, iterations, oversampling):
@@ -197,3 +199,69 @@ class TestSlm:
             wave, idx = oracle_slm(blocks[i], bank, 4)
             assert indices[i] == idx
             np.testing.assert_array_equal(waves[i], wave)
+
+
+def _stock_blocks(seed: int, batch: int) -> np.ndarray:
+    """Random 4-QAM blocks at the stock 72 subcarriers."""
+    return qam4_map(np.random.default_rng(seed).integers(0, 2, (batch, 144)))
+
+
+def _assert_matches_oracle(blocks, slm, oversampling=4):
+    waves, indices = slm_select_batch(blocks, slm, oversampling)
+    want_waves, want_indices = oracle_ops.slm_select_batch(blocks, slm, oversampling)
+    np.testing.assert_array_equal(indices, want_indices)
+    np.testing.assert_array_equal(waves, want_waves)
+    return want_indices
+
+
+class TestSlmScreen:
+    """The complex64 screen and float64 recheck against the float64
+    block-by-block oracle, bit for bit, at the stock 72 x 4 with U = 128."""
+
+    def test_matches_oracle_on_random_blocks(self):
+        _assert_matches_oracle(_stock_blocks(20, 2000), SlmParams())
+
+    @pytest.mark.parametrize("offset", [None, -1, 0, 1])
+    def test_batch_sizes_around_the_screen_group(self, offset):
+        batch = 1 if offset is None else baselines._SCREEN_BLOCKS + offset
+        _assert_matches_oracle(_stock_blocks(21, batch), SlmParams())
+
+    def test_exact_ties_go_to_the_lowest_index(self, monkeypatch):
+        # -b and j*b modulate to -x and j*x, whose PAPRs equal x's exactly;
+        # each candidate's twins sit 32 rows apart, so the first group wins
+        base = slm_phase_bank(72, SlmParams(num_sequences=32))
+        bank = np.concatenate([-base, 1j * base, -1j * base, base])
+        monkeypatch.setattr(baselines, "slm_phase_bank", lambda n, slm: bank)
+        indices = _assert_matches_oracle(_stock_blocks(22, 300), SlmParams())
+        assert (indices < 32).all()
+
+    def test_circular_shift_near_ties_match_oracle(self, monkeypatch):
+        # b * (-j)^bin shifts the waveform circularly by L*N/4 samples: the
+        # same PAPR up to float64 rounding, which only the recheck can order
+        base = slm_phase_bank(72, SlmParams(num_sequences=64))
+        shifted = base * (-1j) ** band_bins(72, 288)[0]
+        bank = np.concatenate([base, shifted])
+        monkeypatch.setattr(baselines, "slm_phase_bank", lambda n, slm: bank)
+        indices = _assert_matches_oracle(_stock_blocks(23, 300), SlmParams())
+        assert (indices >= 64).any() and (indices < 64).any()
+
+    def test_nan_block_matches_oracle(self):
+        blocks = _stock_blocks(24, 3)
+        blocks[1, 5] = np.nan
+        _assert_matches_oracle(blocks, SlmParams())
+
+    def test_zero_block_rejected(self):
+        blocks = _stock_blocks(25, 3)
+        blocks[2] = 0.0
+        with pytest.raises(DegenerateInputError):
+            slm_select_batch(blocks, SlmParams(), 4)
+
+    @pytest.mark.parametrize("n, oversampling, message", [
+        (71, 4, "subcarrier count"), (72, 0, "oversampling factor")])
+    def test_bad_sizes_rejected_as_modulation_does(self, n, oversampling, message):
+        with pytest.raises(ValueError, match=message):
+            slm_select_batch(np.ones((3, n), complex), SlmParams(), oversampling)
+
+    def test_empty_batch(self):
+        waves, indices = slm_select_batch(np.zeros((0, 72), complex), SlmParams(), 4)
+        assert waves.shape == (0, 288) and indices.shape == (0,)

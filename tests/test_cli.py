@@ -65,6 +65,21 @@ class TestCli:
         meta, _, _ = read_curve(out2 / "ccdf.csv")
         assert meta["symbols"] == "100"
 
+    def test_set_reads_exponent_without_point(self, tmp_path):
+        cfg = write_tiny_config(tmp_path)
+        hashes = []
+        for lr in ("1e-3", "0.001"):
+            out = tmp_path / lr
+            assert main(["--config", str(cfg), "--set", f"train.lr={lr}",
+                         "--set", f"output_dir={out}", "eval-ccdf"]) == 0
+            hashes.append(read_curve(out / "ccdf.csv")[0]["config_hash"])
+        assert hashes[0] == hashes[1]
+
+    def test_set_non_number_for_a_number_is_config_error(self, tmp_path, capsys):
+        cfg = write_tiny_config(tmp_path)
+        assert main(["--config", str(cfg), "--set", "train.lr=abc", "eval-ccdf"]) == 2
+        assert "config error: train: lr must be a number" in capsys.readouterr().err
+
     def test_bad_set_syntax(self, tmp_path, capsys):
         cfg = write_tiny_config(tmp_path)
         assert main(["--config", str(cfg), "--set", "train.epochs", "eval-ccdf"]) == 2

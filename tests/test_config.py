@@ -67,6 +67,20 @@ class TestRoundTrip:
         assert cfg == default_config()
         assert config_hash(cfg) == config_hash(default_config())
 
+    def test_exponent_without_point_is_a_float(self, tmp_path):
+        # YAML 1.1 reads 1e-3 as a string; the config reads YAML 1.2's float
+        path = tmp_path / "cfg.yaml"
+        path.write_text("train: {lr: 1e-3}\n", encoding="utf-8")
+        cfg = load_config(path)
+        assert cfg.train.lr == 0.001
+        assert config_hash(cfg) == config_hash(config_from_dict({"train": {"lr": 0.001}}))
+
+    def test_exponent_for_a_whole_number_is_rejected(self, tmp_path):
+        path = tmp_path / "cfg.yaml"
+        path.write_text("train: {epochs: 1e3}\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match="train: epochs must be a whole number"):
+            load_config(path)
+
     def test_build_id_shape(self):
         bid = build_id()
         assert len(bid) == 12

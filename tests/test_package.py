@@ -121,6 +121,16 @@ def test_benchmark_configs_build(tmp_path, monkeypatch):
             workloads.make_config(pkg, wl, 1, tmp_path, overrides)
 
 
+def test_bench_ops_collects():
+    """The per-op benchmarks are outside the default run.  Collecting them
+    imports every name they use, so deleting one fails here."""
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-m", "pytest", "--collect-only", "-q",
+                           "-p", "no:cacheprovider", "tests/bench_ops.py"],
+                          cwd=root, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
 _RUN_WORKLOADS = """
 import json, sys
 from pathlib import Path
