@@ -264,39 +264,37 @@ def selu(x: Tensor) -> Tensor:
     return _make(data, (x,), backward)
 
 
-def _fill_columns(col: np.ndarray, x: np.ndarray, taps) -> np.ndarray:
-    """Lower the samples x (n, C, L) into col (>= n, C, K, Lout) and return
-    them as (n, C*K, Lout) columns.  Each tap copies one shifted slice; the
-    entries that fall in the zero padding are never written, so they keep the
-    zeros the buffer was created with."""
-    n = x.shape[0]
-    for kk, t0, t1, shift in taps:
-        col[:n, :, kk, t0:t1] = x[:, :, t0 + shift:t1 + shift]
-    return col[:n].reshape(n, -1, col.shape[3])
+def _fill_columns(col: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Lower the samples x (n, C, L) into col (>= n, C, K, L + K - 1) and
+    return them as (n, C*K, L + K - 1) columns.  Tap kk holds all of x at
+    offset K - 1 - kk; the entries around it fall in the zero padding and are
+    never written, so they keep the zeros the buffer was created with."""
+    n, k, out_len = x.shape[0], col.shape[2], col.shape[3]
+    for kk in range(k):
+        col[:n, :, kk, k - 1 - kk:out_len - kk] = x
+    return col[:n].reshape(n, -1, out_len)
 
 
-def conv1d(x: Tensor, w: Tensor, b: Tensor, padding: int) -> Tensor:
-    """1-D cross-correlation with zero padding and stride 1.
+def conv1d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Full 1-D cross-correlation with stride 1.
 
-    x: (B, C, L); w: (O, C, K); b: (O,).  Output length is L + 2*padding - K + 1.
+    x: (B, C, L); w: (O, C, K); b: (O,).  x is zero-padded by K - 1 on each
+    side, so every tap covers all of x and the output has length L + K - 1.
     Blocks of samples are lowered into one column buffer of at most
-    _COL_BLOCK elements, and each sample runs its own (O, C*K) @ (C*K, Lout)
-    GEMM, so a sample's output does not depend on the batch it came in.
+    _COL_BLOCK elements, and each sample runs its own (O, C*K) @ (C*K, L+K-1)
+    GEMM, so a sample's output does not depend on the batch it came in.  The
+    backward lowers into the same buffer again, so a taped call keeps it
+    alive until then.
     """
     if x.data.ndim != 3 or w.data.ndim != 3:
         raise ValueError("conv1d expects x of shape (B, C, L) and w of shape (O, C, K)")
-    if x.data.shape[1] != w.data.shape[1]:
-        raise ValueError(
-            f"channel mismatch: input has {x.data.shape[1]}, weights expect {w.data.shape[1]}"
-        )
     batch, channels, length = x.data.shape
-    out_ch, _, k = w.data.shape
-    out_len = length + 2 * padding - k + 1
-    if out_len < 1:
-        raise ValueError(f"kernel of {k} does not fit an input of {length} padded by {padding}")
-    # output t of tap kk reads input t + kk - padding; [t0, t1) keeps it inside x
-    taps = [(kk, max(0, padding - kk), min(out_len, length + padding - kk), kk - padding)
-            for kk in range(k)]
+    out_ch, w_channels, k = w.data.shape
+    if channels != w_channels:
+        raise ValueError(f"channel mismatch: input has {channels}, weights expect {w_channels}")
+    if channels * k * length == 0:
+        raise ValueError(f"empty input or kernel: x {x.data.shape}, w {w.data.shape}")
+    out_len = length + k - 1
     per_block = max(1, min(batch, _COL_BLOCK // (channels * k * out_len)))
     wmat = w.data.reshape(out_ch, channels * k)
     dtype = np.result_type(x.data, w.data)
@@ -304,25 +302,24 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor, padding: int) -> Tensor:
     data = np.empty((batch, out_ch, out_len), dtype)
     for lo in range(0, batch, per_block):
         hi = min(lo + per_block, batch)
-        np.matmul(wmat, _fill_columns(col, x.data[lo:hi], taps), out=data[lo:hi])
+        np.matmul(wmat, _fill_columns(col, x.data[lo:hi]), out=data[lo:hi])
         data[lo:hi] += b.data[:, None]
     need_gx = x.requires_grad
 
-    def backward(g):                                  # g: (B, O, Lout)
+    def backward(g):                                  # g: (B, O, L+K-1)
         _accumulate(b, g.sum(axis=(0, 2)))
-        cols = np.zeros((per_block, channels, k, out_len), dtype)
         gw = np.zeros((out_ch, channels * k), dtype)
         if need_gx:
-            gcol = np.empty_like(cols)
+            gcol = np.empty_like(col)
             gx = np.zeros(x.data.shape, dtype)
         for lo in range(0, batch, per_block):
             hi = min(lo + per_block, batch)
-            xcol = _fill_columns(cols, x.data[lo:hi], taps)
+            xcol = _fill_columns(col, x.data[lo:hi])
             gw += np.matmul(g[lo:hi], xcol.transpose(0, 2, 1)).sum(axis=0)
             if need_gx:
                 np.matmul(wmat.T, g[lo:hi], out=gcol[:hi - lo].reshape(xcol.shape))
-                for kk, t0, t1, shift in taps:
-                    gx[lo:hi, :, t0 + shift:t1 + shift] += gcol[:hi - lo, :, kk, t0:t1]
+                for kk in range(k):                   # tap order fixes gx's rounding
+                    gx[lo:hi] += gcol[:hi - lo, :, kk, k - 1 - kk:out_len - kk]
         _accumulate(w, gw.reshape(out_ch, channels, k))
         if need_gx:
             _accumulate(x, gx)

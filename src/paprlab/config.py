@@ -151,7 +151,7 @@ def _build(cls, data, path: str = ""):
 
     A field whose default is a config dataclass is a section, built the same
     way from its own mapping; path is the dotted name of cls ("" at the root).
-    A number field's value is checked and typed by :func:`_typed`.
+    A field's value is checked and typed by :func:`_typed`.
     """
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: expected a mapping, got {type(data).__name__}" if path
@@ -173,24 +173,26 @@ def _build(cls, data, path: str = ""):
         raise ConfigError(f"{path}: {err}" if path else str(err)) from err
 
 
+# a field's default type -> the value types it takes and their name
+_KINDS = {int: ((int,), "whole number"), float: ((int, float), "number"), str: ((str,), "string")}
+
+
 def _typed(name: str, value, default):
-    """value in the number type of default: only an int where default holds
-    ints, and any number where it holds floats, stored as a float so that 1
-    and 1.0 hash alike.  A bool is taken for neither (TypeError)."""
-    if type(default) is int and type(value) is not int:
-        raise TypeError(f"{name} must be a whole number, got {value!r}")
-    if isinstance(default, tuple) and type(default[0]) is int and not (
-            isinstance(value, tuple) and all(type(v) is int for v in value)):
-        raise TypeError(f"{name} must be a list of whole numbers, got {value!r}")
-    if type(default) is float:
-        if type(value) not in (int, float):
-            raise TypeError(f"{name} must be a number, got {value!r}")
-        return float(value)
-    if isinstance(default, tuple) and type(default[0]) is float:
-        if not (isinstance(value, tuple) and all(type(v) in (int, float) for v in value)):
-            raise TypeError(f"{name} must be a list of numbers, got {value!r}")
-        return tuple(map(float, value))
-    return value
+    """value as default's type, or a list of it where default is a tuple: an
+    int for an int, a str for a str, and any number for a float, stored as a
+    float so that 1 and 1.0 hash alike.  A bool is none of them (TypeError)."""
+    listed = isinstance(default, tuple)
+    kind = type(default[0] if listed else default)
+    if kind not in _KINDS:                            # a section, built already
+        return value
+    accepted, noun = _KINDS[kind]
+    items = (value if isinstance(value, tuple) else None) if listed else (value,)
+    if items is None or not all(type(v) in accepted for v in items):
+        raise TypeError(f"{name} must be {f'a list of {noun}s' if listed else f'a {noun}'}, "
+                        f"got {value!r}")
+    if kind is not float:
+        return value
+    return tuple(map(float, value)) if listed else float(value)
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:

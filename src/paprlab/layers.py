@@ -127,14 +127,13 @@ class Linear(Module):
 
 class Conv1d(Module):
     def __init__(self, in_channels: int, out_channels: int, rng: np.random.Generator | None,
-                 kernel_size: int, padding: int):
+                 kernel_size: int):
         super().__init__()
-        self.padding = padding
         self.w = _weight(rng, (out_channels, in_channels, kernel_size), in_channels * kernel_size)
         self.b = ad.parameter(np.zeros(out_channels, dtype=np.float32))
 
     def __call__(self, x: Tensor) -> Tensor:
-        return ad.conv1d(x, self.w, self.b, padding=self.padding)
+        return ad.conv1d(x, self.w, self.b)
 
 
 class BatchNorm1d(Module):

@@ -31,9 +31,8 @@ __all__ = [
 
 CHECKPOINT_FORMAT = 2
 
-# Every conv layer: kernel 3, zero padding 2, so each one grows its input by 2.
+# Every conv layer has kernel 3; a full correlation grows its input by 2.
 _KERNEL = 3
-_PADDING = 2
 
 
 class _ConvCoder(Module):
@@ -41,17 +40,16 @@ class _ConvCoder(Module):
 
     def __init__(self, seq_len: int, channels, rng: np.random.Generator | None):
         super().__init__()
-        self.seq_len = seq_len
-        grown = 2 * seq_len + 2 * (2 * _PADDING - _KERNEL + 1)
-        self.conv1 = Conv1d(1, channels[0], rng, _KERNEL, _PADDING)
+        grown = 2 * seq_len + 2 * (_KERNEL - 1)
+        self.conv1 = Conv1d(1, channels[0], rng, _KERNEL)
         self.bn1 = BatchNorm1d(channels[0])
-        self.conv2 = Conv1d(channels[0], channels[1], rng, _KERNEL, _PADDING)
+        self.conv2 = Conv1d(channels[0], channels[1], rng, _KERNEL)
         self.bn2 = BatchNorm1d(channels[1])
         self.fc = Linear(channels[1] * grown, 2 * seq_len, rng)
 
     def __call__(self, z: Tensor) -> Tensor:
         batch = z.shape[0]
-        x = ad.reshape(ad.complex_to_interleaved(z), (batch, 1, 2 * self.seq_len))
+        x = ad.reshape(ad.complex_to_interleaved(z), (batch, 1, -1))
         x = ad.selu(self.bn1(self.conv1(x)))
         x = ad.selu(self.bn2(self.conv2(x)))
         return ad.interleaved_to_complex(self.fc(ad.reshape(x, (batch, -1))))

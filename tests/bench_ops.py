@@ -61,7 +61,7 @@ from paprlab.optim import AdamW
 CFG = default_config()
 
 # (in channels, out channels, input length) of the encoder's and decoder's
-# convs; kernel 3 and padding 2 make each output 2 samples longer
+# convs; kernel 3 makes each full correlation 2 samples longer
 STOCK_CONVS = [(1, 13, 576), (13, 11, 578), (1, 11, 144), (11, 13, 146)]
 STAGE_IDS = [f"{c}to{o}x{n}" for c, o, n in STOCK_CONVS]
 OPS = ["conv1d", "batch_norm", "selu"]
@@ -104,8 +104,8 @@ def _op_call(op, stage, batch, taped, dtype):
         # the first conv of each coder takes data, which needs no gradient
         leaves = (Tensor(x, requires_grad=taped and channels > 1),
                   Tensor(w, requires_grad=taped), Tensor(b, requires_grad=taped))
-        return lambda: ad.conv1d(*leaves, padding=2), leaves
-    x = Tensor(ad.conv1d(Tensor(x), Tensor(w), Tensor(b), padding=2).data, requires_grad=taped)
+        return lambda: ad.conv1d(*leaves), leaves
+    x = Tensor(ad.conv1d(Tensor(x), Tensor(w), Tensor(b)).data, requires_grad=taped)
     if op == "selu":
         return lambda: ad.selu(x), (x,)
     gamma = Tensor(np.ones(out_ch, dtype), requires_grad=taped)

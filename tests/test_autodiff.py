@@ -303,7 +303,7 @@ class TestConv1d:
         x = RNG.standard_normal((2, 1, 10))
         w = np.array([[[0.0, 1.0, 0.0]]])
         b = np.zeros(1)
-        out = ad.conv1d(Tensor(x), Tensor(w), Tensor(b), padding=2).data
+        out = ad.conv1d(Tensor(x), Tensor(w), Tensor(b)).data
         assert out.shape == (2, 1, 12)
         np.testing.assert_allclose(out[:, :, 1:11], x)
         np.testing.assert_allclose(out[:, :, 0], 0.0)
@@ -313,15 +313,15 @@ class TestConv1d:
         x = RNG.standard_normal((2, 3, 8))
         w = np.zeros((4, 3, 3))
         b = np.array([1.0, -2.0, 0.5, 3.0])
-        out = ad.conv1d(Tensor(x), Tensor(w), Tensor(b), padding=2).data
+        out = ad.conv1d(Tensor(x), Tensor(w), Tensor(b)).data
         np.testing.assert_allclose(out, np.broadcast_to(b[:, None], (2, 4, 10)))
 
     def test_matches_nested_loop_oracle(self):
         x = RNG.standard_normal((2, 2, 7))
         w = RNG.standard_normal((3, 2, 3))
         b = RNG.standard_normal(3)
-        padding = 2
-        got = ad.conv1d(Tensor(x), Tensor(w), Tensor(b), padding=padding).data
+        padding = 2                                   # K - 1: a full correlation
+        got = ad.conv1d(Tensor(x), Tensor(w), Tensor(b)).data
 
         xp = np.pad(x, ((0, 0), (0, 0), (padding, padding)))
         out_len = 7 + 2 * padding - 3 + 1
@@ -340,12 +340,12 @@ class TestConv1d:
         x = RNG.standard_normal((2, 2, 7))
         w = RNG.standard_normal((3, 2, 3))
         b = RNG.standard_normal(3)
-        check_grad(lambda *args: scalarize(ad.conv1d(*args, padding=2)), [x, w, b])
+        check_grad(lambda *args: scalarize(ad.conv1d(*args)), [x, w, b])
 
     def test_channel_mismatch(self):
         with pytest.raises(ValueError, match="channel"):
             ad.conv1d(Tensor(np.zeros((1, 2, 5))), Tensor(np.zeros((3, 4, 3))),
-                      Tensor(np.zeros(3)), padding=2)
+                      Tensor(np.zeros(3)))
 
 
 class TestBatchNorm:
@@ -605,6 +605,6 @@ class TestLayerModules:
 
     def test_conv_layer_params_registered(self):
         rng = np.random.default_rng(0)
-        layer = Conv1d(2, 3, rng, kernel_size=3, padding=2)
+        layer = Conv1d(2, 3, rng, kernel_size=3)
         names = [n for n, _ in layer.named_parameters()]
         assert names == ["w", "b"]

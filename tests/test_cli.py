@@ -80,6 +80,16 @@ class TestCli:
         assert main(["--config", str(cfg), "--set", "train.lr=abc", "eval-ccdf"]) == 2
         assert "config error: train: lr must be a number" in capsys.readouterr().err
 
+    def test_set_non_string_output_dir_is_config_error(self, tmp_path, capsys, monkeypatch):
+        """output_dir=5 reads as an int: rejected before any evaluation runs,
+        so nothing is written."""
+        cfg = write_tiny_config(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        before = sorted(tmp_path.rglob("*"))
+        assert main(["--config", str(cfg), "--set", "output_dir=5", "eval-ber"]) == 2
+        assert "config error: output_dir must be a string, got 5" in capsys.readouterr().err
+        assert sorted(tmp_path.rglob("*")) == before
+
     def test_bad_set_syntax(self, tmp_path, capsys):
         cfg = write_tiny_config(tmp_path)
         assert main(["--config", str(cfg), "--set", "train.epochs", "eval-ccdf"]) == 2
@@ -95,6 +105,7 @@ class TestCli:
         "model.enc_channels=[0,3]", "model.enc_channels=[3]", "model.fc_hidden=[10,20,30]",
         "model.enc_channels=[]", "methods=[none,none]", "methods=[]", "eval.p_snr_db=[6,6]",
         "eval.p_snr_db=[]", "eval.obo_acpr_ibo_db=[]", "train.snr_min_db=20",
+        "methods=none", "output_dir=~",
     ])
     def test_invalid_size_is_config_error(self, tmp_path, capsys, assignment):
         cfg = write_tiny_config(tmp_path)

@@ -107,6 +107,9 @@ class TestValidation:
         with pytest.raises(ConfigError, match=f"unknown config field {path}"):
             config_from_dict({section: {key: 1}})
 
+    def test_default_config_hash_is_pinned(self):
+        assert config_hash(default_config()) == "4bdef5a0f5f308ca"
+
     def test_default_config_has_35_values(self):
         def leaves(value):
             if isinstance(value, dict):
@@ -171,6 +174,11 @@ class TestValidation:
         ("train", "lr", "fast", "number"),
         ("eval", "p_snr_db", [6.0, False], "list of numbers"),
         ("eval", "obo_acpr_ibo_db", 3.0, "list of numbers"),
+        ("", "output_dir", 5, "string"),
+        ("", "output_dir", None, "string"),
+        ("", "methods", "none", "list of strings"),
+        ("", "methods", ["none", 3], "list of strings"),
+        ("hpa", "a0", [1.0, 2.0], "number"),
     ])
     def test_invalid_size_names_section(self, section, key, value, message):
         """An empty section is the config root, whose messages carry no prefix."""

@@ -24,7 +24,7 @@ GRAD_TOL = 1e-12
 
 # (in channels, out channels, input length) of the stock CAE's four convs:
 # encoder 1 -> 13 -> 11 on 2*288 interleaved samples, decoder 1 -> 11 -> 13
-# on 2*72; kernel 3, padding 2, each conv growing the length by 2
+# on 2*72; kernel 3, each full correlation growing the length by 2
 STOCK_CONVS = [(1, 13, 576), (13, 11, 578), (1, 11, 144), (11, 13, 146)]
 
 
@@ -45,29 +45,39 @@ def run(op, arrays, upstream=None, **kwargs):
 
 class TestConv1dOracle:
     @pytest.mark.parametrize("batch", ["1", "2", "block+1"])
-    @pytest.mark.parametrize("padding", [0, 1, 2, 3])
+    @pytest.mark.parametrize("padding", [0, 1, 2, 3, 4])
     @pytest.mark.parametrize("k", [1, 3, 5])
     @pytest.mark.parametrize("channels", [1, 2, 13])
     def test_matches_oracle(self, channels, k, padding, batch):
+        """The oracle at padding K - 1 is conv1d itself.  At another padding
+        p it is conv1d run on x zero-padded by p - (K - 1), or with K - 1 - p
+        outputs cropped from each end (their upstream gradient zero), so the
+        reference's general padding stays checked."""
         length, out_ch = 40, 4
-        out_len = length + 2 * padding - k + 1
-        per_block = ad._COL_BLOCK // (channels * k * out_len)
+        pad, crop = max(padding - k + 1, 0), max(k - 1 - padding, 0)
+        full_len = length + 2 * pad + k - 1
+        per_block = ad._COL_BLOCK // (channels * k * full_len)
         n = {"1": 1, "2": 2, "block+1": per_block + 1}[batch]
         x = RNG.standard_normal((n, channels, length))
         w = RNG.standard_normal((out_ch, channels, k))
         b = RNG.standard_normal(out_ch)
-        g = RNG.standard_normal((n, out_ch, out_len))
-        got, got_grads = run(ad.conv1d, [x, w, b], g, padding=padding)
+        g = RNG.standard_normal((n, out_ch, full_len - 2 * crop))
+        edges = ((0, 0), (0, 0))
+        got, (gx, *got_grads) = run(ad.conv1d, [np.pad(x, edges + ((pad, pad),)), w, b],
+                                    np.pad(g, edges + ((crop, crop),)))
         want, want_grads = run(oracle_conv1d, [x, w, b], g, padding=padding)
-        assert got.shape == want.shape and got.flags.c_contiguous
-        assert normwise(got, want) <= FWD_TOL
+        assert got.shape == (n, out_ch, full_len) and got.flags.c_contiguous
+        assert normwise(got[:, :, crop:full_len - crop], want) <= FWD_TOL
+        got_grads.insert(0, gx[:, :, pad:pad + length])
         for name, gg, gw in zip("xwb", got_grads, want_grads):
             assert normwise(gg, gw) <= GRAD_TOL, name
 
-    def test_kernel_longer_than_padded_input_rejected(self):
-        with pytest.raises(ValueError, match="does not fit"):
-            ad.conv1d(Tensor(np.zeros((1, 1, 2))), Tensor(np.zeros((1, 1, 5))),
-                      Tensor(np.zeros(1)), padding=1)
+    @pytest.mark.parametrize("channels, length, k", [(1, 0, 1), (1, 4, 0), (0, 4, 3)],
+                             ids=["empty_input", "empty_kernel", "no_channels"])
+    def test_shapes_without_columns_rejected(self, channels, length, k):
+        with pytest.raises(ValueError, match="empty input or kernel"):
+            ad.conv1d(Tensor(np.zeros((2, channels, length))), Tensor(np.zeros((1, channels, k))),
+                      Tensor(np.zeros(1)))
 
     def test_input_gradient_skipped_when_not_needed(self):
         """A data input gets no gradient, and the weight and bias gradients
@@ -79,7 +89,7 @@ class TestConv1dOracle:
         for x_needs in (False, True):
             xt = Tensor(x, requires_grad=x_needs)
             wt, bt = ad.parameter(w), ad.parameter(b)
-            ad.mse_complex(ad.conv1d(xt, wt, bt, padding=2), 0.0).backward()
+            ad.mse_complex(ad.conv1d(xt, wt, bt), 0.0).backward()
             assert (xt.grad is not None) == x_needs
             grads[x_needs] = (wt.grad, bt.grad)
         for skipped, computed in zip(grads[False], grads[True]):
@@ -146,7 +156,7 @@ class TestBatchSplitInvariance:
         w, b, gamma, beta = Tensor(w), Tensor(b), Tensor(gamma), Tensor(beta)
 
         def stages(xs):
-            conv = ad.conv1d(Tensor(xs), w, b, padding=2)
+            conv = ad.conv1d(Tensor(xs), w, b)
             norm = ad.batch_norm(conv, gamma, beta, mean, var, training=False)
             return conv.data, norm.data, ad.selu(norm).data
 

@@ -421,22 +421,34 @@ def test_only_the_ber_receiver_estimates_a_bussgang_gain(tmp_path, monkeypatch):
 def test_results_do_not_depend_on_the_batch_size(tmp_path):
     """Symbol k has the same bits and noise at every eval.batch: the BER and
     CCDF rows are byte-identical, the PSD-based rows agree to rounding, and
-    every command reports its configured symbol count."""
+    every command reports its configured symbol count.  An untrained CAE
+    joins every command but BER, whose receiver still estimates its gain per
+    batch.  No batch size leaves a last batch of one row, whose product BLAS
+    may round differently from the same row inside a larger batch."""
+    neural = ["none", "cf", "slm", "cae"]
+    untrained = tiny_config(tmp_path, methods=neural, train={"epochs": 0, "stage1_epochs": 0})
+    checkpoints = {"cae": run_train(untrained, arch="cae")[0]}
     digests, spectra = {}, {}
     for batch in (100, 150, 200, 1000):
-        cfg = tiny_config(tmp_path, eval={"batch": batch},
-                          output_dir=str(tmp_path / str(batch)))
+        out = str(tmp_path / str(batch))
+        cfg = tiny_config(tmp_path, eval={"batch": batch}, output_dir=out)
+        with_cae = tiny_config(tmp_path, eval={"batch": batch}, output_dir=out, methods=neural)
         ev = cfg.eval
+        assert all(n % batch != 1 for n in (ev.ber_symbols, ev.ccdf_symbols, ev.psd_symbols,
+                                            ev.table_symbols))
         counts = {"ber.csv": ("symbols_per_point", ev.ber_symbols),
                   "ccdf.csv": ("symbols", ev.ccdf_symbols),
                   "psd.csv": ("symbols", ev.psd_symbols),
                   "table.csv": ("symbols", ev.table_symbols)}
-        for path in (eval_ber(cfg), eval_ccdf(cfg), eval_psd(cfg), eval_table(cfg)[1],
-                     eval_obo_vs_acpr(cfg)):
+        for path in (eval_ber(cfg), eval_ccdf(with_cae, checkpoints),
+                     eval_psd(with_cae, checkpoints), eval_table(with_cae, checkpoints)[1],
+                     eval_obo_vs_acpr(with_cae, checkpoints)):
             meta, columns, rows = read_curve(path)
             if path.name in counts:
                 key, count = counts[path.name]
                 assert meta[key] == str(count), (batch, path.name)
+            if path.name != "ber.csv":
+                assert "cae" in {r[columns.index("method")] for r in rows}, path.name
             if path.name in ("ber.csv", "ccdf.csv"):
                 digests.setdefault(path.name, set()).add(_data_digest(path))
                 continue

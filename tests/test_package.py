@@ -7,8 +7,9 @@ import sys
 from pathlib import Path
 from types import SimpleNamespace
 
+import pytest
+
 import paprlab
-import paprlab.autodiff
 import paprlab.config
 from paprlab.cli import build_parser
 
@@ -26,10 +27,7 @@ def _unused_imports(tree: ast.Module) -> list[str]:
                 name = alias.asname or alias.name.split(".")[0]
                 imported[name] = node.lineno
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    for node in tree.body:
-        if (isinstance(node, ast.Assign)
-                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
-            used.update(ast.literal_eval(node.value))
+    used.update(_exports(tree))
     return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
 
 
@@ -40,16 +38,24 @@ def test_no_unused_imports():
     assert not unused, unused
 
 
-def _autodiff_names_used(tree: ast.Module) -> set[str]:
-    """Names a module takes from paprlab.autodiff: imported from it by name,
-    or read as attributes of an alias of the module."""
+def _exports(tree: ast.Module) -> list[str]:
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            return ast.literal_eval(node.value)
+    return []
+
+
+def _names_read(tree: ast.Module, module: str) -> set[str]:
+    """Names a module takes from its sibling paprlab.<module>: imported from it
+    by name, or read as attributes of an alias of the module."""
     names, aliases = set(), set()
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.level == 1:
             for alias in node.names:
-                if node.module == "autodiff":
+                if node.module == module:
                     names.add(alias.name)
-                elif node.module is None and alias.name == "autodiff":
+                elif node.module is None and alias.name == module:
                     aliases.add(alias.asname or alias.name)
     names.update(node.attr for node in ast.walk(tree)
                  if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
@@ -57,18 +63,84 @@ def _autodiff_names_used(tree: ast.Module) -> set[str]:
     return names
 
 
-def test_every_autodiff_export_is_used_by_the_package():
-    """An op of the engine that no other module calls is an op only tests run."""
-    used = set().union(*(_autodiff_names_used(ast.parse(path.read_text(encoding="utf-8")))
-                         for path in SOURCES if path.name != "autodiff.py"))
-    unused = sorted(set(paprlab.autodiff.__all__) - used)
-    assert not unused, unused
+def _identifiers(tree: ast.Module) -> set[str]:
+    """Every name, attribute and string constant in a tree.  The benchmark
+    reads paprlab through attribute chains off the modules it imports, and
+    patches names given as strings."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found.add(node.value)
+    return found
+
+
+def _loads(tree: ast.Module) -> set[str]:
+    """Names a module reads, leaving out a name it only sets attributes on,
+    as in QAM4_LABELS.flags.writeable = False, which is part of defining it."""
+    set_on = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            while isinstance(node, ast.Attribute):
+                node = node.value
+            set_on.add(id(node))
+    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)
+            and isinstance(node.ctx, ast.Load) and id(node) not in set_on}
+
+
+def _unread_exports(modules: dict[str, ast.Module], bench: list[ast.Module]) -> list[str]:
+    """module.name for each name in a module's __all__ that no pipeline code
+    reads: not its own module beyond the definition, no other module and not
+    the benchmark."""
+    read_by_bench = set().union(*map(_identifiers, bench))
+    unread = []
+    for module, tree in modules.items():
+        read = read_by_bench | _loads(tree)
+        read.update(*(_names_read(other, module) for name, other in modules.items()
+                      if name != module))
+        unread += [f"{module}.{name}" for name in _exports(tree) if name not in read]
+    return unread
+
+
+# Exports that only tests read, each a reference a test checks the pipeline against.
+TEST_REFERENCES = {
+    "optim.adamw_update": "the AdamW oracle that optim.AdamW's blocked update must match",
+    "frontend.rapp_gain": "the RAPP gain oracle the differentiable amplifier is checked against",
+    "ofdm.QAM4_LABELS": "the label table test_ofdm checks ml_detect and Gray adjacency against",
+}
+
+
+def test_every_export_is_read_by_the_pipeline():
+    """A name a module exports that only tests read is code only tests run,
+    unless it is a listed test reference."""
+    root = Path(__file__).resolve().parents[1]
+    modules = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
+    bench = [ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted((root / "perfbench").glob("*.py"))]
+    assert bench
+    assert sorted(_unread_exports(modules, bench)) == sorted(TEST_REFERENCES)
+
+
+def test_export_reads_are_found_every_way():
+    modules = {
+        "a": ast.parse("__all__ = ['own', 'user', 'named', 'aliased', 'bench', 'patched', 'dead']\n"
+                       "def own(): pass\ndef user(): return own()\n"
+                       "named = aliased = bench = patched = dead = 1\n"
+                       "dead.flags.writeable = False\n"),
+        "b": ast.parse("from . import a as m\nfrom .a import named\nprint(m.aliased, named)\n"),
+    }
+    bench = [ast.parse("pkg.a.bench\npatch(pkg.a, 'patched')\n")]
+    assert _unread_exports(modules, bench) == ["a.user", "a.dead"]
+    assert _unread_exports(modules, []) == ["a.user", "a.bench", "a.patched", "a.dead"]
 
 
 def test_autodiff_use_is_found_both_ways():
     tree = ast.parse("from . import autodiff as ad\nfrom .autodiff import Tensor\n"
                      "import numpy as np\nad.selu(ad.linear)\nnp.reshape\n")
-    assert _autodiff_names_used(tree) == {"Tensor", "selu", "linear"}
+    assert _names_read(tree, "autodiff") == {"Tensor", "selu", "linear"}
 
 
 def test_package_init_imports_nothing():
@@ -121,14 +193,35 @@ def test_benchmark_configs_build(tmp_path, monkeypatch):
             workloads.make_config(pkg, wl, 1, tmp_path, overrides)
 
 
-def test_bench_ops_collects():
+def _bench_ops(*args: str) -> subprocess.CompletedProcess:
+    root = Path(__file__).resolve().parents[1]
+    return subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                           *args], cwd=root, capture_output=True, text=True, timeout=300)
+
+
+@pytest.fixture(scope="module")
+def bench_ops_collected() -> subprocess.CompletedProcess:
+    return _bench_ops("--collect-only", "tests/bench_ops.py")
+
+
+def test_bench_ops_collects(bench_ops_collected):
     """The per-op benchmarks are outside the default run.  Collecting them
     imports every name they use, so deleting one fails here."""
-    root = Path(__file__).resolve().parents[1]
-    proc = subprocess.run([sys.executable, "-m", "pytest", "--collect-only", "-q",
-                           "-p", "no:cacheprovider", "tests/bench_ops.py"],
-                          cwd=root, capture_output=True, text=True, timeout=300)
+    assert bench_ops_collected.returncode == 0, (bench_ops_collected.stdout
+                                                 + bench_ops_collected.stderr)
+
+
+def test_bench_ops_run_once(bench_ops_collected):
+    """The first case of every per-op benchmark runs once, untimed, so a
+    call the benchmarks make that no longer fits the code fails here."""
+    first = {}
+    for line in bench_ops_collected.stdout.splitlines():
+        if line.startswith("tests/bench_ops.py::"):
+            first.setdefault(line.partition("[")[0], line)
+    assert first, bench_ops_collected.stdout
+    proc = _bench_ops("--benchmark-disable", *first.values())
     assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert f"{len(first)} passed" in proc.stdout, proc.stdout
 
 
 _RUN_WORKLOADS = """
