@@ -22,7 +22,9 @@ when a parent requires a gradient.
 The layout ops, reshape and the complex <-> interleaved re/im bridges (numpy's
 own complex layout), are views of their input, gradient included; no op
 writes into its input.  Arithmetic with a number runs add_constant or
-complex_scale.
+complex_scale.  A conv stage of the CAE (convolution, batch norm, SELU) is
+one op, conv_stage, which runs cache-sized blocks of samples through all
+three and has one gradient rule.
 """
 
 from __future__ import annotations
@@ -39,9 +41,8 @@ __all__ = [
     "Tensor",
     "parameter",
     "linear",
-    "conv1d",
-    "batch_norm",
     "selu",
+    "conv_stage",
     "reshape",
     "interleaved_to_complex",
     "complex_to_interleaved",
@@ -65,9 +66,9 @@ _LOG10 = math.log(10.0)
 BN_MOMENTUM = 0.1
 BN_EPS = 1e-5
 
-# Elements in conv1d's column buffer (2 MiB at float64, 1 MiB at float32).
-# Blocks of samples are lowered into it one at a time, so no full-batch column
-# copy exists.
+# Elements in conv_stage's column buffer (2 MiB at float64, 1 MiB at
+# float32).  Blocks of samples are lowered into it one at a time, so no
+# full-batch column copy exists.
 _COL_BLOCK = 1 << 18
 
 _KEPT_DTYPES = (np.float32, np.complex64)
@@ -239,26 +240,41 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return _make(x.data @ w.data + b.data, (x, w, b), backward)
 
 
+def _selu_into(y: np.ndarray, out: np.ndarray, tmp: np.ndarray):
+    """out = SCALE * (max(y, 0) + ALPHA * (exp(min(y, 0)) - 1)), with tmp
+    as scratch; out may be y."""
+    np.minimum(y, 0.0, out=tmp)
+    np.exp(tmp, out=tmp)
+    tmp -= 1.0
+    tmp *= SELU_ALPHA
+    np.maximum(y, 0.0, out=out)
+    out += tmp
+    out *= SELU_SCALE
+
+
+def _selu_slope(y: np.ndarray) -> np.ndarray:
+    """SELU's slope SCALE * (ALPHA * exp(y) if y <= 0 else 1).  exp is
+    recomputed rather than kept on the tape, and its 1 is taken off and
+    added back so the slope rounds as it always has; the slope is finite and
+    positive, so the two masks pick it or 1 without a branch per sample."""
+    local = np.minimum(y, 0.0)
+    np.exp(local, out=local)
+    local -= 1.0
+    local += 1.0
+    local *= SELU_ALPHA
+    local *= y <= 0
+    local += y > 0
+    local *= SELU_SCALE
+    return local
+
+
 def selu(x: Tensor) -> Tensor:
-    """SCALE * (max(x, 0) + ALPHA * (exp(min(x, 0)) - 1)), built in place."""
-    data = np.minimum(x.data, 0.0)
-    np.exp(data, out=data)
-    data -= 1.0
-    data *= SELU_ALPHA
-    data += np.maximum(x.data, 0.0)
-    data *= SELU_SCALE
+    """SCALE * (max(x, 0) + ALPHA * (exp(min(x, 0)) - 1))."""
+    data = np.empty_like(x.data)
+    _selu_into(x.data, data, np.empty_like(data))
 
     def backward(g):
-        # slope SCALE * (ALPHA * (expm + 1) if x <= 0 else 1); expm is
-        # recomputed rather than kept on the tape, and the 1 is taken off
-        # and added back so the slope rounds as it always has
-        local = np.minimum(x.data, 0.0)
-        np.exp(local, out=local)
-        local -= 1.0
-        local += 1.0
-        local *= SELU_ALPHA
-        np.putmask(local, x.data > 0, 1.0)
-        local *= SELU_SCALE
+        local = _selu_slope(x.data)
         local *= g
         _accumulate(x, local)
     return _make(data, (x,), backward)
@@ -275,113 +291,118 @@ def _fill_columns(col: np.ndarray, x: np.ndarray) -> np.ndarray:
     return col[:n].reshape(n, -1, out_len)
 
 
-def conv1d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Full 1-D cross-correlation with stride 1.
+def conv_stage(x: Tensor, w: Tensor, b: Tensor, gamma: Tensor, beta: Tensor,
+               running_mean: np.ndarray, running_var: np.ndarray,
+               training: bool) -> Tensor:
+    """Convolution, batch norm and SELU of one CAE stage, as one op.
 
-    x: (B, C, L); w: (O, C, K); b: (O,).  x is zero-padded by K - 1 on each
-    side, so every tap covers all of x and the output has length L + K - 1.
-    Blocks of samples are lowered into one column buffer of at most
-    _COL_BLOCK elements, and each sample runs its own (O, C*K) @ (C*K, L+K-1)
-    GEMM, so a sample's output does not depend on the batch it came in.  The
-    backward lowers into the same buffer again, so a taped call keeps it
-    alive until then.
+    x: (B, C, L); w: (O, C, K); b, gamma, beta: (O,).  The conv is the full
+    cross-correlation: x is zero-padded by K - 1 on each side, so the output
+    is (B, O, L + K - 1), in the dtype of x and w.  Each sample runs its own
+    (O, C*K) @ (C*K, L+K-1) GEMM on columns lowered into one reused buffer.
+    Eval mode normalises with the running statistics, so all three run on one
+    cache-sized block of samples at a time and a sample's output does not
+    depend on its batch.  Training mode takes the batch statistics over the
+    whole conv output and updates the running buffers at rate BN_MOMENTUM.
+    Every elementwise pass keeps the order and operands of the separate
+    conv, batch norm and SELU ops, so the bits are theirs.  A taped call
+    keeps the column buffer, the normalised conv output and the SELU input
+    until backward; a tape-free eval call keeps nothing.
     """
     if x.data.ndim != 3 or w.data.ndim != 3:
-        raise ValueError("conv1d expects x of shape (B, C, L) and w of shape (O, C, K)")
+        raise ValueError("conv_stage expects x of shape (B, C, L) and w of shape (O, C, K)")
     batch, channels, length = x.data.shape
     out_ch, w_channels, k = w.data.shape
     if channels != w_channels:
         raise ValueError(f"channel mismatch: input has {channels}, weights expect {w_channels}")
     if channels * k * length == 0:
         raise ValueError(f"empty input or kernel: x {x.data.shape}, w {w.data.shape}")
+    if training and batch < 2:
+        raise ValueError("batch normalization needs a batch of at least 2 in training mode")
     out_len = length + k - 1
     per_block = max(1, min(batch, _COL_BLOCK // (channels * k * out_len)))
+    # a forward block's columns, output and SELU scratch stay within
+    # _COL_BLOCK elements, so its passes run in cache; the backward's blocks
+    # fill the column buffer, which fixes how gw rounds
+    step = max(1, min(per_block, _COL_BLOCK // ((channels * k + 2 * out_ch) * out_len)))
+    blocks, bwd_blocks = ([slice(lo, min(lo + size, batch)) for lo in range(0, batch, size)]
+                          for size in (step, per_block))
     wmat = w.data.reshape(out_ch, channels * k)
     dtype = np.result_type(x.data, w.data)
+    shape = (batch, out_ch, out_len)
     col = np.zeros((per_block, channels, k, out_len), dtype)
-    data = np.empty((batch, out_ch, out_len), dtype)
-    for lo in range(0, batch, per_block):
-        hi = min(lo + per_block, batch)
-        np.matmul(wmat, _fill_columns(col, x.data[lo:hi]), out=data[lo:hi])
-        data[lo:hi] += b.data[:, None]
-    need_gx = x.requires_grad
-
-    def backward(g):                                  # g: (B, O, L+K-1)
-        _accumulate(b, g.sum(axis=(0, 2)))
-        gw = np.zeros((out_ch, channels * k), dtype)
-        if need_gx:
-            gcol = np.empty_like(col)
-            gx = np.zeros(x.data.shape, dtype)
-        for lo in range(0, batch, per_block):
-            hi = min(lo + per_block, batch)
-            xcol = _fill_columns(col, x.data[lo:hi])
-            gw += np.matmul(g[lo:hi], xcol.transpose(0, 2, 1)).sum(axis=0)
-            if need_gx:
-                np.matmul(wmat.T, g[lo:hi], out=gcol[:hi - lo].reshape(xcol.shape))
-                for kk in range(k):                   # tap order fixes gx's rounding
-                    gx[lo:hi] += gcol[:hi - lo, :, kk, k - 1 - kk:out_len - kk]
-        _accumulate(w, gw.reshape(out_ch, channels, k))
-        if need_gx:
-            _accumulate(x, gx)
-    return _make(data, (x, w, b), backward)
-
-
-def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
-               running_mean: np.ndarray, running_var: np.ndarray,
-               training: bool) -> Tensor:
-    """Per-channel batch normalization for x of shape (B, C, L).
-
-    Training mode standardizes with batch statistics and updates the running
-    buffers in place at rate BN_MOMENTUM; eval mode uses the running
-    estimates.
-    """
-    if x.data.ndim != 3:
-        raise ValueError("batch_norm expects input of shape (B, C, L)")
+    tmp = np.empty((step, out_ch, out_len), dtype)
+    taped = any(t.requires_grad for t in (x, w, b, gamma, beta))
+    data = np.empty(shape, dtype)
+    # xhat: the conv output, normalised in place; y: the SELU input
+    xhat = np.empty(shape, dtype) if taped or training else data
+    y = np.empty(shape, dtype) if taped else data
     axes = (0, 2)
-    n = x.data.shape[0] * x.data.shape[2]
-    # backward needs xhat; without a tape the affine step overwrites it
-    taped = any(t.requires_grad for t in (x, gamma, beta))
-    data = np.empty(x.data.shape, x.data.dtype) if taped else None
+    n = batch * out_len
+
+    def convolve(s):
+        np.matmul(wmat, _fill_columns(col, x.data[s]), out=xhat[s])
+        xhat[s] += b.data[:, None]
+
     if training:
-        if x.data.shape[0] < 2:
-            raise ValueError("batch normalization needs a batch of at least 2 in training mode")
-        mean = x.data.mean(axis=axes)
-        xhat = x.data - mean[:, None]
+        for s in blocks:
+            convolve(s)
+        mean = xhat.mean(axis=axes)
+        xhat -= mean[:, None]
         # the reduction np.var runs: the sum of squared deviations over n
-        var = np.square(xhat, out=data).sum(axis=axes) / n
+        var = np.square(xhat, out=y).sum(axis=axes) / n
         running_mean *= 1.0 - BN_MOMENTUM
         running_mean += BN_MOMENTUM * mean
         running_var *= 1.0 - BN_MOMENTUM
         running_var += BN_MOMENTUM * var
     else:
-        xhat = x.data - running_mean[:, None]
         var = running_var
     inv_std = 1.0 / np.sqrt(var + BN_EPS)
-    xhat *= inv_std[:, None]
-    if taped:
-        np.multiply(gamma.data[:, None], xhat, out=data)
-    else:
-        data = xhat
-        data *= gamma.data[:, None]
-    data += beta.data[:, None]
+    for s in blocks:
+        if not training:
+            convolve(s)
+            xhat[s] -= running_mean[:, None]
+        xhat[s] *= inv_std[:, None]
+        np.multiply(xhat[s], gamma.data[:, None], out=y[s])
+        y[s] += beta.data[:, None]
+        _selu_into(y[s], data[s], tmp[:s.stop - s.start])
+    need_gx = x.requires_grad
 
-    def backward(g):
-        g_sum = g.sum(axis=axes)
-        gx = g * xhat
-        g_xhat_sum = gx.sum(axis=axes)
+    def backward(g):                                  # g: (B, O, L+K-1)
+        # SELU, then batch norm, then the conv
+        gy = _selu_slope(y)
+        gy *= g
+        g_sum = gy.sum(axis=axes)
+        gc = gy * xhat
+        g_xhat_sum = gc.sum(axis=axes)
         _accumulate(beta, g_sum)
         _accumulate(gamma, g_xhat_sum)
         scale = (gamma.data * inv_std)[:, None]
         if training:
-            # (gamma * inv_std) * (g - sum(g)/n - xhat * sum(g * xhat)/n)
-            np.multiply(xhat, (g_xhat_sum / n)[:, None], out=gx)
-            np.subtract(g, gx, out=gx)
-            gx -= (g_sum / n)[:, None]
-            gx *= scale
+            # (gamma * inv_std) * (gy - sum(gy)/n - xhat * sum(gy * xhat)/n)
+            np.multiply(xhat, (g_xhat_sum / n)[:, None], out=gc)
+            np.subtract(gy, gc, out=gc)
+            gc -= (g_sum / n)[:, None]
+            gc *= scale
         else:
-            np.multiply(g, scale, out=gx)
-        _accumulate(x, gx)
-    return _make(data, (x, gamma, beta), backward)
+            np.multiply(gy, scale, out=gc)
+        del gy
+        _accumulate(b, gc.sum(axis=axes))
+        gw = np.zeros((out_ch, channels * k), dtype)
+        if need_gx:
+            gcol = np.empty_like(col)
+            gx = np.zeros(x.data.shape, dtype)
+        for s in bwd_blocks:
+            xcol = _fill_columns(col, x.data[s])
+            gw += np.matmul(gc[s], xcol.transpose(0, 2, 1)).sum(axis=0)
+            if need_gx:
+                np.matmul(wmat.T, gc[s], out=gcol[:s.stop - s.start].reshape(xcol.shape))
+                for kk in range(k):                   # tap order fixes gx's rounding
+                    gx[s] += gcol[:s.stop - s.start, :, kk, k - 1 - kk:out_len - kk]
+        _accumulate(w, gw.reshape(out_ch, channels, k))
+        if need_gx:
+            _accumulate(x, gx)
+    return _make(data, (x, w, b, gamma, beta), backward)
 
 
 # -- layout views ----------------------------------------------------------------

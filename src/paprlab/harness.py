@@ -172,17 +172,18 @@ class _MethodBank:
                 self.models[method] = model
         self.slm_bank = slm_phase_bank(config.system.n_subcarriers, config.slm)
 
-    def transmit(self, method: str, blocks: np.ndarray):
-        """Blocks -> waveform batch (plus SLM indices), each waveform
-        band-limited and at unit mean power."""
+    def transmit(self, method: str, blocks: np.ndarray, wave: np.ndarray):
+        """Blocks and their plain OFDM waveforms -> waveform batch (plus SLM
+        indices), each waveform band-limited and at unit mean power.  No
+        method writes into wave, so every method of a batch shares it."""
         ell = self.config.system.oversampling
         if method == "none":
-            return ofdm_modulate(blocks, ell), None
+            return wave, None
         if method == "cf":
-            return clip_filter(ofdm_modulate(blocks, ell), self.config.cf, ell), None
+            return clip_filter(wave, self.config.cf, ell), None
         if method == "slm":
             return slm_select_batch(blocks, self.config.slm, ell)
-        return chain.transmit(self.models[method], Tensor(ofdm_modulate(blocks, ell))).data, None
+        return chain.transmit(self.models[method], Tensor(wave)).data, None
 
     def receive_bits(self, method: str, symbols: np.ndarray, aux) -> np.ndarray:
         if method in NEURAL_METHODS:
@@ -205,7 +206,8 @@ def _batch_stream(config: ExperimentConfig, bank: _MethodBank, symbols: int):
         rows = min(config.eval.batch, symbols - lo)
         bits = data_rng.integers(0, 2, size=(rows, 2 * n), dtype=np.int64)
         blocks = qam4_map(bits)
-        yield bits, {method: bank.transmit(method, blocks) for method in config.methods}
+        wave = ofdm_modulate(blocks, config.system.oversampling)
+        yield bits, {method: bank.transmit(method, blocks, wave) for method in config.methods}
 
 
 def _wilson(errors: int, trials: int) -> tuple[float, float]:

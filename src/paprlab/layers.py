@@ -126,17 +126,19 @@ class Linear(Module):
 
 
 class Conv1d(Module):
+    """A conv stage's kernel and bias, which :func:`autodiff.conv_stage` takes."""
+
     def __init__(self, in_channels: int, out_channels: int, rng: np.random.Generator | None,
                  kernel_size: int):
         super().__init__()
         self.w = _weight(rng, (out_channels, in_channels, kernel_size), in_channels * kernel_size)
         self.b = ad.parameter(np.zeros(out_channels, dtype=np.float32))
 
-    def __call__(self, x: Tensor) -> Tensor:
-        return ad.conv1d(x, self.w, self.b)
-
 
 class BatchNorm1d(Module):
+    """A conv stage's batch-norm scale and shift, and the running statistics
+    that :func:`autodiff.conv_stage` updates in training mode."""
+
     _buffer_names = ("running_mean", "running_var")
 
     def __init__(self, channels: int):
@@ -145,7 +147,3 @@ class BatchNorm1d(Module):
         self.beta = ad.parameter(np.zeros(channels, dtype=np.float32))
         self.running_mean = np.zeros(channels, dtype=np.float32)
         self.running_var = np.ones(channels, dtype=np.float32)
-
-    def __call__(self, x: Tensor) -> Tensor:
-        return ad.batch_norm(x, self.gamma, self.beta, self.running_mean, self.running_var,
-                             training=self.training)

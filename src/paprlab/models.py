@@ -50,8 +50,9 @@ class _ConvCoder(Module):
     def __call__(self, z: Tensor) -> Tensor:
         batch = z.shape[0]
         x = ad.reshape(ad.complex_to_interleaved(z), (batch, 1, -1))
-        x = ad.selu(self.bn1(self.conv1(x)))
-        x = ad.selu(self.bn2(self.conv2(x)))
+        for conv, bn in ((self.conv1, self.bn1), (self.conv2, self.bn2)):
+            x = ad.conv_stage(x, conv.w, conv.b, bn.gamma, bn.beta, bn.running_mean,
+                              bn.running_var, bn.training)
         return ad.interleaved_to_complex(self.fc(ad.reshape(x, (batch, -1))))
 
 

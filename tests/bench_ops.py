@@ -5,16 +5,18 @@
 Run it from the root of the checkout: pyproject.toml puts src/ on the path.
 
 The name does not match test_*.py, so the default test run does not collect
-this file.  Every case runs at float64, the evaluation precision, and at
-float32, the training precision, except linear at FC-AE's shapes, AdamW
-over FC-AE and the whole training steps, which run only at float32: no path
-runs them at float64.
+this file.  A case runs in the precision of the path it times: float32,
+the training precision, at the training batch, and float64, the evaluation
+precision, at the eval batch; linear and AdamW at the stock CAE's shapes run
+at both.
 
-- conv1d, batch_norm and selu, forward call or the node's backward closure,
-  on each of the stock CAE's four conv stages.  Forwards run as the
-  workloads run them: at the training batch (32) on a tape with batch norm in
-  training mode, and at the eval batch (500) tape-free with batch norm in
-  eval mode.  Backwards run on a tape at both batches.
+- conv_stage (conv, batch norm and SELU as one op) on each of the stock
+  CAE's four conv stages, as the workloads run it: at the training batch
+  (32) in float32 on a tape in training mode, forward call and the node's
+  backward closure; and at the eval batch (500) in float64 tape-free in
+  eval mode, forward only.
+- selu, forward and backward, at the training batch in float32 on a tape,
+  on FC-AE's two hidden widths (2500 and 3500).
 - linear, forward and backward, at the training batch, at the stock CAE's
   encoder and decoder FC shapes and at FC-AE's (hidden 2500/3500; its
   encoder and decoder share 2500 -> 3500).  From the second round on, the
@@ -64,7 +66,11 @@ CFG = default_config()
 # convs; kernel 3 makes each full correlation 2 samples longer
 STOCK_CONVS = [(1, 13, 576), (13, 11, 578), (1, 11, 144), (11, 13, 146)]
 STAGE_IDS = [f"{c}to{o}x{n}" for c, o, n in STOCK_CONVS]
-OPS = ["conv1d", "batch_norm", "selu"]
+# (batch, dtype, taped in training mode) of a training step and an eval batch
+STAGE_CASES = pytest.mark.parametrize("batch, dtype, taped",
+                                      [(32, np.float32, True), (500, np.float64, False)],
+                                      ids=["32-train-float32", "500-eval-float64"])
+FC_AE_HIDDEN = [2500, 3500]
 # (in features, out features) of the stock CAE's encoder and decoder FC layers,
 # and of FC-AE's six, whose encoder and decoder share the 2500 -> 3500 layer
 STOCK_FCS = [(6380, 576), (1924, 144)]
@@ -89,30 +95,28 @@ CHAIN_OPS = {
 CHAIN_CASES = pytest.mark.parametrize("batch, dtype, taped",
                                       [(32, np.complex64, True), (500, np.complex128, False)],
                                       ids=["32-float32", "500-float64"])
-DTYPES = pytest.mark.parametrize("dtype", [np.float64, np.float32],
-                                 ids=["float64", "float32"])
 
 
-def _op_call(op, stage, batch, taped, dtype):
-    """A closure running op's forward at one stage, and the op's inputs."""
+def _stage_call(stage, batch, dtype, taped):
+    """A closure running conv_stage at one stock stage, and its leaves: on a
+    tape in training mode, or tape-free in eval mode."""
     channels, out_ch, length = stage
     rng = np.random.default_rng(0)
     x = rng.standard_normal((batch, channels, length)).astype(dtype)
     w = (rng.standard_normal((out_ch, channels, 3)) / np.sqrt(3 * channels)).astype(dtype)
-    b = np.zeros(out_ch, dtype)
-    if op == "conv1d":
-        # the first conv of each coder takes data, which needs no gradient
-        leaves = (Tensor(x, requires_grad=taped and channels > 1),
-                  Tensor(w, requires_grad=taped), Tensor(b, requires_grad=taped))
-        return lambda: ad.conv1d(*leaves), leaves
-    x = Tensor(ad.conv1d(Tensor(x), Tensor(w), Tensor(b)).data, requires_grad=taped)
-    if op == "selu":
-        return lambda: ad.selu(x), (x,)
-    gamma = Tensor(np.ones(out_ch, dtype), requires_grad=taped)
-    beta = Tensor(np.zeros(out_ch, dtype), requires_grad=taped)
+    # the first stage of each coder takes data, which needs no gradient
+    leaves = (Tensor(x, requires_grad=taped and channels > 1),
+              *(Tensor(a.astype(dtype), requires_grad=taped)
+                for a in (w, np.zeros(out_ch), np.ones(out_ch), np.zeros(out_ch))))
     mean, var = np.zeros(out_ch, dtype), np.ones(out_ch, dtype)
-    return (lambda: ad.batch_norm(x, gamma, beta, mean, var, training=taped),
-            (x, gamma, beta))
+    return lambda: ad.conv_stage(*leaves, mean, var, training=taped), leaves
+
+
+def _selu_call(width):
+    """A closure running selu at the training batch on a tape, and its input."""
+    x = Tensor(np.random.default_rng(0).standard_normal((32, width)).astype(np.float32),
+               requires_grad=True)
+    return lambda: ad.selu(x), (x,)
 
 
 def _linear_call(shape, dtype):
@@ -137,21 +141,27 @@ def _bench_backward(benchmark, call, leaves):
     benchmark(backward)
 
 
-@DTYPES
-@pytest.mark.parametrize("batch, taped", [(32, True), (500, False)], ids=["32-train", "500-eval"])
+@STAGE_CASES
 @pytest.mark.parametrize("stage", STOCK_CONVS, ids=STAGE_IDS)
-@pytest.mark.parametrize("op", OPS)
-def test_forward(benchmark, op, stage, batch, taped, dtype):
-    call, _ = _op_call(op, stage, batch, taped, dtype)
+def test_conv_stage_forward(benchmark, stage, batch, dtype, taped):
+    call, _ = _stage_call(stage, batch, dtype, taped)
     benchmark(call)
 
 
-@DTYPES
-@pytest.mark.parametrize("batch", [32, 500])
 @pytest.mark.parametrize("stage", STOCK_CONVS, ids=STAGE_IDS)
-@pytest.mark.parametrize("op", OPS)
-def test_backward(benchmark, op, stage, batch, dtype):
-    _bench_backward(benchmark, *_op_call(op, stage, batch, True, dtype))
+def test_conv_stage_backward(benchmark, stage):
+    _bench_backward(benchmark, *_stage_call(stage, 32, np.float32, True))
+
+
+@pytest.mark.parametrize("width", FC_AE_HIDDEN)
+def test_selu_forward(benchmark, width):
+    call, _ = _selu_call(width)
+    benchmark(call)
+
+
+@pytest.mark.parametrize("width", FC_AE_HIDDEN)
+def test_selu_backward(benchmark, width):
+    _bench_backward(benchmark, *_selu_call(width))
 
 
 @LINEAR_CASES

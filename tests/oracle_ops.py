@@ -3,8 +3,9 @@
 These are the straightforward implementations that ``paprlab.autodiff``
 replaced with faster ones: an im2col ``conv1d`` over a full-batch column
 copy, a ``batch_norm`` with textbook forward and backward, and a masked
-``selu``.  They build tape nodes through the engine's own ``_make`` and
-``_accumulate``, so their gradients can be compared with the engine's.
+``selu``; chained, the three are what ``conv_stage`` fuses.  They build
+tape nodes through the engine's own ``_make`` and ``_accumulate``, so their
+gradients can be compared with the engine's.
 ``slm_select_batch`` is the float64 per-block loop that
 ``paprlab.baselines.slm_select_batch`` replaced with a complex64 screen and
 a float64 recheck.

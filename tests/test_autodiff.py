@@ -11,7 +11,7 @@ from gradcheck import numeric_grad, rel_error
 from paprlab import autodiff as ad
 from paprlab.autodiff import Tensor
 from paprlab.errors import DegenerateInputError
-from paprlab.layers import BatchNorm1d, Conv1d, Linear
+from paprlab.layers import Conv1d, Linear
 from paprlab.metrics import ACPR_FLOOR_DB, acpr, acpr_powers, papr, psd
 from paprlab.ofdm import band_bins, bpf
 from paprlab.optim import AdamW
@@ -298,14 +298,35 @@ class TestActivations:
         check_grad(lambda t: scalarize(ad.selu(t)), [x])
 
 
+def stage(x, w, b, running=None, training=False):
+    """conv_stage on arrays, batch norm at gamma 1 and beta 0; the running
+    statistics default to 0 and 1."""
+    out_ch = w.shape[0]
+    mean, var = (np.zeros(out_ch), np.ones(out_ch)) if running is None else running
+    return ad.conv_stage(Tensor(x), Tensor(w), Tensor(b), Tensor(np.ones(out_ch)),
+                         Tensor(np.zeros(out_ch)), mean, var, training=training).data
+
+
+def norm_selu(y, mean=0.0, var=1.0):
+    """What eval-mode batch norm at gamma 1, beta 0 and SELU make of y."""
+    return ad.selu(Tensor((y - mean) / np.sqrt(var + ad.BN_EPS))).data
+
+
+def identity_kernel(channels):
+    """A K = 1 kernel passing each channel through unchanged."""
+    return np.eye(channels)[:, :, None]
+
+
 class TestConv1d:
+    """conv_stage's correlation, read through eval-mode batch norm and SELU."""
+
     def test_identity_kernel(self):
         x = RNG.standard_normal((2, 1, 10))
         w = np.array([[[0.0, 1.0, 0.0]]])
         b = np.zeros(1)
-        out = ad.conv1d(Tensor(x), Tensor(w), Tensor(b)).data
+        out = stage(x, w, b)
         assert out.shape == (2, 1, 12)
-        np.testing.assert_allclose(out[:, :, 1:11], x)
+        np.testing.assert_allclose(out[:, :, 1:11], norm_selu(x))
         np.testing.assert_allclose(out[:, :, 0], 0.0)
         np.testing.assert_allclose(out[:, :, 11], 0.0)
 
@@ -313,15 +334,15 @@ class TestConv1d:
         x = RNG.standard_normal((2, 3, 8))
         w = np.zeros((4, 3, 3))
         b = np.array([1.0, -2.0, 0.5, 3.0])
-        out = ad.conv1d(Tensor(x), Tensor(w), Tensor(b)).data
-        np.testing.assert_allclose(out, np.broadcast_to(b[:, None], (2, 4, 10)))
+        out = stage(x, w, b)
+        np.testing.assert_allclose(out, np.broadcast_to(norm_selu(b)[:, None], (2, 4, 10)))
 
     def test_matches_nested_loop_oracle(self):
         x = RNG.standard_normal((2, 2, 7))
         w = RNG.standard_normal((3, 2, 3))
         b = RNG.standard_normal(3)
         padding = 2                                   # K - 1: a full correlation
-        got = ad.conv1d(Tensor(x), Tensor(w), Tensor(b)).data
+        got = stage(x, w, b)
 
         xp = np.pad(x, ((0, 0), (0, 0), (padding, padding)))
         out_len = 7 + 2 * padding - 3 + 1
@@ -334,71 +355,86 @@ class TestConv1d:
                         for k in range(3):
                             acc += w[o, c, k] * xp[bi, c, pos + k]
                     want[bi, o, pos] = acc
-        np.testing.assert_allclose(got, want, atol=1e-12)
+        np.testing.assert_allclose(got, norm_selu(want), atol=1e-12)
 
     def test_grads(self):
         x = RNG.standard_normal((2, 2, 7))
         w = RNG.standard_normal((3, 2, 3))
         b = RNG.standard_normal(3)
-        check_grad(lambda *args: scalarize(ad.conv1d(*args)), [x, w, b])
+        gamma, beta = Tensor(RNG.standard_normal(3) + 1.5), Tensor(RNG.standard_normal(3))
+        mean, var = RNG.standard_normal(3), RNG.random(3) + 0.5
+
+        def loss(*args):
+            return scalarize(ad.conv_stage(*args, gamma, beta, mean, var, training=False))
+        check_grad(loss, [x, w, b])
 
     def test_channel_mismatch(self):
         with pytest.raises(ValueError, match="channel"):
-            ad.conv1d(Tensor(np.zeros((1, 2, 5))), Tensor(np.zeros((3, 4, 3))),
-                      Tensor(np.zeros(3)))
+            stage(np.zeros((1, 2, 5)), np.zeros((3, 4, 3)), np.zeros(3))
 
 
 class TestBatchNorm:
+    """conv_stage's batch norm, read through an identity K = 1 kernel and
+    SELU."""
+
     def test_training_standardizes(self):
-        bn = BatchNorm1d(5)
-        x = Tensor(RNG.standard_normal((8, 5, 12)) * 3 + 1)
-        out = bn(x).data  # gamma=1, beta=0 at init
-        np.testing.assert_allclose(out.mean(axis=(0, 2)), 0.0, atol=1e-6)
-        np.testing.assert_allclose(out.var(axis=(0, 2)), 1.0, atol=1e-3)
+        x = RNG.standard_normal((8, 5, 12)) * 3 + 1
+        running = (np.zeros(5), np.ones(5))
+        out = stage(x, identity_kernel(5), np.zeros(5), running=running, training=True)
+        mean, var = x.mean(axis=(0, 2))[:, None], x.var(axis=(0, 2))[:, None]
+        np.testing.assert_allclose(out, norm_selu(x, mean, var), atol=1e-12)
+        np.testing.assert_allclose(running[0], 0.1 * mean[:, 0], atol=1e-15)
+        np.testing.assert_allclose(running[1], 0.9 + 0.1 * var[:, 0], atol=1e-15)
 
     def test_standardized_input_is_fixed_point(self):
-        bn = BatchNorm1d(2)
         raw = RNG.standard_normal((64, 2, 16))
         raw = (raw - raw.mean(axis=(0, 2), keepdims=True)) / raw.std(axis=(0, 2), keepdims=True)
-        out = bn(Tensor(raw)).data
-        np.testing.assert_allclose(out, raw, atol=1e-4)
+        out = stage(raw, identity_kernel(2), np.zeros(2), training=True)
+        np.testing.assert_allclose(out, ad.selu(Tensor(raw)).data, atol=1e-4)
 
     def test_eval_mode_uses_running_stats(self):
-        bn = BatchNorm1d(3)
+        running = (np.zeros(3), np.ones(3))
         for _ in range(200):
-            bn(Tensor(RNG.standard_normal((16, 3, 8)) * 2 + 5))
-        bn.eval()
+            stage(RNG.standard_normal((16, 3, 8)) * 2 + 5, identity_kernel(3), np.zeros(3),
+                  running=running, training=True)
+        np.testing.assert_allclose(running[0], 5.0, atol=0.2)
+        np.testing.assert_allclose(running[1], 4.0, atol=0.5)
         x = RNG.standard_normal((4, 3, 8)) * 2 + 5
-        out = bn(Tensor(x)).data
-        expect = (x - bn.running_mean[:, None]) / np.sqrt(bn.running_var[:, None] + ad.BN_EPS)
-        np.testing.assert_allclose(out, expect, atol=1e-12)
+        out = stage(x, identity_kernel(3), np.zeros(3), running=running)
+        want = norm_selu(x, running[0][:, None], running[1][:, None])
+        np.testing.assert_allclose(out, want, atol=1e-12)
 
     def test_batch_of_one_rejected_in_training(self):
-        bn = BatchNorm1d(2)
         with pytest.raises(ValueError, match="batch"):
-            bn(Tensor(np.zeros((1, 2, 4))))
+            stage(np.zeros((1, 2, 4)), identity_kernel(2), np.zeros(2), training=True)
 
     def test_grads_training_mode(self):
+        """The batch mean takes the conv bias out, so its gradient is zero
+        and left out of the difference check."""
         x = RNG.standard_normal((4, 3, 5))
-        gamma = RNG.standard_normal(3) + 1.5
-        beta = RNG.standard_normal(3)
+        w = RNG.standard_normal((2, 3, 3))
+        b = ad.parameter(RNG.standard_normal(2))
+        gamma = RNG.standard_normal(2) + 1.5
+        beta = RNG.standard_normal(2)
 
-        def loss(xt, gt, bt):
-            rm = np.zeros(3)
-            rv = np.ones(3)
-            return scalarize(ad.batch_norm(xt, gt, bt, rm, rv, training=True))
-        check_grad(loss, [x, gamma, beta])
+        def loss(xt, wt, gt, bt):
+            return scalarize(ad.conv_stage(xt, wt, b, gt, bt, np.zeros(2), np.ones(2),
+                                           training=True))
+        check_grad(loss, [x, w, gamma, beta])
+        np.testing.assert_allclose(b.grad, 0.0, atol=1e-12)
 
     def test_grads_eval_mode(self):
         x = RNG.standard_normal((4, 3, 5))
-        gamma = RNG.standard_normal(3) + 1.5
-        beta = RNG.standard_normal(3)
-        rm = RNG.standard_normal(3)
-        rv = np.abs(RNG.standard_normal(3)) + 0.5
+        w = RNG.standard_normal((2, 3, 3))
+        b = RNG.standard_normal(2)
+        gamma = RNG.standard_normal(2) + 1.5
+        beta = RNG.standard_normal(2)
+        rm = RNG.standard_normal(2)
+        rv = np.abs(RNG.standard_normal(2)) + 0.5
 
-        def loss(xt, gt, bt):
-            return scalarize(ad.batch_norm(xt, gt, bt, rm.copy(), rv.copy(), training=False))
-        check_grad(loss, [x, gamma, beta])
+        def loss(*args):
+            return scalarize(ad.conv_stage(*args, rm.copy(), rv.copy(), training=False))
+        check_grad(loss, [x, w, b, gamma, beta])
 
 
 class TestComplexBridging:

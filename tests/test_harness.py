@@ -382,9 +382,9 @@ def test_each_batch_is_transmitted_once(tmp_path, monkeypatch, command, symbols_
     counts = Counter()
     transmit = harness._MethodBank.transmit
 
-    def counting(bank, method, blocks):
+    def counting(bank, method, blocks, wave):
         counts[method] += len(blocks)
-        return transmit(bank, method, blocks)
+        return transmit(bank, method, blocks, wave)
 
     monkeypatch.setattr(harness._MethodBank, "transmit", counting)
     grids = [[8.0], [2.0, 5.0, 8.0]] if grid_key else [None]
@@ -511,18 +511,22 @@ def test_bank_models_are_frozen_float64(tmp_path):
 
 
 def test_every_method_feeds_the_amplifier_at_the_back_off(tmp_path):
-    """Each waveform of every method reaches the PA at a0^2 * 10^(-IBO/10)."""
+    """Each waveform of every method reaches the PA at a0^2 * 10^(-IBO/10),
+    and no method writes into the plain waveforms all of them share."""
     cfg = tiny_config(tmp_path, methods=["none", "cf", "slm", "cae", "fc_ae"],
                       hpa={"a0": 1.5}, train={"epochs": 0, "stage1_epochs": 0})
     checkpoints = {arch: run_train(cfg, arch=arch)[0] for arch in ("cae", "fc_ae")}
     bank = harness._MethodBank(cfg, checkpoints)
     blocks = qam4_map(np.random.default_rng(6).integers(0, 2, (64, 2 * cfg.system.n_subcarriers)))
+    wave = ofdm_modulate(blocks, cfg.system.oversampling)
+    sent = wave.copy()
     want = cfg.hpa.a0 ** 2 * 10.0 ** (-cfg.hpa.ibo_db / 10.0)
     for method in cfg.methods:
-        x_unit, _ = bank.transmit(method, blocks)
+        x_unit, _ = bank.transmit(method, blocks, wave)
         x_f, _ = chain.front_end(Tensor(x_unit), cfg.hpa)
         np.testing.assert_allclose(np.mean(np.abs(x_f.data) ** 2, axis=-1), want, rtol=1e-12,
                                    err_msg=method)
+        np.testing.assert_array_equal(wave, sent, err_msg=method)
 
 
 def test_eval_runs_the_training_chain(tmp_path):
@@ -537,7 +541,7 @@ def test_eval_runs_the_training_chain(tmp_path):
     noise = complex_noise((16, n * ell), 10.0, cfg.hpa, np.random.default_rng(4))
     taps = chain.run_chain(model, ofdm_modulate(blocks, ell), cfg.hpa, noise)
 
-    x_unit, _ = bank.transmit("cae", blocks)
+    x_unit, _ = bank.transmit("cae", blocks, ofdm_modulate(blocks, ell))
     x_f, x_p = chain.front_end(Tensor(x_unit), cfg.hpa)
     alpha = bussgang_alpha(x_f.data, x_p.data)
     symbols = chain.receive(ad.add_constant(x_p, noise), alpha, ell).data

@@ -64,17 +64,16 @@ def _names_read(tree: ast.Module, module: str) -> set[str]:
 
 
 def _identifiers(tree: ast.Module) -> set[str]:
-    """Every name, attribute and string constant in a tree.  The benchmark
-    reads paprlab through attribute chains off the modules it imports, and
-    patches names given as strings."""
+    """Every name and attribute in a tree: the benchmark reads paprlab
+    through attribute chains off the modules it imports.  A name it only
+    patches, given as a string, is not read: its tracer's op tables still
+    name ops the package has deleted, such as conv1d and batch_norm."""
     found = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             found.add(node.id)
         elif isinstance(node, ast.Attribute):
             found.add(node.attr)
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            found.add(node.value)
     return found
 
 
@@ -133,7 +132,7 @@ def test_export_reads_are_found_every_way():
         "b": ast.parse("from . import a as m\nfrom .a import named\nprint(m.aliased, named)\n"),
     }
     bench = [ast.parse("pkg.a.bench\npatch(pkg.a, 'patched')\n")]
-    assert _unread_exports(modules, bench) == ["a.user", "a.dead"]
+    assert _unread_exports(modules, bench) == ["a.user", "a.patched", "a.dead"]
     assert _unread_exports(modules, []) == ["a.user", "a.bench", "a.patched", "a.dead"]
 
 
