@@ -56,6 +56,8 @@ def _parse_checkpoints(pairs) -> dict[str, str]:
         method, sep, path = pair.partition("=")
         if not sep:
             raise ConfigError(f"--checkpoint expects method=path, got {pair!r}")
+        if method in checkpoints:
+            raise ConfigError(f"--checkpoint gives method {method!r} twice")
         checkpoints[method] = path
     return checkpoints
 

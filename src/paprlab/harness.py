@@ -21,12 +21,18 @@ PSD per IBO point.  So all methods share data and noise at every point
 eval.batch sets how many symbols go through at a time and the window over
 which the BER receiver estimates its Bussgang gain; otherwise it moves
 results only by float rounding (the PSD sums and a neural encoder's GEMM).
+
+Each batch's baseline transmits (cf, slm) run on one worker thread while the
+calling thread runs its neural transmits (cae, fc_ae) and "none"; every other
+stage runs on the calling thread.  A method does the same arithmetic on
+either thread, so no output depends on which thread ran it.
 """
 
 from __future__ import annotations
 
 import math
 import zipfile
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import replace
 from pathlib import Path
 
@@ -64,6 +70,12 @@ __all__ = [
 
 # PAPR thresholds of the CCDF curves: 0 to 13 dB in 0.25 dB steps
 CCDF_THRESHOLDS_DB = np.arange(0.0, 13.0 + 0.125, 0.25)
+
+# The methods whose transmit runs on the baseline thread, and that thread,
+# started by the first eval batch; it runs only their transmits and submits
+# no work itself.
+_THREADED_METHODS = ("cf", "slm")
+_baseline_thread = ThreadPoolExecutor(1, "eval-baselines")
 
 
 def _outdir(config: ExperimentConfig) -> Path:
@@ -198,7 +210,11 @@ def _batch_stream(config: ExperimentConfig, bank: _MethodBank, symbols: int):
 
     The batches hold the first `symbols` rows of the "eval/data" stream,
     eval.batch rows each (the last one may be shorter); every method
-    transmits each batch exactly once.
+    transmits each batch exactly once.  The baseline thread runs the cf and
+    slm transmits while the calling thread runs the others; the calling
+    thread then waits for them, also when its own transmit raises, so no
+    transmit outlives its command, and raises a baseline's error unchanged.
+    The outputs do not depend on which thread ran a method.
     """
     n = config.system.n_subcarriers
     data_rng = derive_rng(config.seed, "eval/data")
@@ -207,7 +223,14 @@ def _batch_stream(config: ExperimentConfig, bank: _MethodBank, symbols: int):
         bits = data_rng.integers(0, 2, size=(rows, 2 * n), dtype=np.int64)
         blocks = qam4_map(bits)
         wave = ofdm_modulate(blocks, config.system.oversampling)
-        yield bits, {method: bank.transmit(method, blocks, wave) for method in config.methods}
+        threaded = {m: _baseline_thread.submit(bank.transmit, m, blocks, wave)
+                    for m in config.methods if m in _THREADED_METHODS}
+        try:
+            sent = {m: bank.transmit(m, blocks, wave) for m in config.methods if m not in threaded}
+        finally:
+            wait(threaded.values())
+        sent.update((m, future.result()) for m, future in threaded.items())
+        yield bits, {m: sent[m] for m in config.methods}
 
 
 def _wilson(errors: int, trials: int) -> tuple[float, float]:

@@ -34,9 +34,20 @@ CHECKPOINT_FORMAT = 2
 # Every conv layer has kernel 3; a full correlation grows its input by 2.
 _KERNEL = 3
 
+# Samples per block of a tape-free eval call (see _ConvCoder): the stock
+# encoder's two stage outputs take 3.4 MiB per block in float64.
+_EVAL_BLOCK = 32
+
 
 class _ConvCoder(Module):
-    """Two conv+BN+SELU stages followed by a linear layer, on complex data."""
+    """Two conv+BN+SELU stages followed by a linear layer, on complex data.
+
+    A tape-free eval call runs both stages _EVAL_BLOCK samples at a time into
+    the FC's input, so no full-batch stage output exists.  An eval-mode
+    sample's stage output does not depend on its batch, so the bits are the
+    whole batch's.  Training (batch statistics) and taped calls run the
+    stages on the whole batch.
+    """
 
     def __init__(self, seq_len: int, channels, rng: np.random.Generator | None):
         super().__init__()
@@ -47,13 +58,24 @@ class _ConvCoder(Module):
         self.bn2 = BatchNorm1d(channels[1])
         self.fc = Linear(channels[1] * grown, 2 * seq_len, rng)
 
-    def __call__(self, z: Tensor) -> Tensor:
-        batch = z.shape[0]
-        x = ad.reshape(ad.complex_to_interleaved(z), (batch, 1, -1))
+    def _stages(self, x: Tensor) -> Tensor:
         for conv, bn in ((self.conv1, self.bn1), (self.conv2, self.bn2)):
             x = ad.conv_stage(x, conv.w, conv.b, bn.gamma, bn.beta, bn.running_mean,
                               bn.running_var, bn.training)
-        return ad.interleaved_to_complex(self.fc(ad.reshape(x, (batch, -1))))
+        return x
+
+    def __call__(self, z: Tensor) -> Tensor:
+        batch = z.shape[0]
+        x = ad.reshape(ad.complex_to_interleaved(z), (batch, 1, -1))
+        if self.training or x.requires_grad or any(p.requires_grad for p in self.parameters()):
+            flat = ad.reshape(self._stages(x), (batch, -1))
+        else:
+            flat = Tensor(np.empty((batch, self.fc.w.shape[0]),
+                                   np.result_type(x.data, self.conv1.w.data, self.conv2.w.data)))
+            for lo in range(0, batch, _EVAL_BLOCK):
+                block = self._stages(Tensor(x.data[lo:lo + _EVAL_BLOCK])).data
+                flat.data[lo:lo + len(block)] = block.reshape(len(block), -1)
+        return ad.interleaved_to_complex(self.fc(flat))
 
 
 class _FcCoder(Module):

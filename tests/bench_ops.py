@@ -42,6 +42,11 @@ at both.
 - The baselines' transmit at the eval batch (500) in float64: SLM selection
   over the stock bank (U = 128, 72 subcarriers), and clipping-and-filtering
   of the modulated batch, as the eval commands run them.
+- One eval batch (500 blocks, float64) through the eval commands' batch
+  stream, for none, cf, slm and the stock CAE loaded from a freshly built
+  checkpoint: the data draw and modulation, then every transmit, cf and slm
+  on the baseline thread while the calling thread runs the CAE.  This case
+  sees the overlap that the per-method cases cannot.
 """
 
 import numpy as np
@@ -256,3 +261,12 @@ def test_slm_select(benchmark):
 def test_cf_transmit(benchmark):
     blocks = _eval_blocks()
     benchmark(lambda: clip_filter(ofdm_modulate(blocks, 4), CFG.cf, 4))
+
+
+def test_eval_batch_transmit(benchmark, tmp_path):
+    path = tmp_path / "cae.npz"
+    save_checkpoint(path, harness.build_model_from_config(CFG, "cae"))
+    cfg = config_from_dict({"methods": ["none", "cf", "slm", "cae"],
+                            "output_dir": str(tmp_path)})
+    bank = harness._MethodBank(cfg, {"cae": path})
+    benchmark(lambda: next(harness._batch_stream(cfg, bank, cfg.eval.batch)))

@@ -57,6 +57,13 @@ class TestCli:
         assert main(["--config", str(cfg), "eval-ber"]) == 2
         assert "checkpoint" in capsys.readouterr().err
 
+    def test_repeated_checkpoint_is_config_error(self, tmp_path, capsys):
+        cfg = write_tiny_config(tmp_path, methods=["none", "cae"])
+        assert main(["--config", str(cfg), "eval-ccdf", "--checkpoint", "cae=a.npz",
+                     "--checkpoint", "cae=b.npz"]) == 2
+        assert ("config error: --checkpoint gives method 'cae' twice"
+                in capsys.readouterr().err)
+
     def test_set_override(self, tmp_path):
         cfg = write_tiny_config(tmp_path)
         out2 = tmp_path / "other"

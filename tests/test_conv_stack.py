@@ -18,8 +18,9 @@ from oracle_ops import conv1d as oracle_conv1d
 from oracle_ops import selu as oracle_selu
 
 from paprlab import autodiff as ad
-from paprlab import chain
+from paprlab import chain, models
 from paprlab.autodiff import Tensor
+from paprlab.config import default_config
 from paprlab.models import CaeModel, FcAeModel
 from paprlab.ofdm import ofdm_modulate, qam4_map
 
@@ -270,3 +271,80 @@ class TestBatchSplitInvariance:
             joined = np.concatenate([chain.transmit(model, Tensor(x[lo:hi])).data
                                      for lo, hi in zip(edges[:-1], edges[1:])])
             np.testing.assert_allclose(joined, whole, rtol=0, atol=1e-12, err_msg=f"{sizes}")
+
+
+def stock_cae() -> CaeModel:
+    """The stock CAE in eval mode, float64 and frozen, as the eval commands
+    run it, with batch-norm running statistics away from 0 and 1."""
+    sys_cfg, mdl = default_config().system, default_config().model
+    model = CaeModel(n_subcarriers=sys_cfg.n_subcarriers, oversampling=sys_cfg.oversampling,
+                     enc_channels=mdl.enc_channels, dec_channels=mdl.dec_channels, seed=4)
+    model.eval().astype(np.float64)
+    rng = np.random.default_rng(8)
+    for p in model.parameters():
+        p.requires_grad = False
+    for coder in (model.encoder, model.decoder):
+        for bn in (coder.bn1, coder.bn2):
+            bn.running_mean[:] = rng.standard_normal(bn.running_mean.shape)
+            bn.running_var[:] = rng.random(bn.running_var.shape) + 0.5
+    return model
+
+
+def whole_batch_coder(coder, z: np.ndarray) -> np.ndarray:
+    """Both conv stages of a coder on the whole batch, then its FC."""
+    x = ad.reshape(ad.complex_to_interleaved(Tensor(z)), (len(z), 1, -1))
+    for conv, bn in ((coder.conv1, coder.bn1), (coder.conv2, coder.bn2)):
+        x = ad.conv_stage(x, conv.w, conv.b, bn.gamma, bn.beta, bn.running_mean,
+                          bn.running_var, bn.training)
+    return ad.interleaved_to_complex(coder.fc(ad.reshape(x, (len(z), -1)))).data
+
+
+class TestBlockChainedEvalCoder:
+    """A tape-free eval-mode conv coder runs its stages _EVAL_BLOCK samples at
+    a time; a taped or training-mode call runs them on the whole batch."""
+
+    @pytest.fixture(scope="class")
+    def model(self):
+        return stock_cae()
+
+    @staticmethod
+    def stage_batches(monkeypatch):
+        """Record the batch of every conv_stage call."""
+        batches, stage = [], ad.conv_stage
+
+        def recording(x, *args):
+            batches.append(len(x.data))
+            return stage(x, *args)
+        monkeypatch.setattr(ad, "conv_stage", recording)
+        return batches
+
+    @pytest.mark.parametrize("batch", [500, 77, 1])
+    @pytest.mark.parametrize("coder", ["encoder", "decoder"])
+    def test_matches_the_whole_batch_stages(self, model, monkeypatch, coder, batch):
+        """None of the batches is a multiple of the block; each output is
+        the whole-batch stages' and FC's, bit for bit."""
+        assert batch % models._EVAL_BLOCK
+        module = getattr(model, coder)
+        rng = np.random.default_rng(batch)
+        width = model.n * (model.oversampling if coder == "encoder" else 1)
+        z = rng.standard_normal((batch, width)) + 1j * rng.standard_normal((batch, width))
+        want = whole_batch_coder(module, z)
+        batches = self.stage_batches(monkeypatch)
+        got = module(Tensor(z))
+        assert got._backward is None
+        np.testing.assert_array_equal(got.data, want)
+        block = models._EVAL_BLOCK
+        assert batches == [min(block, batch - lo) for lo in range(0, batch, block)
+                           for _ in range(2)]
+
+    @pytest.mark.parametrize("case", ["taped_input", "taped_weight", "training"])
+    def test_taped_and_training_calls_take_the_whole_batch(self, monkeypatch, case):
+        model = stock_cae()
+        z = Tensor(np.random.default_rng(1).standard_normal((77, 288)) + 0j,
+                   requires_grad=case == "taped_input")
+        model.encoder.conv2.w.requires_grad = case == "taped_weight"
+        model.train(case == "training")
+        batches = self.stage_batches(monkeypatch)
+        out = model.encode(z)
+        assert batches == [77, 77]
+        assert (out._backward is not None) == (case != "training")

@@ -1,7 +1,10 @@
 import hashlib
 import json
 import math
+import threading
+import time
 from collections import Counter
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -12,7 +15,7 @@ from paprlab.autodiff import Tensor
 from paprlab.channel import complex_noise
 from paprlab.config import build_id, config_from_dict, config_hash
 from paprlab.curvefile import read_curve, write_curve
-from paprlab.errors import ConfigError
+from paprlab.errors import ConfigError, DegenerateInputError
 from paprlab.frontend import bussgang_alpha
 from paprlab.harness import (
     eval_ber,
@@ -462,6 +465,99 @@ def test_results_do_not_depend_on_the_batch_size(tmp_path):
         for other_methods, other_values in others:
             assert other_methods == methods, name
             np.testing.assert_allclose(other_values, values, rtol=1e-12, atol=0, err_msg=name)
+
+
+class _InlineExecutor:
+    """Runs each submitted task at once, on the submitting thread."""
+
+    def submit(self, fn, *args):
+        future = Future()
+        try:
+            future.set_result(fn(*args))
+        except BaseException as err:
+            future.set_exception(err)
+        return future
+
+
+def test_the_baseline_thread_changes_no_bit(tmp_path, monkeypatch):
+    """The five commands write the same rows and summaries whether cf and slm
+    transmit on the baseline thread or inline, with a short last batch in
+    every command; on the thread, only cf and slm leave the calling thread."""
+    methods = ["none", "cf", "slm", "cae"]
+    untrained = tiny_config(tmp_path, methods=methods, train={"epochs": 0, "stage1_epochs": 0})
+    checkpoints = {"cae": run_train(untrained, arch="cae")[0]}
+    short = {"ber_symbols": 450, "ccdf_symbols": 650, "psd_symbols": 450,
+             "table_symbols": 450}
+    threads = {}
+    transmit = harness._MethodBank.transmit
+
+    def recording(bank, method, blocks, wave):
+        threads.setdefault(method, set()).add(threading.current_thread() is
+                                              threading.main_thread())
+        return transmit(bank, method, blocks, wave)
+
+    monkeypatch.setattr(harness._MethodBank, "transmit", recording)
+    runs = []
+    for inline in (False, True):
+        if inline:
+            monkeypatch.setattr(harness, "_baseline_thread", _InlineExecutor())
+        cfg = tiny_config(tmp_path, methods=methods, eval=short,
+                          output_dir=str(tmp_path / f"inline-{inline}"))
+        paths = [eval_ber(cfg, checkpoints), eval_ccdf(cfg, checkpoints),
+                 eval_psd(cfg, checkpoints), eval_table(cfg, checkpoints)[1],
+                 eval_obo_vs_acpr(cfg, checkpoints)]
+        digests = {p.name: _data_digest(p) for p in paths}
+        digests.update((p.name, _summary_digest(p.with_name(f"{p.stem}_summary.json")))
+                       for p in paths)
+        runs.append(digests)
+        if not inline:
+            assert threads == {"none": {True}, "cf": {False}, "slm": {False}, "cae": {True}}
+    assert runs[0] == runs[1]
+
+
+def test_a_baseline_error_crosses_the_thread_unchanged(tmp_path, monkeypatch):
+    """An error raised by a transmit on the baseline thread reaches the eval
+    command's caller as the same exception, type and message."""
+    raised = DegenerateInputError("an all-zero block has no PAPR")
+    threads = []
+
+    def failing(*args):
+        threads.append(threading.current_thread())
+        raise raised
+
+    monkeypatch.setattr(harness, "slm_select_batch", failing)
+    with pytest.raises(DegenerateInputError) as info:
+        eval_ccdf(tiny_config(tmp_path))
+    assert info.value is raised
+    assert str(info.value) == "an all-zero block has no PAPR"
+    assert threads and threading.main_thread() not in threads
+
+
+def test_a_neural_error_waits_for_the_baseline_thread(tmp_path, monkeypatch):
+    """When the neural transmit raises on the calling thread, the command
+    waits for the baseline thread's transmit before the error propagates, so
+    no transmit outlives its command."""
+    cfg = tiny_config(tmp_path, methods=["slm", "cae"], train={"epochs": 0, "stage1_epochs": 0})
+    checkpoints = {"cae": run_train(cfg, arch="cae")[0]}
+    raising, finished = threading.Event(), []
+    slm = harness.slm_select_batch
+
+    def slow(*args):
+        assert raising.wait(10)
+        time.sleep(0.1)  # the error is on its way up by now
+        out = slm(*args)
+        finished.append(True)
+        return out
+
+    def failing(model, wave):
+        raising.set()
+        raise RuntimeError("encoder failed")
+
+    monkeypatch.setattr(harness, "slm_select_batch", slow)
+    monkeypatch.setattr(chain, "transmit", failing)
+    with pytest.raises(RuntimeError, match="encoder failed"):
+        eval_ccdf(cfg, checkpoints)
+    assert finished == [True]
 
 
 def test_table_is_the_obo_sweep_at_the_operating_point(tmp_path):
