@@ -17,10 +17,9 @@ from pathlib import Path
 import yaml
 
 from .baselines import CfParams, SlmParams
+from .chain import HpaParams
 from .errors import ConfigError
-from .frontend import HpaParams
-from .losses import LossWeights
-from .training import TrainConfig
+from .training import LossWeights, TrainConfig
 
 __all__ = [
     "ConfigLoader",

@@ -41,7 +41,7 @@ import numpy as np
 from . import chain
 from .autodiff import Tensor, add_constant
 from .baselines import clip_filter, slm_phase_bank, slm_select_batch
-from .channel import complex_noise
+from .chain import bussgang_alpha, complex_noise
 from .config import (
     NEURAL_METHODS,
     ExperimentConfig,
@@ -51,7 +51,6 @@ from .config import (
 )
 from .curvefile import write_curve, write_summary
 from .errors import ConfigError
-from .frontend import bussgang_alpha
 from .metrics import ACPR_FLOOR_DB, SpectralParams, acpr, ccdf, papr_db, psd
 from .models import CaeModel, FcAeModel, load_checkpoint, save_checkpoint
 from .ofdm import band_bins, ml_detect, ofdm_modulate, qam4_map
@@ -181,6 +180,14 @@ class _MethodBank:
                         f"checkpoint for {method!r} was built for system {model.n}x"
                         f"{model.oversampling}, config wants {expected[0]}x{expected[1]}"
                     )
+                mdl = config.model
+                wanted = ({"enc_channels": list(mdl.enc_channels),
+                           "dec_channels": list(mdl.dec_channels)} if method == "cae"
+                          else {"hidden": list(mdl.fc_hidden)})
+                built = {key: model.descriptor()[key] for key in wanted}
+                if built != wanted:
+                    raise ConfigError(f"checkpoint for {method!r} was built with model sizes "
+                                      f"{built}, config wants {wanted}")
                 self.models[method] = model
         self.slm_bank = slm_phase_bank(config.system.n_subcarriers, config.slm)
 
@@ -214,7 +221,9 @@ def _batch_stream(config: ExperimentConfig, bank: _MethodBank, symbols: int):
     slm transmits while the calling thread runs the others; the calling
     thread then waits for them, also when its own transmit raises, so no
     transmit outlives its command, and raises a baseline's error unchanged.
-    The outputs do not depend on which thread ran a method.
+    The outputs do not depend on which thread ran a method.  The stream and
+    each command drop a batch before the next one transmits, so one batch's
+    waveforms are alive at a time.
     """
     n = config.system.n_subcarriers
     data_rng = derive_rng(config.seed, "eval/data")
@@ -231,6 +240,7 @@ def _batch_stream(config: ExperimentConfig, bank: _MethodBank, symbols: int):
             wait(threaded.values())
         sent.update((m, future.result()) for m, future in threaded.items())
         yield bits, {m: sent[m] for m in config.methods}
+        del blocks, wave, threaded, sent
 
 
 def _wilson(errors: int, trials: int) -> tuple[float, float]:
@@ -261,6 +271,7 @@ def eval_ber(config: ExperimentConfig, checkpoints: dict | None = None) -> Path:
                 symbols = chain.receive(add_constant(x_p, noise), alpha, ell).data
                 decided = bank.receive_bits(method, symbols, aux)
                 errors[method][pi] += int(np.count_nonzero(decided != bits))
+        del sent, noises, x_unit, aux, x_f, x_p, noise, symbols, decided
 
     rows = []
     for pi, p_snr in enumerate(ev.p_snr_db):
@@ -289,6 +300,7 @@ def eval_ccdf(config: ExperimentConfig, checkpoints: dict | None = None) -> Path
     for _, sent in _batch_stream(config, bank, symbols):
         for method, (x_unit, _) in sent.items():
             values[method].append(papr_db(x_unit))
+        del sent, x_unit, _
 
     rows = []
     for method in config.methods:
@@ -311,6 +323,7 @@ def _accumulate_spectra(config: ExperimentConfig, bank: _MethodBank, symbols: in
             for i, hpa in enumerate(hpas):
                 _, x_p = chain.front_end(Tensor(x_unit), hpa)
                 psd_sum[i][method] = psd_sum[i][method] + len(x_unit) * psd(x_p.data)
+        del sent, x_unit, _, x_p
     return [{m: total / symbols for m, total in point.items()} for point in psd_sum]
 
 

@@ -56,14 +56,13 @@ from paprlab import autodiff as ad
 from paprlab import harness
 from paprlab.autodiff import Tensor
 from paprlab.baselines import clip_filter, slm_select_batch
-from paprlab.chain import run_chain
-from paprlab.channel import complex_noise
+from paprlab.chain import complex_noise, run_chain
 from paprlab.config import config_from_dict, default_config
-from paprlab.losses import joint_loss
 from paprlab.metrics import SpectralParams
 from paprlab.models import save_checkpoint
 from paprlab.ofdm import ofdm_modulate, qam4_map
 from paprlab.optim import AdamW
+from paprlab.training import joint_loss
 
 CFG = default_config()
 

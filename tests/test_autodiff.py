@@ -11,7 +11,7 @@ from gradcheck import numeric_grad, rel_error
 from paprlab import autodiff as ad
 from paprlab.autodiff import Tensor
 from paprlab.errors import DegenerateInputError
-from paprlab.layers import Conv1d, Linear
+from paprlab.models import Conv1d, Linear
 from paprlab.metrics import ACPR_FLOOR_DB, acpr, acpr_powers, papr, psd
 from paprlab.ofdm import band_bins, bpf
 from paprlab.optim import AdamW
@@ -507,7 +507,7 @@ class TestChainOps:
 
     def test_rapp_matches_frontend(self):
         """Output is the closed-form AM/AM gain curve with the input phase."""
-        from paprlab.frontend import HpaParams, rapp_gain
+        from paprlab.chain import HpaParams, rapp_gain
         z = RNG.standard_normal((2, 50)) + 1j * RNG.standard_normal((2, 50))
         hpa = HpaParams(a0=0.9, v=1.2, p=2.0)
         out = ad.rapp_nonlinearity(Tensor(z), hpa.a0, hpa.v, hpa.p)
@@ -641,6 +641,6 @@ class TestLayerModules:
 
     def test_conv_layer_params_registered(self):
         rng = np.random.default_rng(0)
-        layer = Conv1d(2, 3, rng, kernel_size=3)
+        layer = Conv1d(2, 3, rng)
         names = [n for n, _ in layer.named_parameters()]
         assert names == ["w", "b"]

@@ -4,15 +4,12 @@ from gradcheck import numeric_grad, rel_error
 
 from paprlab import autodiff as ad
 from paprlab import chain
-from paprlab.chain import run_chain
-from paprlab.channel import complex_noise
+from paprlab.chain import HpaParams, complex_noise, run_chain
 from paprlab.errors import DegenerateInputError
-from paprlab.frontend import HpaParams
-from paprlab.layers import Module
-from paprlab.losses import LossWeights, joint_loss
 from paprlab.metrics import SpectralParams
-from paprlab.models import CaeModel
+from paprlab.models import CaeModel, Module
 from paprlab.ofdm import ofdm_modulate, qam4_map
+from paprlab.training import LossWeights, joint_loss
 
 
 class IdentityCodec(Module):

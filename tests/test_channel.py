@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from paprlab.channel import complex_noise, noise_std
-from paprlab.frontend import HpaParams
+from paprlab.chain import HpaParams, complex_noise, noise_std
 
 HPA = HpaParams(a0=1.0)
 

@@ -64,6 +64,25 @@ class TestCli:
         assert ("config error: --checkpoint gives method 'cae' twice"
                 in capsys.readouterr().err)
 
+    @pytest.mark.parametrize("arch, field, sizes, wanted", [
+        ("cae", "enc_channels", "[2, 2]", "{'enc_channels': [4, 3], 'dec_channels': [3, 4]}"),
+        ("cae", "dec_channels", "[2, 2]", "{'enc_channels': [4, 3], 'dec_channels': [3, 4]}"),
+        ("fc_ae", "fc_hidden", "[8, 8]", "{'hidden': [16, 24]}"),
+    ], ids=["cae-enc", "cae-dec", "fc_ae"])
+    def test_checkpoint_of_other_model_sizes_is_config_error(self, tmp_path, capsys, arch,
+                                                             field, sizes, wanted):
+        """A checkpoint whose model sizes are not config.model's would be
+        stamped with the hash of a model that did not run."""
+        cfg = write_tiny_config(tmp_path, methods=["none", arch])
+        assert main(["--config", str(cfg), "--set", f"model.{field}={sizes}",
+                     "train", "--arch", arch]) == 0
+        ckpt = tmp_path / "out" / f"{arch}.npz"
+        assert main(["--config", str(cfg), "eval-ccdf", "--checkpoint", f"{arch}={ckpt}"]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: checkpoint for '{arch}' was built with model sizes" in err
+        assert sizes in err and err.rstrip().endswith(f"config wants {wanted}")
+        assert not (tmp_path / "out" / "ccdf.csv").exists()
+
     def test_set_override(self, tmp_path):
         cfg = write_tiny_config(tmp_path)
         out2 = tmp_path / "other"

@@ -6,7 +6,7 @@ import pytest
 
 from paprlab import autodiff as ad
 from paprlab.errors import DegenerateInputError
-from paprlab.frontend import HpaParams, bussgang_alpha, ibo_scale, rapp_gain
+from paprlab.chain import HpaParams, bussgang_alpha, ibo_scale, rapp_gain
 from paprlab.ofdm import ofdm_modulate, qam4_map
 
 

@@ -3,6 +3,7 @@ import json
 import math
 import threading
 import time
+import weakref
 from collections import Counter
 from concurrent.futures import Future
 
@@ -12,11 +13,10 @@ import pytest
 from paprlab import autodiff as ad
 from paprlab import chain, harness
 from paprlab.autodiff import Tensor
-from paprlab.channel import complex_noise
+from paprlab.chain import bussgang_alpha, complex_noise
 from paprlab.config import build_id, config_from_dict, config_hash
 from paprlab.curvefile import read_curve, write_curve
 from paprlab.errors import ConfigError, DegenerateInputError
-from paprlab.frontend import bussgang_alpha
 from paprlab.harness import (
     eval_ber,
     eval_ccdf,
@@ -558,6 +558,46 @@ def test_a_neural_error_waits_for_the_baseline_thread(tmp_path, monkeypatch):
     with pytest.raises(RuntimeError, match="encoder failed"):
         eval_ccdf(cfg, checkpoints)
     assert finished == [True]
+
+
+@pytest.mark.parametrize("command", [
+    eval_ber, eval_ccdf, eval_psd, lambda cfg, ckpts: eval_table(cfg, ckpts)[1], eval_obo_vs_acpr,
+], ids=["ber", "ccdf", "psd", "table", "obo_acpr"])
+def test_each_batch_is_freed_before_the_next_transmits(tmp_path, monkeypatch, command):
+    """When the next batch is modulated, nothing holds the last batch's
+    transmit outputs (every method's waveform and SLM indices) or its BER
+    noise any more, so one batch's waveforms are alive at a time."""
+    methods = ["none", "cf", "slm", "cae"]
+    cfg = tiny_config(tmp_path, methods=methods, train={"epochs": 0, "stage1_epochs": 0},
+                      eval={"ber_symbols": 450, "ccdf_symbols": 450, "psd_symbols": 450,
+                            "table_symbols": 450})
+    checkpoints = {"cae": run_train(cfg, arch="cae")[0]}
+    refs, alive, batches = [], [], []
+    transmit, noise, modulate = (harness._MethodBank.transmit, harness.complex_noise,
+                                 harness.ofdm_modulate)
+
+    def recording_transmit(bank, method, blocks, wave):
+        x_unit, aux = transmit(bank, method, blocks, wave)
+        refs.extend((len(batches), method, weakref.ref(a)) for a in (x_unit, aux)
+                    if a is not None)
+        return x_unit, aux
+
+    def recording_noise(*args):
+        out = noise(*args)
+        refs.append((len(batches), "noise", weakref.ref(out)))
+        return out
+
+    def checking_modulate(*args):
+        alive.extend((batch, name) for batch, name, ref in refs if ref() is not None)
+        batches.append(len(batches))
+        return modulate(*args)
+
+    monkeypatch.setattr(harness._MethodBank, "transmit", recording_transmit)
+    monkeypatch.setattr(harness, "complex_noise", recording_noise)
+    monkeypatch.setattr(harness, "ofdm_modulate", checking_modulate)
+    command(cfg, checkpoints)
+    assert len(batches) == 3 and {name for _, name, _ in refs} >= set(methods)
+    assert alive == []
 
 
 def test_table_is_the_obo_sweep_at_the_operating_point(tmp_path):

@@ -3,13 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from paprlab.chain import run_chain
-from paprlab.channel import complex_noise
-from paprlab.frontend import HpaParams
-from paprlab.losses import LossWeights, joint_loss
+from paprlab.chain import HpaParams, complex_noise, run_chain
 from paprlab.metrics import SpectralParams, acpr, papr, psd
 from paprlab.models import CaeModel
 from paprlab.ofdm import ofdm_modulate, qam4_map
+from paprlab.training import LossWeights, joint_loss
 
 N, L = 8, 4
 SPECTRAL = SpectralParams(bw_bins=N, acpr_req_db=-45.0)

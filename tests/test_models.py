@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from paprlab import chain, layers
+from paprlab import chain, models
 from paprlab.autodiff import Tensor
 from paprlab.config import default_config
 from paprlab.harness import build_model_from_config
@@ -174,7 +174,7 @@ class TestCheckpoint:
                                              ("gamma", np.ones(1, np.float32))])
     def test_load_rejects_a_wrongly_shaped_entry(self, name, value):
         """A buffer or parameter of the wrong shape is an error, not broadcast."""
-        bn = layers.BatchNorm1d(4)
+        bn = models.BatchNorm1d(4)
         state = bn.state_dict()
         state[name] = value
         kind = "buffer" if name.startswith("running") else "parameter"
@@ -233,7 +233,7 @@ class TestCheckpoint:
 
         def no_draw(*args):
             raise AssertionError("load_checkpoint drew a weight initialisation")
-        monkeypatch.setattr(layers, "_lecun_normal", no_draw)
+        monkeypatch.setattr(models, "_lecun_normal", no_draw)
         loaded = load_checkpoint(path).model
         assert type(loaded) is type(model)
         assert loaded.descriptor() == model.descriptor()

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from itertools import takewhile
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -44,6 +45,35 @@ def _exports(tree: ast.Module) -> list[str]:
                 and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
             return ast.literal_eval(node.value)
     return []
+
+
+def _defined(tree: ast.Module) -> set[str]:
+    """Names a module's top level defines: functions, classes and assigned names."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                names.update(n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+    return names
+
+
+def test_every_export_is_defined_in_its_module():
+    """A module exports only names it defines, so no module re-exports
+    another's names and a folded module cannot return as a shim."""
+    foreign = {}
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if names := sorted(set(_exports(tree)) - _defined(tree)):
+            foreign[path.stem] = names
+    assert not foreign, foreign
+
+
+def test_reexport_is_flagged():
+    tree = ast.parse("from .x import a\nimport y as b\ndef c(): pass\nclass D: pass\n"
+                     "e, f = 1, 2\ng: int = 3\n__all__ = ['a', 'b', 'c', 'D', 'e', 'f', 'g']\n")
+    assert sorted(set(_exports(tree)) - _defined(tree)) == ["a", "b"]
 
 
 def _names_read(tree: ast.Module, module: str) -> set[str]:
@@ -107,7 +137,7 @@ def _unread_exports(modules: dict[str, ast.Module], bench: list[ast.Module]) -> 
 # Exports that only tests read, each a reference a test checks the pipeline against.
 TEST_REFERENCES = {
     "optim.adamw_update": "the AdamW oracle that optim.AdamW's blocked update must match",
-    "frontend.rapp_gain": "the RAPP gain oracle the differentiable amplifier is checked against",
+    "chain.rapp_gain": "the RAPP gain oracle the differentiable amplifier is checked against",
     "ofdm.QAM4_LABELS": "the label table test_ofdm checks ml_detect and Gray adjacency against",
 }
 
@@ -175,6 +205,17 @@ def test_readme_lists_every_command():
     readme = Path(__file__).resolve().parents[1] / "README.md"
     listed = _readme_commands(readme.read_text(encoding="utf-8"))
     assert sorted(listed) == sorted(subparsers.choices)
+    assert len(listed) == len(set(listed))
+
+
+def test_readme_lists_every_module():
+    """The README's layout table has one row per module of the package."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    lines = readme.read_text(encoding="utf-8").splitlines()
+    rows = takewhile(lambda line: line.startswith("|"),
+                     lines[lines.index("| Module | Owns |") + 2:])
+    listed = [row.split("|")[1].strip().strip("`") for row in rows]
+    assert sorted(listed) == sorted(path.stem for path in SOURCES if path.stem != "__init__")
     assert len(listed) == len(set(listed))
 
 

@@ -7,18 +7,15 @@ import pytest
 
 from paprlab import training
 from paprlab.autodiff import Tensor
-from paprlab.chain import run_chain
-from paprlab.channel import complex_noise
+from paprlab.chain import HpaParams, complex_noise, run_chain
 from paprlab.config import default_config
 from paprlab.errors import TrainingDivergedError
-from paprlab.frontend import HpaParams
 from paprlab.harness import build_model_from_config
-from paprlab.losses import LossWeights, joint_loss
 from paprlab.metrics import SpectralParams, papr_db
 from paprlab.models import CaeModel, FcAeModel
 from paprlab.ofdm import ofdm_modulate, qam4_map
 from paprlab.optim import BETA1, BETA2, EPS, _TASK, AdamW
-from paprlab.training import TrainConfig, train
+from paprlab.training import LossWeights, TrainConfig, joint_loss, train
 
 N, L = 8, 4
 HPA = HpaParams(ibo_db=3.0)
