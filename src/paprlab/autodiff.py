@@ -25,12 +25,21 @@ writes into its input.  Arithmetic with a number runs add_constant or
 complex_scale.  A conv stage of the CAE (convolution, batch norm, SELU) is
 one op, conv_stage, which runs cache-sized blocks of samples through all
 three and has one gradient rule.
+
+A second thread, _worker, runs linear's weight-gradient products and
+AdamW's update tasks.  It calls only numpy and private helpers, never a
+public name that a profiler such as perfbench's tracer wraps, so traced
+spans stay nested on the calling thread.  A job it has not started when it
+is needed runs on the calling thread, so nothing waits behind its queue.  A
+parameter whose update is queued or running carries a fence, its update
+jobs, which linear and conv_stage settle before they read the parameter.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -73,11 +82,62 @@ _COL_BLOCK = 1 << 18
 
 _KEPT_DTYPES = (np.float32, np.complex64)
 
+# The process's second thread, started by the first job.
+_worker = ThreadPoolExecutor(1, "paprlab-worker")
+
+# Multiply-adds below which linear computes its weight gradient here: at
+# N = 16 (encoder FC 1452 -> 128, 5.9M) handing it off made no run's step
+# faster and some 18% slower; the stock CAE's smaller FC has 8.9M.
+_OFFLOAD_MIN = 1 << 23
+
+
+def _submit(fn, *args):
+    """Hand fn(*args) to the second thread; returns the job (future, fn, args)."""
+    return _worker.submit(fn, *args), fn, args
+
+
+def _take(job):
+    """The result of a job: run here if the second thread has not started it,
+    else waited for.  An error the job raised is raised unchanged."""
+    future, fn, args = job
+    return fn(*args) if future.cancel() else future.result()
+
+
+def _settle(jobs):
+    """Run here each job the second thread has not started, wait for those
+    it has, and raise the first error a job raised.  After an error here the
+    unstarted jobs are dropped, so no job outlives the call."""
+    try:
+        for future, fn, args in jobs:
+            if future.cancel():
+                fn(*args)
+    finally:
+        for future, _, _ in jobs:
+            future.cancel()
+        # a cancelled future is done only once the thread's queue reaches it
+        taken = [future for future, _, _ in jobs if not future.cancelled()]
+        for future in taken:
+            future.exception()  # waits for the job to end
+    for future in taken:
+        future.result()
+
+
+def _settle_fences(tensors):
+    """Settle the fences of tensors together; afterwards none carries one."""
+    jobs = []
+    for t in tensors:
+        if t._fence is not None:
+            jobs += t._fence
+            t._fence = None
+    if jobs:
+        _settle(jobs)
+
 
 class Tensor:
     """A node in the reverse-mode graph wrapping a numpy array."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_own_grad")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_own_grad",
+                 "_fence")
 
     def __init__(self, data, requires_grad: bool = False):
         data = np.asarray(data)
@@ -90,6 +150,7 @@ class Tensor:
         self._parents = ()
         self._backward = None
         self._own_grad = None
+        self._fence = None
 
     @property
     def shape(self):
@@ -185,22 +246,31 @@ def _accumulate(t: Tensor, g: np.ndarray):
         t.grad = g if t.grad is None else t.grad + g
 
 
-def _accumulate_product(t: Tensor, a: np.ndarray, b: np.ndarray):
-    """_accumulate(t, a @ b).  A first contribution is written into
-    t._own_grad, the array a product gave t's gradient in an earlier
-    backward, when its shape and dtype fit; backward() keeps that array only
-    while it is still t.grad.  A fresh array over 32 MiB costs an mmap and
-    its page faults every step."""
+def _accumulate_product(t: Tensor, a: np.ndarray, b: np.ndarray, overlap):
+    """_accumulate(t, a @ b), running overlap() here meanwhile: a product of
+    at least _OFFLOAD_MIN multiply-adds runs on the second thread and is
+    taken back (_take).  A first contribution is written into t._own_grad,
+    the array a product gave t's gradient in an earlier backward, when its
+    shape and dtype fit; backward() keeps that array only while it is still
+    t.grad.  A fresh array over 32 MiB costs an mmap and its page faults
+    every step."""
     if not t.requires_grad:
+        overlap()
         return
-    own = t._own_grad
-    if t.grad is not None:
-        t.grad, t._own_grad = t.grad + a @ b, None
-    elif (own is not None and own.shape == (a.shape[0], b.shape[1])
-          and own.dtype == np.result_type(a.dtype, b.dtype)):
-        t.grad = np.matmul(a, b, out=own)
+    own, summed = t._own_grad, t.grad is not None
+    fits = (own is not None and own.shape == (a.shape[0], b.shape[1])
+            and own.dtype == np.result_type(a.dtype, b.dtype))
+    args = (a, b, own if fits and not summed else None)
+    big = a.shape[0] * a.shape[1] * b.shape[1] >= _OFFLOAD_MIN
+    job = _submit(np.matmul, *args) if big else None
+    try:
+        overlap()
+    finally:
+        product = _take(job) if big else np.matmul(*args)
+    if summed:
+        t.grad, t._own_grad = t.grad + product, None
     else:
-        t.grad = t._own_grad = a @ b
+        t.grad = t._own_grad = product
 
 
 def _make(data, parents, backward) -> Tensor:
@@ -229,14 +299,21 @@ def _add(a: Tensor, b: Tensor) -> Tensor:
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Affine map x @ w + b for x of shape (B, F), w (F, O), b (O,)."""
+    """Affine map x @ w + b for x of shape (B, F), w (F, O), b (O,), once
+    the fences of w and b are settled.  The backward hands a large weight
+    gradient x.T @ g, a bare numpy matmul, to the second thread while the
+    calling thread computes the input and bias gradients."""
+    _settle_fences((w, b))
+
     def backward(g):
-        if x.requires_grad:
-            # g @ w.T, bit for bit in float32, in BLAS's faster orientation;
-            # the copy keeps it C-contiguous for AdamW's flat views
-            _accumulate(x, np.ascontiguousarray((w.data @ g.T).T))
-        _accumulate_product(w, x.data.T, g)
-        _accumulate(b, g.sum(axis=0))
+        def rest():
+            if x.requires_grad:
+                # g @ w.T, bit for bit in float32, in BLAS's faster
+                # orientation; the copy keeps it C-contiguous for AdamW's
+                # flat views
+                _accumulate(x, np.ascontiguousarray((w.data @ g.T).T))
+            _accumulate(b, g.sum(axis=0))
+        _accumulate_product(w, x.data.T, g, rest)
     return _make(x.data @ w.data + b.data, (x, w, b), backward)
 
 
@@ -294,7 +371,8 @@ def _fill_columns(col: np.ndarray, x: np.ndarray) -> np.ndarray:
 def conv_stage(x: Tensor, w: Tensor, b: Tensor, gamma: Tensor, beta: Tensor,
                running_mean: np.ndarray, running_var: np.ndarray,
                training: bool) -> Tensor:
-    """Convolution, batch norm and SELU of one CAE stage, as one op.
+    """Convolution, batch norm and SELU of one CAE stage, as one op, once
+    the fences of w, b, gamma and beta are settled.
 
     x: (B, C, L); w: (O, C, K); b, gamma, beta: (O,).  The conv is the full
     cross-correlation: x is zero-padded by K - 1 on each side, so the output
@@ -319,6 +397,7 @@ def conv_stage(x: Tensor, w: Tensor, b: Tensor, gamma: Tensor, beta: Tensor,
         raise ValueError(f"empty input or kernel: x {x.data.shape}, w {w.data.shape}")
     if training and batch < 2:
         raise ValueError("batch normalization needs a batch of at least 2 in training mode")
+    _settle_fences((w, b, gamma, beta))
     out_len = length + k - 1
     per_block = max(1, min(batch, _COL_BLOCK // (channels * k * out_len)))
     # a forward block's columns, output and SELU scratch stay within

@@ -10,6 +10,7 @@ and the config hash, in the meta lines and in the JSON summary.
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 
 __all__ = ["write_curve", "write_summary"]
@@ -30,14 +31,25 @@ def write_curve(path, meta: dict, columns: list[str], rows: list[tuple]) -> Path
         if len(row) != len(columns):
             raise ValueError(f"row width {len(row)} does not match {len(columns)} columns")
         lines.append(",".join(_fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return path
+    return _replace(path, "\n".join(lines) + "\n")
 
 
 def write_summary(path, payload: dict) -> Path:
     """Write one JSON summary record for a run (sorted keys, no timestamps)."""
+    return _replace(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+
+
+def _replace(path, text: str) -> Path:
+    """Write text to <path>.tmp and rename it over path, so an interrupted
+    write leaves the previous file whole.  Not synced, unlike a checkpoint:
+    an eval output costs a run to redo, not hours."""
     path = Path(path)
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    tmp = Path(f"{os.fspath(path)}.tmp")
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
     return path
 
 

@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor, wait
-
 import numpy as np
 
-from .autodiff import Tensor
+from .autodiff import Tensor, _settle_fences, _submit
 
 __all__ = ["adamw_update", "AdamW"]
 
@@ -19,15 +17,11 @@ __all__ = ["adamw_update", "AdamW"]
 # whole training step faster.
 _BLOCK = 65536
 
-# Elements per update task, whole blocks; a step may end waiting for one.
+# Elements per update task, whole blocks; a settle may wait for one.
 _TASK = 4 * _BLOCK
 
 # AdamW's moment decay rates and denominator guard: adamw_update's defaults.
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
-
-# The process's update thread, started by the first task; it calls only
-# numpy and this module's private code.
-_updater = ThreadPoolExecutor(1, "adamw-update")
 
 
 def adamw_update(theta: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarray,
@@ -48,7 +42,7 @@ def adamw_update(theta: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarr
     return theta, m, v
 
 
-def _run(task):
+def _run(*task):
     """Update elements [lo, hi) of one parameter at a 1-based step, 13 passes
     per block."""
     *arrays, lo, hi, step, lr, weight_decay = task
@@ -81,14 +75,17 @@ class AdamW:
     """AdamW over a list of parameters, updated in place.
 
     queue(p) cuts p's update into tasks once p's gradient is final, as
-    ``loss.backward(opt.queue)`` reports it, for a second thread to run
-    during the rest of backward; step() queues the rest and finish()es.  A
-    task walks its arrays in cache-sized blocks, in the parameter's dtype,
-    elementwise, so the thread that runs it changes no bit.  The moments are
-    bit-identical to adamw_update's; theta, with the bias corrections and
-    the decay folded into Python-float scalars (13 passes per block, not
-    16), is within rounding of it.  A parameter listed twice is a
-    ValueError.
+    ``loss.backward(opt.queue)`` reports it, and hands them to the second
+    thread (autodiff._worker); until they have ended, p carries a fence
+    (see autodiff).  end_step() queues the rest without waiting, finish()
+    settles every fence, and step(), state_dict() and load_state_dict()
+    return with every update applied.  A task walks its arrays in
+    cache-sized blocks, in the parameter's dtype, elementwise, calling only
+    numpy (never a name a profiler wraps), so the thread that runs it
+    changes no bit.  The moments are bit-identical to adamw_update's;
+    theta, with the bias corrections and the decay folded into Python-float
+    scalars (13 passes per block, not 16), is within rounding of it.  A
+    parameter listed twice is a ValueError.
     """
 
     def __init__(self, params: list[Tensor], lr: float, weight_decay: float):
@@ -102,7 +99,6 @@ class AdamW:
         self.step_count = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
-        self._pending = []
 
     def queue(self, p: Tensor):
         """Queue the update of parameter p, whose gradient must be final;
@@ -111,52 +107,50 @@ class AdamW:
         i = self._unqueued.pop(id(p), None)
         if i is None:
             return
+        _settle_fences((p,))  # an earlier step's update, which no op read
         grad = p.grad if p.grad is not None else np.zeros_like(p.data)
         # copy=False: a non-contiguous array raises rather than being
         # updated through a copy.
         arrays = [np.reshape(a, -1, copy=False) for a in (p.data, grad, self.m[i], self.v[i])]
-        for lo in range(0, p.data.size, _TASK):
-            task = (*arrays, lo, min(lo + _TASK, p.data.size), self.step_count + 1,
-                    self.lr, self.weight_decay)
-            self._pending.append((_updater.submit(_run, task), task))
+        p._fence = [_submit(_run, *arrays, lo, min(lo + _TASK, p.data.size),
+                            self.step_count + 1, self.lr, self.weight_decay)
+                    for lo in range(0, p.data.size, _TASK)]
 
-    def step(self):
-        """Apply one update using the gradients currently stored on the params:
-        queue every parameter not queued this step, then finish() the step."""
+    def end_step(self):
+        """Queue every parameter not queued this step and end the step,
+        without waiting for its updates."""
         try:
             for p in self.params:
                 self.queue(p)
         finally:
+            self.step_count += 1
+            self._unqueued = {id(p): i for i, p in enumerate(self.params)}
+
+    def step(self):
+        """Apply one update using the gradients currently stored on the params:
+        end_step(), then finish()."""
+        try:
+            self.end_step()
+        finally:
             self.finish()
 
     def finish(self):
-        """Close the step: run here each queued task the update thread has
-        not started, wait for those it has, and raise the first error a task
-        raised.  Call it alone after a backward pass that raised, so that no
-        update outlives the step."""
-        pending, self._pending = self._pending, []
-        try:
-            for future, task in pending:
-                if future.cancel():
-                    _run(task)
-        finally:
-            for future, _ in pending:  # drop what an error here left unstarted
-                future.cancel()
-            taken = [future for future, _ in pending if not future.cancelled()]
-            wait(taken)
-            self.step_count += 1
-            self._unqueued = {id(p): i for i, p in enumerate(self.params)}
-        for future in taken:
-            future.result()
+        """Run here each queued task the second thread has not started, wait
+        for those it has, and raise the first error a task raised."""
+        _settle_fences(self.params)
 
     def state_dict(self) -> dict:
-        """Step count and copies of the moments, which step() updates in place."""
+        """Step count and copies of the moments, which step() updates in
+        place, once every queued update has ended."""
+        self.finish()
         return {"step": self.step_count, "m": [a.copy() for a in self.m],
                 "v": [a.copy() for a in self.v]}
 
     def load_state_dict(self, state: dict):
-        """Restore a state_dict(); ValueError if the moments do not match the
-        parameters in count, shape or dtype."""
+        """Restore a state_dict() once every queued update has ended;
+        ValueError if the moments do not match the parameters in count,
+        shape or dtype."""
+        self.finish()
         for key in ("m", "v"):
             if len(state[key]) != len(self.params):
                 raise ValueError(f"{key} holds {len(state[key])} arrays for "

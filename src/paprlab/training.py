@@ -129,12 +129,20 @@ def train(model, cfg: TrainConfig, weights: LossWeights, hpa: HpaParams,
     The training set is a fixed pool of random bit blocks (regenerated from
     the seed), reshuffled every epoch; the channel peak-SNR is drawn per
     batch from the configured range, and the batch's noise at that SNR from
-    the "train/noise" stream.  Deterministic for a given seed: one
-    optimizer step per batch, whose update runs on a second thread during
-    the rest of backward (AdamW.queue) and is elementwise, and reductions
-    in one thread's fixed order.  Each epoch record holds the epoch means
-    of the loss and of joint_loss's three terms, which are computed in both
+    the "train/noise" stream.  Each epoch record holds the epoch means of
+    the loss and of joint_loss's three terms, which are computed in both
     stages.  AdamW's decoupled weight decay is the only regulariser.
+
+    Two threads share each step.  The second thread (autodiff._worker) runs
+    linear's large weight gradients during backward, and each parameter's AdamW
+    update from the moment backward has made its gradient final until the
+    next step's forward reads the parameter.  The calling thread runs the
+    rest, and each job the second thread has not started when it is
+    needed.  The second thread calls only numpy and private helpers, never
+    a function a profiler wraps, such as this module's names.  Each job does
+    the same arithmetic on either thread, so the run is deterministic for a
+    given seed.  Every update has ended when an epoch is logged and when
+    train() returns or raises.
 
     Every step runs in float32, as a built or loaded model already is: a
     model of another dtype is cast to float32 in place before the optimizer
@@ -160,35 +168,35 @@ def train(model, cfg: TrainConfig, weights: LossWeights, hpa: HpaParams,
 
     result = TrainResult(optimizer=optimizer)
     model.train()
-    for epoch in range(cfg.epochs):
-        stage = cfg.stage_for_epoch(epoch)
-        order = shuffle_rng.permutation(num_blocks)
-        sums = np.zeros(4)  # loss, l1, l2, l3
-        for b in range(cfg.batches_per_epoch):
-            rows = order[b * cfg.batch_size:(b + 1) * cfg.batch_size]
-            blocks = qam4_map(bits_pool[rows])
-            x_time = ofdm_modulate(blocks, oversampling)
-            p_snr_db = float(snr_rng.uniform(cfg.snr_min_db, cfg.snr_max_db))
-            noise = complex_noise(x_time.shape, p_snr_db, hpa, noise_rng)
-            taps = run_chain(model, x_time, hpa, noise)
-            for signal, tap in (("x_f", taps.x_f.data), ("x_p", taps.x_p.data),
-                                ("alpha", taps.alpha)):
-                if not np.all(np.isfinite(tap)):
-                    raise TrainingDivergedError(epoch, signal)
-            loss, parts = joint_loss(taps, blocks, weights, spectral, stage)
-            value = loss.item()
-            if not math.isfinite(value):
-                raise TrainingDivergedError(epoch, "loss")
-            try:
+    try:
+        for epoch in range(cfg.epochs):
+            stage = cfg.stage_for_epoch(epoch)
+            order = shuffle_rng.permutation(num_blocks)
+            sums = np.zeros(4)  # loss, l1, l2, l3
+            for b in range(cfg.batches_per_epoch):
+                rows = order[b * cfg.batch_size:(b + 1) * cfg.batch_size]
+                blocks = qam4_map(bits_pool[rows])
+                x_time = ofdm_modulate(blocks, oversampling)
+                p_snr_db = float(snr_rng.uniform(cfg.snr_min_db, cfg.snr_max_db))
+                noise = complex_noise(x_time.shape, p_snr_db, hpa, noise_rng)
+                taps = run_chain(model, x_time, hpa, noise)
+                for signal, tap in (("x_f", taps.x_f.data), ("x_p", taps.x_p.data),
+                                    ("alpha", taps.alpha)):
+                    if not np.all(np.isfinite(tap)):
+                        raise TrainingDivergedError(epoch, signal)
+                loss, parts = joint_loss(taps, blocks, weights, spectral, stage)
+                value = loss.item()
+                if not math.isfinite(value):
+                    raise TrainingDivergedError(epoch, "loss")
                 loss.backward(optimizer.queue)
-            except BaseException:
-                optimizer.finish()
-                raise
-            optimizer.step()
-            sums += (value, parts["l1"], parts["l2"], parts["l3"])
-        record = EpochRecord(epoch, stage, *map(float, sums / cfg.batches_per_epoch))
-        result.records.append(record)
-        if log is not None:
-            log(record)
+                optimizer.end_step()
+                sums += (value, parts["l1"], parts["l2"], parts["l3"])
+            optimizer.finish()
+            record = EpochRecord(epoch, stage, *map(float, sums / cfg.batches_per_epoch))
+            result.records.append(record)
+            if log is not None:
+                log(record)
+    finally:
+        optimizer.finish()
     model.eval()
     return result

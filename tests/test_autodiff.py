@@ -1,12 +1,14 @@
 """Gradient and value checks for the autodiff engine, layer by layer."""
 
 import gc
+import threading
 import weakref
 
 import numpy as np
 import oracle_ops
 import pytest
 from gradcheck import numeric_grad, rel_error
+from workers import EagerWorker, IdleWorker, RecordingWorker
 
 from paprlab import autodiff as ad
 from paprlab.autodiff import Tensor
@@ -264,6 +266,71 @@ class TestLinearBackward:
         self._loss(batches[2:], w, b).backward()
         assert w.grad is not outside and not outside.any()
 
+    # the stock encoder FC and the encoder FC at N = 16
+    THREAD_SHAPES = [(6380, 576), (1452, 128)]
+
+    @pytest.mark.parametrize("shape", THREAD_SHAPES, ids=[f"{i}to{o}" for i, o in THREAD_SHAPES])
+    def test_weight_gradient_off_the_thread_equals_inline(self, monkeypatch, shape):
+        """The weight gradient the second thread computes equals x.T @ g
+        computed on the calling thread, bit for bit, in float32 at batch 32:
+        fresh and written into the previous backward's array.  The N = 16
+        product, below _OFFLOAD_MIN, is handed off here only because the
+        threshold is lowered."""
+        worker = EagerWorker()
+        monkeypatch.setattr(ad, "_worker", worker)
+        monkeypatch.setattr(ad, "_OFFLOAD_MIN", 0)
+        rng = np.random.default_rng(11)
+        x, w, b = self._leaves(rng, 32, shape)
+        try:
+            for _ in range(2):
+                first = w.grad
+                w.grad = None  # as backward() leaves a weight whose array it reuses
+                out = ad.linear(x, w, b)
+                out.grad = rng.standard_normal(out.data.shape).astype(np.float32)
+                x.grad = b.grad = None
+                out._backward()
+                np.testing.assert_array_equal(w.grad, x.data.T @ out.grad)
+                np.testing.assert_array_equal(x.grad, out.grad @ w.data.T)
+        finally:
+            worker.shutdown()
+        assert w.grad is first
+        assert worker.threads and threading.main_thread() not in worker.threads
+
+    @pytest.mark.parametrize("shape, handed_off", [(THREAD_SHAPES[0], 1), (THREAD_SHAPES[1], 0)],
+                             ids=[f"{i}to{o}" for i, o in THREAD_SHAPES])
+    def test_only_large_weight_gradients_are_handed_off(self, monkeypatch, shape, handed_off):
+        """A weight gradient of at least _OFFLOAD_MIN multiply-adds goes to
+        the second thread, a smaller one is computed here."""
+        worker = RecordingWorker(IdleWorker())
+        monkeypatch.setattr(ad, "_worker", worker)
+        x, w, b = self._leaves(np.random.default_rng(13), 32, shape)
+        out = ad.linear(x, w, b)
+        out.grad = np.ones(out.data.shape, np.float32)
+        out._backward()
+        assert len(worker.futures) == handed_off
+        np.testing.assert_array_equal(w.grad, x.data.T @ out.grad)
+
+    def test_weight_gradient_error_on_the_thread_is_raised_by_backward(self, monkeypatch):
+        """A weight-gradient product that raises on the second thread is
+        raised by backward() unchanged."""
+        err = RuntimeError("product failed")
+
+        def fail(*args):
+            raise err
+        worker = EagerWorker(swap={np.matmul: fail})
+        monkeypatch.setattr(ad, "_worker", worker)
+        monkeypatch.setattr(ad, "_OFFLOAD_MIN", 0)
+        rng = np.random.default_rng(12)
+        x, w, b = self._leaves(rng, 32, (60, 40))
+        loss = self._loss([x.data], w, b)
+        try:
+            with pytest.raises(RuntimeError) as info:
+                loss.backward()
+        finally:
+            worker.shutdown()
+        assert info.value is err
+        assert worker.threads and threading.main_thread() not in worker.threads
+
     def test_shared_weight_gets_the_sum(self):
         """A weight fed to two linear ops gets both gradients summed, on the
         first pass and on a pass that could reuse an array."""
@@ -279,6 +346,32 @@ class TestLinearBackward:
                 parts.append(fresh)
             for i, t in enumerate((w, b)):
                 np.testing.assert_array_equal(t.grad, parts[0][i].grad + parts[1][i].grad)
+
+
+def test_a_settle_that_raises_waits_for_the_running_job(monkeypatch):
+    """When one job raised, _settle raises its error unchanged only once
+    every job the second thread started has ended."""
+    worker = EagerWorker()
+    monkeypatch.setattr(ad, "_worker", worker)
+    err, release, ended = RuntimeError("job failed"), threading.Event(), []
+
+    def fail():
+        raise err
+
+    def slow():
+        release.wait(10)
+        ended.append(True)
+    timer = threading.Timer(0.2, release.set)
+    try:
+        jobs = [ad._submit(fail), ad._submit(slow)]
+        timer.start()
+        with pytest.raises(RuntimeError) as info:
+            ad._settle(jobs)
+        assert info.value is err and ended == [True]
+    finally:
+        release.set()
+        timer.join()
+        worker.shutdown()
 
 
 class TestActivations:

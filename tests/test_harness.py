@@ -1,11 +1,13 @@
 import hashlib
 import json
 import math
+import os
 import threading
 import time
 import weakref
 from collections import Counter
 from concurrent.futures import Future
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ from paprlab import chain, harness
 from paprlab.autodiff import Tensor
 from paprlab.chain import bussgang_alpha, complex_noise
 from paprlab.config import build_id, config_from_dict, config_hash
-from paprlab.curvefile import read_curve, write_curve
+from paprlab.curvefile import read_curve, write_curve, write_summary
 from paprlab.errors import ConfigError, DegenerateInputError
 from paprlab.harness import (
     eval_ber,
@@ -73,6 +75,39 @@ class TestCurveFile:
     def test_row_width_checked(self, tmp_path):
         with pytest.raises(ValueError, match="width"):
             write_curve(tmp_path / "c.csv", {}, ["x", "y"], [(1.0,)])
+
+    @pytest.mark.parametrize("stage", ["write", "rename"])
+    @pytest.mark.parametrize("writer", ["curve", "summary"])
+    def test_interrupted_write_leaves_the_previous_file(self, tmp_path, monkeypatch,
+                                                        writer, stage):
+        """A write interrupted while the new text goes out, or before it is
+        renamed into place, leaves the previous file whole and no .tmp."""
+        path = tmp_path / "out"
+
+        def write(value):
+            if writer == "curve":
+                write_curve(path, {"build": "abc"}, ["x", "y"], [(1.0, value)])
+            else:
+                write_summary(path, {"build": "abc", "value": value})
+        write(0.5)
+        before = path.read_bytes()
+        real_write_text = Path.write_text
+
+        def half_written(self, text, **kwargs):
+            real_write_text(self, text[:len(text) // 2], **kwargs)
+            raise KeyboardInterrupt
+
+        def interrupted(*args):
+            raise KeyboardInterrupt
+        if stage == "write":
+            monkeypatch.setattr(Path, "write_text", half_written)
+        else:
+            monkeypatch.setattr(os, "replace", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            write(0.25)
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
 
 
 class TestRunTrain:

@@ -1,18 +1,12 @@
-from concurrent.futures import Future, wait
+from concurrent.futures import wait
 
 import numpy as np
 import pytest
+from workers import IdleWorker
 
-from paprlab import optim
+from paprlab import autodiff as ad
 from paprlab.autodiff import Tensor, parameter
 from paprlab.optim import _BLOCK, _TASK, AdamW, adamw_update
-
-
-class _IdleUpdater:
-    """An update thread that never starts a task."""
-
-    def submit(self, fn, *args):
-        return Future()
 
 
 def _big_params(seed):
@@ -191,7 +185,7 @@ class TestAdamWClass:
         runs = []
         for queued in (False, True):
             if queued and idle:
-                monkeypatch.setattr(optim, "_updater", _IdleUpdater())
+                monkeypatch.setattr(ad, "_worker", IdleWorker())
             params = _big_params(3)
             opt = AdamW(params, lr=0.01, weight_decay=0.02)
             rng = np.random.default_rng(4)
@@ -213,15 +207,105 @@ class TestAdamWClass:
         opt = AdamW(params, lr=0.01, weight_decay=0.01)
         params[0].grad = np.ones(7, np.float32)  # the wrong size: every task fails
         if idle:
-            monkeypatch.setattr(optim, "_updater", _IdleUpdater())
+            monkeypatch.setattr(ad, "_worker", IdleWorker())
         else:
             opt.queue(params[0])
-            wait([future for future, _ in opt._pending])
+            wait([future for future, _, _ in params[0]._fence])
         with pytest.raises(ValueError):
             opt.step()
-        assert opt._pending == []
+        assert all(p._fence is None for p in params)
         params[0].grad = np.ones(params[0].data.shape, np.float32)
         before = params[0].data.copy()
         opt.step()
         assert opt.step_count == 2
         assert np.all(params[0].data < before)
+
+    @pytest.mark.parametrize("call", ["step", "state_dict", "load_state_dict"])
+    def test_blocking_calls_return_with_every_update_applied(self, monkeypatch, call):
+        """With an update thread that starts no task, step(), state_dict()
+        and load_state_dict() each run the queued updates themselves: they
+        return with theta, m and v those of plain steps, and no parameter
+        carries a fence."""
+        grads = [np.random.default_rng(6).standard_normal(p.data.shape).astype(np.float32)
+                 for p in _big_params(7)]
+        ref = _big_params(7)
+        ref_opt = AdamW(ref, lr=0.01, weight_decay=0.02)
+        for p, g in zip(ref, grads):
+            p.grad = g
+        ref_opt.step()
+        monkeypatch.setattr(ad, "_worker", IdleWorker())
+        params = _big_params(7)
+        opt = AdamW(params, lr=0.01, weight_decay=0.02)
+        for p, g in zip(params, grads):
+            p.grad = g
+        if call == "step":
+            opt.step()
+        else:
+            opt.end_step()
+            assert all(p._fence for p in params)
+            if call == "state_dict":
+                state = opt.state_dict()
+                for got, want in zip(state["m"] + state["v"], ref_opt.m + ref_opt.v):
+                    np.testing.assert_array_equal(got, want)
+            else:
+                opt.load_state_dict(ref_opt.state_dict())
+        assert all(p._fence is None for p in params)
+        for got, want in zip([p.data for p in params] + opt.m + opt.v,
+                             [p.data for p in ref] + ref_opt.m + ref_opt.v):
+            np.testing.assert_array_equal(got, want)
+        assert opt.step_count == 1
+
+    def test_end_step_leaves_updates_to_the_next_read(self, monkeypatch):
+        """end_step() returns with each update queued behind a fence; the
+        next linear that reads the weight applies it first."""
+        monkeypatch.setattr(ad, "_worker", IdleWorker())
+        w, b = parameter(np.ones((3, 2), np.float32)), parameter(np.zeros(2, np.float32))
+        opt = AdamW([w, b], lr=0.1, weight_decay=0.0)
+        w.grad, b.grad = np.ones((3, 2), np.float32), np.ones(2, np.float32)
+        opt.end_step()
+        np.testing.assert_array_equal(w.data, 1.0)
+        out = ad.linear(Tensor(np.ones((1, 3), np.float32)), w, b)
+        assert w._fence is None and b._fence is None
+        assert np.all(w.data < 1.0) and np.all(b.data < 0.0)
+        np.testing.assert_array_equal(out.data, np.ones((1, 3), np.float32) @ w.data + b.data)
+
+    def test_steps_that_no_op_reads_between_apply_in_order(self, monkeypatch):
+        """Two end_step() calls with no read of the parameters between them
+        apply both updates, in order: theta, m and v equal two plain
+        steps'."""
+        grads = [np.random.default_rng(8).standard_normal(p.data.shape).astype(np.float32)
+                 for p in _big_params(9)]
+        runs = []
+        for idle in (False, True):
+            if idle:
+                monkeypatch.setattr(ad, "_worker", IdleWorker())
+            params = _big_params(9)
+            opt = AdamW(params, lr=0.01, weight_decay=0.02)
+            for p, g in zip(params, grads):
+                p.grad = g
+            for _ in range(2):
+                if idle:
+                    opt.end_step()
+                else:
+                    opt.step()
+            opt.finish()
+            runs.append([p.data for p in params] + opt.m + opt.v)
+        for got, want in zip(*runs):
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("idle", [False, True], ids=["update_thread", "reading_thread"])
+    def test_failed_update_is_raised_at_the_next_read(self, monkeypatch, idle):
+        """An update that raises, on either thread, is raised unchanged by
+        the next op that reads the parameter, which leaves no fence."""
+        if idle:
+            monkeypatch.setattr(ad, "_worker", IdleWorker())
+        w, b = parameter(np.ones((3, 2), np.float32)), parameter(np.zeros(2, np.float32))
+        opt = AdamW([w, b], lr=0.1, weight_decay=0.0)
+        w.grad = np.ones(4, np.float32)  # the wrong size: the update fails
+        opt.end_step()
+        if not idle:
+            wait([future for future, _, _ in w._fence])
+            assert all(future.exception() is not None for future, _, _ in w._fence)
+        with pytest.raises(ValueError):
+            ad.linear(Tensor(np.ones((1, 3), np.float32)), w, b)
+        assert w._fence is None and b._fence is None

@@ -1,11 +1,14 @@
 import hashlib
 import math
+import sys
 import threading
 
 import numpy as np
 import pytest
+from workers import EagerWorker, IdleWorker, RecordingWorker
 
-from paprlab import training
+from paprlab import autodiff as ad
+from paprlab import optim, training
 from paprlab.autodiff import Tensor
 from paprlab.chain import HpaParams, complex_noise, run_chain
 from paprlab.config import default_config
@@ -149,14 +152,15 @@ class TestTrain:
 
 
 class SequentialAdamW(AdamW):
-    """The reference loop's optimizer: backward queues nothing, and step()
-    updates every parameter on the calling thread, in whole arrays, in the
-    order of AdamW's 13 passes."""
+    """The reference loop's optimizer: backward queues nothing, and
+    end_step() (which train() calls, and step() before finish()) updates
+    every parameter on the calling thread, in whole arrays, in the order of
+    AdamW's 13 passes, so no parameter ever carries a fence."""
 
     def queue(self, p):
         pass
 
-    def step(self):
+    def end_step(self):
         self.step_count += 1
         root_bc2 = (1.0 - BETA2 ** self.step_count) ** 0.5
         alpha = self.lr * root_bc2 / (1.0 - BETA1 ** self.step_count)
@@ -201,28 +205,144 @@ class TestOverlappedUpdate:
                              ref.optimizer.m + ref.optimizer.v):
             np.testing.assert_array_equal(got, want)
 
+    @pytest.mark.parametrize("arch", ["cae_stock", "fc_ae"])
+    def test_the_second_thread_changes_no_bit(self, monkeypatch, arch):
+        """Stock-CAE steps and small FC-AE steps give the same losses,
+        weights, buffers and moments, bit for bit, with the second thread
+        running jobs as it gets to them (also with the interpreter switching
+        threads every microsecond), with it starting every job, and with it
+        starting none, so that every product and update runs on the calling
+        thread; all equal SequentialAdamW's, and no parameter is left with a
+        fence."""
+        if arch == "cae_stock":
+            def build():
+                return build_model_from_config(STOCK, "cae")
+            cfg = TrainConfig(epochs=1, batches_per_epoch=3, schedule="fixed", stage1_epochs=0)
+            args = (STOCK.loss, STOCK.hpa, STOCK_SPECTRAL)
+        else:
+            def build():
+                return FcAeModel(n_subcarriers=N, oversampling=L, hidden=(600, 600), seed=29)
+            cfg = toy_config(epochs=2, batches_per_epoch=2)
+            args = (LossWeights(), HPA, SPECTRAL)
+        losses = []
+        real_loss = training.joint_loss
+
+        def recording_loss(*a, **kw):
+            loss, parts = real_loss(*a, **kw)
+            losses[-1].append(loss.item())
+            return loss, parts
+        monkeypatch.setattr(training, "joint_loss", recording_loss)
+        real_worker, eager, interval = ad._worker, EagerWorker(), sys.getswitchinterval()
+        runs = []
+        try:
+            for worker, optimizer, switch in (
+                    (real_worker, AdamW, interval), (real_worker, AdamW, 1e-6),
+                    (eager, AdamW, interval), (IdleWorker(), AdamW, interval),
+                    (real_worker, SequentialAdamW, interval)):
+                sys.setswitchinterval(switch)
+                monkeypatch.setattr(ad, "_worker", worker)
+                monkeypatch.setattr(training, "AdamW", optimizer)
+                losses.append([])
+                model = build()
+                result = train(model, cfg, *args, seed=30)
+                assert all(p._fence is None for p in model.parameters())
+                runs.append((model.state_dict(), result.optimizer.m + result.optimizer.v))
+        finally:
+            sys.setswitchinterval(interval)
+            eager.shutdown()
+        assert len(losses[0]) == cfg.epochs * cfg.batches_per_epoch
+        assert eager.threads and threading.main_thread() not in eager.threads
+        (ref_state, ref_moments), ref_losses = runs[-1], losses[-1]
+        for (state, moments), run_losses in zip(runs[:-1], losses[:-1]):
+            assert run_losses == ref_losses
+            assert state.keys() == ref_state.keys()
+            for key in state:
+                np.testing.assert_array_equal(state[key], ref_state[key], err_msg=key)
+            for got, want in zip(moments, ref_moments):
+                np.testing.assert_array_equal(got, want)
+
     def test_no_update_outlives_train(self, monkeypatch):
-        """Repeated train() calls leave at most one thread more than before,
-        also after a train() whose backward raised with updates queued; that
-        train() raises only once every queued update has ended."""
+        """Each epoch is logged with no parameter carrying a fence, and every
+        way out of train() leaves every queued update ended, no parameter
+        with a fence and at most one thread more than before: a run that
+        returns, one whose backward raised with updates queued,
+        and one whose data draw raised at the start of a step, as a
+        profiler stopping the run between steps does, while the previous
+        step's updates were queued."""
         before = threading.active_count()
+        worker = RecordingWorker(ad._worker)
+        monkeypatch.setattr(ad, "_worker", worker)
+
+        def check(model):
+            assert worker.futures and all(future.done() for future in worker.futures)
+            assert all(p._fence is None for p in model.parameters())
+            assert threading.active_count() <= before + 1
+            worker.futures.clear()
+
         for seed in (24, 25):
-            train(toy_model(seed=seed), toy_config(epochs=1, batches_per_epoch=2),
-                  LossWeights(), HPA, SPECTRAL, seed=seed)
-        queued = []
+            model, fences = toy_model(seed=seed), []
+            train(model, toy_config(epochs=2, batches_per_epoch=2), LossWeights(), HPA,
+                  SPECTRAL, seed=seed,
+                  log=lambda record: fences.extend(p._fence for p in model.parameters()))
+            assert len(fences) == 2 * len(model.parameters()) and not any(fences)
+            check(model)
+
         real_queue = AdamW.queue
 
         def failing_queue(self, p):
             real_queue(self, p)
-            queued.extend(future for future, _ in self._pending)
             if len(self._unqueued) < len(self.params) - 2:
                 raise RuntimeError("backward failed")
-        monkeypatch.setattr(AdamW, "queue", failing_queue)
-        with pytest.raises(RuntimeError, match="backward failed"):
-            train(toy_model(seed=26), toy_config(epochs=1, batches_per_epoch=2),
-                  LossWeights(), HPA, SPECTRAL, seed=26)
-        assert queued and all(future.done() for future in queued)
-        assert threading.active_count() <= before + 1
+        with monkeypatch.context() as patch:
+            patch.setattr(AdamW, "queue", failing_queue)
+            model = toy_model(seed=26)
+            with pytest.raises(RuntimeError, match="backward failed"):
+                train(model, toy_config(epochs=1, batches_per_epoch=2),
+                      LossWeights(), HPA, SPECTRAL, seed=26)
+        check(model)
+
+        class Stop(Exception):
+            pass
+        real_map, calls, fenced = training.qam4_map, [], []
+        model = toy_model(seed=31)
+
+        def stopping_map(bits):
+            calls.append(1)
+            if len(calls) == 3:
+                fenced.extend(p for p in model.parameters() if p._fence)
+                raise Stop
+            return real_map(bits)
+        monkeypatch.setattr(training, "qam4_map", stopping_map)
+        with pytest.raises(Stop):
+            train(model, toy_config(epochs=1, batches_per_epoch=4),
+                  LossWeights(), HPA, SPECTRAL, seed=31)
+        assert len(fenced) == len(model.parameters())
+        check(model)
+
+    @pytest.mark.parametrize("when", ["next_read", "settle"])
+    def test_failed_update_surfaces(self, monkeypatch, when):
+        """An update that raises on the second thread is raised unchanged by
+        the next op that reads its parameter, or, after the last step, by
+        train()'s settle; no parameter is left with a fence."""
+        model = toy_model(seed=32)
+        victim = model.encoder.fc.w
+        cfg = toy_config(epochs=1, batches_per_epoch=3)
+        fail_step = 1 if when == "next_read" else cfg.batches_per_epoch
+        err = RuntimeError("update failed")
+        real_run = optim._run
+
+        def failing_run(*task):
+            if task[-3] == fail_step and np.shares_memory(task[0], victim.data):
+                raise err
+            return real_run(*task)
+        monkeypatch.setattr(optim, "_run", failing_run)
+        with pytest.raises(RuntimeError) as info:
+            train(model, cfg, LossWeights(), HPA, SPECTRAL, seed=33)
+        assert info.value is err
+        frames = {entry.name for entry in info.traceback}
+        assert ("linear" in frames) == (when == "next_read")
+        assert ("finish" in frames) == (when == "settle")
+        assert all(p._fence is None for p in model.parameters())
 
 
 def normwise(got, want) -> float:
