@@ -85,11 +85,6 @@ _KEPT_DTYPES = (np.float32, np.complex64)
 # The process's second thread, started by the first job.
 _worker = ThreadPoolExecutor(1, "paprlab-worker")
 
-# Multiply-adds below which linear computes its weight gradient here: at
-# N = 16 (encoder FC 1452 -> 128, 5.9M) handing it off made no run's step
-# faster and some 18% slower; the stock CAE's smaller FC has 8.9M.
-_OFFLOAD_MIN = 1 << 23
-
 
 def _submit(fn, *args):
     """Hand fn(*args) to the second thread; returns the job (future, fn, args)."""
@@ -247,13 +242,12 @@ def _accumulate(t: Tensor, g: np.ndarray):
 
 
 def _accumulate_product(t: Tensor, a: np.ndarray, b: np.ndarray, overlap):
-    """_accumulate(t, a @ b), running overlap() here meanwhile: a product of
-    at least _OFFLOAD_MIN multiply-adds runs on the second thread and is
-    taken back (_take).  A first contribution is written into t._own_grad,
-    the array a product gave t's gradient in an earlier backward, when its
-    shape and dtype fit; backward() keeps that array only while it is still
-    t.grad.  A fresh array over 32 MiB costs an mmap and its page faults
-    every step."""
+    """_accumulate(t, a @ b), running overlap() here meanwhile: the product
+    runs on the second thread and is taken back (_take).  A first
+    contribution is written into t._own_grad, the array a product gave t's
+    gradient in an earlier backward, when its shape and dtype fit;
+    backward() keeps that array only while it is still t.grad.  A fresh
+    array over 32 MiB costs an mmap and its page faults every step."""
     if not t.requires_grad:
         overlap()
         return
@@ -261,12 +255,11 @@ def _accumulate_product(t: Tensor, a: np.ndarray, b: np.ndarray, overlap):
     fits = (own is not None and own.shape == (a.shape[0], b.shape[1])
             and own.dtype == np.result_type(a.dtype, b.dtype))
     args = (a, b, own if fits and not summed else None)
-    big = a.shape[0] * a.shape[1] * b.shape[1] >= _OFFLOAD_MIN
-    job = _submit(np.matmul, *args) if big else None
+    job = _submit(np.matmul, *args)
     try:
         overlap()
     finally:
-        product = _take(job) if big else np.matmul(*args)
+        product = _take(job)
     if summed:
         t.grad, t._own_grad = t.grad + product, None
     else:
@@ -300,7 +293,7 @@ def _add(a: Tensor, b: Tensor) -> Tensor:
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Affine map x @ w + b for x of shape (B, F), w (F, O), b (O,), once
-    the fences of w and b are settled.  The backward hands a large weight
+    the fences of w and b are settled.  The backward hands the weight
     gradient x.T @ g, a bare numpy matmul, to the second thread while the
     calling thread computes the input and bias gradients."""
     _settle_fences((w, b))

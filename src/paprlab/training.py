@@ -134,7 +134,7 @@ def train(model, cfg: TrainConfig, weights: LossWeights, hpa: HpaParams,
     stages.  AdamW's decoupled weight decay is the only regulariser.
 
     Two threads share each step.  The second thread (autodiff._worker) runs
-    linear's large weight gradients during backward, and each parameter's AdamW
+    linear's weight gradients during backward, and each parameter's AdamW
     update from the moment backward has made its gradient final until the
     next step's forward reads the parameter.  The calling thread runs the
     rest, and each job the second thread has not started when it is

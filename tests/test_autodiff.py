@@ -8,7 +8,7 @@ import numpy as np
 import oracle_ops
 import pytest
 from gradcheck import numeric_grad, rel_error
-from workers import EagerWorker, IdleWorker, RecordingWorker
+from workers import EagerWorker
 
 from paprlab import autodiff as ad
 from paprlab.autodiff import Tensor
@@ -273,12 +273,9 @@ class TestLinearBackward:
     def test_weight_gradient_off_the_thread_equals_inline(self, monkeypatch, shape):
         """The weight gradient the second thread computes equals x.T @ g
         computed on the calling thread, bit for bit, in float32 at batch 32:
-        fresh and written into the previous backward's array.  The N = 16
-        product, below _OFFLOAD_MIN, is handed off here only because the
-        threshold is lowered."""
+        fresh and written into the previous backward's array."""
         worker = EagerWorker()
         monkeypatch.setattr(ad, "_worker", worker)
-        monkeypatch.setattr(ad, "_OFFLOAD_MIN", 0)
         rng = np.random.default_rng(11)
         x, w, b = self._leaves(rng, 32, shape)
         try:
@@ -296,20 +293,6 @@ class TestLinearBackward:
         assert w.grad is first
         assert worker.threads and threading.main_thread() not in worker.threads
 
-    @pytest.mark.parametrize("shape, handed_off", [(THREAD_SHAPES[0], 1), (THREAD_SHAPES[1], 0)],
-                             ids=[f"{i}to{o}" for i, o in THREAD_SHAPES])
-    def test_only_large_weight_gradients_are_handed_off(self, monkeypatch, shape, handed_off):
-        """A weight gradient of at least _OFFLOAD_MIN multiply-adds goes to
-        the second thread, a smaller one is computed here."""
-        worker = RecordingWorker(IdleWorker())
-        monkeypatch.setattr(ad, "_worker", worker)
-        x, w, b = self._leaves(np.random.default_rng(13), 32, shape)
-        out = ad.linear(x, w, b)
-        out.grad = np.ones(out.data.shape, np.float32)
-        out._backward()
-        assert len(worker.futures) == handed_off
-        np.testing.assert_array_equal(w.grad, x.data.T @ out.grad)
-
     def test_weight_gradient_error_on_the_thread_is_raised_by_backward(self, monkeypatch):
         """A weight-gradient product that raises on the second thread is
         raised by backward() unchanged."""
@@ -319,7 +302,6 @@ class TestLinearBackward:
             raise err
         worker = EagerWorker(swap={np.matmul: fail})
         monkeypatch.setattr(ad, "_worker", worker)
-        monkeypatch.setattr(ad, "_OFFLOAD_MIN", 0)
         rng = np.random.default_rng(12)
         x, w, b = self._leaves(rng, 32, (60, 40))
         loss = self._loss([x.data], w, b)
