@@ -26,11 +26,11 @@ complex_scale.  A conv stage of the CAE (convolution, batch norm, SELU) is
 one op, conv_stage, which runs cache-sized blocks of samples through all
 three and has one gradient rule.
 
-A second thread, _worker, runs linear's weight-gradient products and
-AdamW's update tasks.  It calls only numpy and private helpers, never a
-public name that a profiler such as perfbench's tracer wraps, so traced
-spans stay nested on the calling thread.  A job it has not started when it
-is needed runs on the calling thread, so nothing waits behind its queue.  A
+_worker, the package's one extra thread, runs linear's weight-gradient
+products, AdamW's update tasks and eval's cf and slm transmits; _settle
+runs here each job it has not started, so nothing waits behind its queue.
+Training's jobs never call a name that a profiler such as perfbench's
+tracer wraps; eval's transmits do, so traced eval spans interleave.  A
 parameter whose update is queued or running carries a fence, its update
 jobs, which linear and conv_stage settle before they read the parameter.
 """
@@ -64,6 +64,10 @@ __all__ = [
     "mse_complex",
     "papr_loss",
     "acpr_value",
+    "SELU_SCALE",
+    "SELU_ALPHA",
+    "BN_MOMENTUM",
+    "BN_EPS",
 ]
 
 SELU_SCALE = 1.0507009873554804934193349852946
@@ -87,34 +91,33 @@ _worker = ThreadPoolExecutor(1, "paprlab-worker")
 
 
 def _submit(fn, *args):
-    """Hand fn(*args) to the second thread; returns the job (future, fn, args)."""
-    return _worker.submit(fn, *args), fn, args
-
-
-def _take(job):
-    """The result of a job: run here if the second thread has not started it,
-    else waited for.  An error the job raised is raised unchanged."""
-    future, fn, args = job
-    return fn(*args) if future.cancel() else future.result()
+    """Hand fn(*args) to the second thread; returns the job [future, fn, args].
+    The thread's queue holds the job, which _settle empties, so a job it
+    cancels keeps no argument alive while it waits there."""
+    job = [None, fn, args]
+    job[0] = _worker.submit(lambda: job[1](*job[2]))
+    return job
 
 
 def _settle(jobs):
-    """Run here each job the second thread has not started, wait for those
-    it has, and raise the first error a job raised.  After an error here the
-    unstarted jobs are dropped, so no job outlives the call."""
+    """The results of a list of jobs, in order.  A job the second thread has
+    not started runs here; one it has is waited for.  An error raised here
+    wins; else the first job, in order, that raised on the thread raises its
+    error unchanged.  After an error here the unstarted jobs are dropped, so
+    no job outlives the call.  A job that settles jobs of its own finds them
+    queued behind itself, so it runs them and cannot deadlock."""
+    ran = {}
     try:
-        for future, fn, args in jobs:
+        for i, (future, fn, args) in enumerate(jobs):
             if future.cancel():
-                fn(*args)
+                ran[i] = fn(*args)
     finally:
-        for future, _, _ in jobs:
-            future.cancel()
-        # a cancelled future is done only once the thread's queue reaches it
-        taken = [future for future, _, _ in jobs if not future.cancelled()]
-        for future in taken:
+        started = [future for future, _, _ in jobs if not future.cancel()]
+        for future in started:
             future.exception()  # waits for the job to end
-    for future in taken:
-        future.result()
+        for job in jobs:
+            job[1:] = None, ()
+    return [ran[i] if i in ran else future.result() for i, (future, _, _) in enumerate(jobs)]
 
 
 def _settle_fences(tensors):
@@ -124,8 +127,7 @@ def _settle_fences(tensors):
         if t._fence is not None:
             jobs += t._fence
             t._fence = None
-    if jobs:
-        _settle(jobs)
+    _settle(jobs)
 
 
 class Tensor:
@@ -243,7 +245,7 @@ def _accumulate(t: Tensor, g: np.ndarray):
 
 def _accumulate_product(t: Tensor, a: np.ndarray, b: np.ndarray, overlap):
     """_accumulate(t, a @ b), running overlap() here meanwhile: the product
-    runs on the second thread and is taken back (_take).  A first
+    runs on the second thread and is taken back (_settle).  A first
     contribution is written into t._own_grad, the array a product gave t's
     gradient in an earlier backward, when its shape and dtype fit;
     backward() keeps that array only while it is still t.grad.  A fresh
@@ -255,11 +257,11 @@ def _accumulate_product(t: Tensor, a: np.ndarray, b: np.ndarray, overlap):
     fits = (own is not None and own.shape == (a.shape[0], b.shape[1])
             and own.dtype == np.result_type(a.dtype, b.dtype))
     args = (a, b, own if fits and not summed else None)
-    job = _submit(np.matmul, *args)
+    jobs = [_submit(np.matmul, *args)]
     try:
         overlap()
     finally:
-        product = _take(job)
+        product, = _settle(jobs)
     if summed:
         t.grad, t._own_grad = t.grad + product, None
     else:

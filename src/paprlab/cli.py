@@ -24,6 +24,8 @@ from .config import (
 )
 from .errors import ConfigError, TrainingDivergedError
 
+__all__ = ["build_parser", "main"]
+
 
 def _apply_override(data: dict, assignment: str):
     key, sep, raw = assignment.partition("=")

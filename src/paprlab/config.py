@@ -33,9 +33,10 @@ __all__ = [
     "load_config",
     "config_hash",
     "build_id",
+    "NEURAL_METHODS",
 ]
 
-VALID_METHODS = ("none", "cf", "slm", "cae", "fc_ae")
+_VALID_METHODS = ("none", "cf", "slm", "cae", "fc_ae")
 NEURAL_METHODS = ("cae", "fc_ae")
 
 
@@ -126,8 +127,8 @@ class ExperimentConfig:
         if not math.isfinite(self.acpr_req_db):
             raise ValueError(f"acpr_req_db must be a finite number, got {self.acpr_req_db}")
         for m in self.methods:
-            if m not in VALID_METHODS:
-                raise ValueError(f"unknown method {m!r}, expected one of {VALID_METHODS}")
+            if m not in _VALID_METHODS:
+                raise ValueError(f"unknown method {m!r}, expected one of {_VALID_METHODS}")
         _check_distinct("methods", self.methods)
 
 

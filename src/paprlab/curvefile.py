@@ -13,7 +13,7 @@ import json
 import os
 from pathlib import Path
 
-__all__ = ["write_curve", "write_summary"]
+__all__ = ["write_curve", "write_summary", "read_curve"]
 
 
 def _fmt(value) -> str:

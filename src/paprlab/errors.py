@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["DegenerateInputError", "ConfigError", "TrainingDivergedError"]
+
 
 class DegenerateInputError(ValueError):
     """A signal or batch has no usable power (all-zero input, zero gain, ...)."""

@@ -22,24 +22,23 @@ eval.batch sets how many symbols go through at a time and the window over
 which the BER receiver estimates its Bussgang gain; otherwise it moves
 results only by float rounding (the PSD sums and a neural encoder's GEMM).
 
-Each batch's baseline transmits (cf, slm) run on one worker thread while the
-calling thread runs its neural transmits (cae, fc_ae) and "none"; every other
-stage runs on the calling thread.  A method does the same arithmetic on
-either thread, so no output depends on which thread ran it.
+Each batch's cf and slm transmits are handed to autodiff's second thread;
+every other stage, the neural transmits included, runs on the calling
+thread.  A method does the same arithmetic on either thread, so no output
+depends on which thread ran it.
 """
 
 from __future__ import annotations
 
 import math
 import zipfile
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import chain
-from .autodiff import Tensor, add_constant
+from .autodiff import Tensor, _settle, _submit, add_constant
 from .baselines import clip_filter, slm_phase_bank, slm_select_batch
 from .chain import bussgang_alpha, complex_noise
 from .config import (
@@ -68,13 +67,10 @@ __all__ = [
 ]
 
 # PAPR thresholds of the CCDF curves: 0 to 13 dB in 0.25 dB steps
-CCDF_THRESHOLDS_DB = np.arange(0.0, 13.0 + 0.125, 0.25)
+_CCDF_THRESHOLDS_DB = np.arange(0.0, 13.0 + 0.125, 0.25)
 
-# The methods whose transmit runs on the baseline thread, and that thread,
-# started by the first eval batch; it runs only their transmits and submits
-# no work itself.
+# The methods whose transmit is handed to autodiff's second thread.
 _THREADED_METHODS = ("cf", "slm")
-_baseline_thread = ThreadPoolExecutor(1, "eval-baselines")
 
 
 def _outdir(config: ExperimentConfig) -> Path:
@@ -217,13 +213,13 @@ def _batch_stream(config: ExperimentConfig, bank: _MethodBank, symbols: int):
 
     The batches hold the first `symbols` rows of the "eval/data" stream,
     eval.batch rows each (the last one may be shorter); every method
-    transmits each batch exactly once.  The baseline thread runs the cf and
-    slm transmits while the calling thread runs the others; the calling
-    thread then waits for them, also when its own transmit raises, so no
-    transmit outlives its command, and raises a baseline's error unchanged.
-    The outputs do not depend on which thread ran a method.  The stream and
-    each command drop a batch before the next one transmits, so one batch's
-    waveforms are alive at a time.
+    transmits each batch exactly once.  The cf and slm transmits are handed
+    to the second thread and settled (autodiff._settle) after the others,
+    also when one of those raised, so none outlives its command.  A
+    baseline's error reaches the caller unchanged, with the calling
+    thread's, if any, as its __context__.  The stream and each command drop
+    a batch before the next one transmits, so one batch's waveforms are
+    alive at a time.
     """
     n = config.system.n_subcarriers
     data_rng = derive_rng(config.seed, "eval/data")
@@ -232,15 +228,15 @@ def _batch_stream(config: ExperimentConfig, bank: _MethodBank, symbols: int):
         bits = data_rng.integers(0, 2, size=(rows, 2 * n), dtype=np.int64)
         blocks = qam4_map(bits)
         wave = ofdm_modulate(blocks, config.system.oversampling)
-        threaded = {m: _baseline_thread.submit(bank.transmit, m, blocks, wave)
-                    for m in config.methods if m in _THREADED_METHODS}
+        threaded = [m for m in config.methods if m in _THREADED_METHODS]
+        jobs = [_submit(bank.transmit, m, blocks, wave) for m in threaded]
         try:
             sent = {m: bank.transmit(m, blocks, wave) for m in config.methods if m not in threaded}
         finally:
-            wait(threaded.values())
-        sent.update((m, future.result()) for m, future in threaded.items())
+            results = _settle(jobs)
+        sent.update(zip(threaded, results))
         yield bits, {m: sent[m] for m in config.methods}
-        del blocks, wave, threaded, sent
+        del blocks, wave, jobs, results, sent
 
 
 def _wilson(errors: int, trials: int) -> tuple[float, float]:
@@ -304,8 +300,8 @@ def eval_ccdf(config: ExperimentConfig, checkpoints: dict | None = None) -> Path
 
     rows = []
     for method in config.methods:
-        probs = ccdf(np.concatenate(values[method]), CCDF_THRESHOLDS_DB)
-        rows.extend((float(t), float(p), method) for t, p in zip(CCDF_THRESHOLDS_DB, probs))
+        probs = ccdf(np.concatenate(values[method]), _CCDF_THRESHOLDS_DB)
+        rows.extend((float(t), float(p), method) for t, p in zip(_CCDF_THRESHOLDS_DB, probs))
     rows.sort(key=lambda r: (r[0], r[2]))
     return _write(config, "ccdf", "eval-ccdf", {"symbols": symbols},
                   ["papr0_db", "prob_exceed", "method"], rows, symbols=symbols)

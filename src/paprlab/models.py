@@ -33,7 +33,7 @@ __all__ = [
     "Checkpoint",
 ]
 
-CHECKPOINT_FORMAT = 2
+_CHECKPOINT_FORMAT = 2
 
 # Every conv layer has kernel 3; a full correlation grows its input by 2.
 _KERNEL = 3
@@ -335,7 +335,7 @@ def save_checkpoint(path, model, optimizer=None, epoch: int = 0, seed: int | Non
     saving leaves the previous checkpoint whole.
     """
     meta = {
-        "format": CHECKPOINT_FORMAT,
+        "format": _CHECKPOINT_FORMAT,
         "arch": model.descriptor(),
         "epoch": epoch,
         "seed": seed,
@@ -367,7 +367,7 @@ def load_checkpoint(path) -> Checkpoint:
     # the file is opened here, so it is closed also when np.load fails on it
     with open(path, "rb") as fh, np.load(fh) as data:
         meta = json.loads(bytes(data["meta"]).decode("utf-8"))
-        if meta.get("format") != CHECKPOINT_FORMAT:
+        if meta.get("format") != _CHECKPOINT_FORMAT:
             raise ValueError(f"unsupported checkpoint format {meta.get('format')!r}")
         model = build_model(meta["arch"])
         state = {key[len("state/"):]: data[key] for key in data.files if key.startswith("state/")}

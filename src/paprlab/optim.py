@@ -6,7 +6,7 @@ import numpy as np
 
 from .autodiff import Tensor, _settle_fences, _submit
 
-__all__ = ["adamw_update", "AdamW"]
+__all__ = ["adamw_update", "AdamW", "BETA1", "BETA2", "EPS"]
 
 # Elements per update block: 256 KiB per float32 array, so the six arrays a
 # block touches (parameter, gradient, both moments, two scratch) take 1.5 MiB
@@ -135,8 +135,7 @@ class AdamW:
             self.finish()
 
     def finish(self):
-        """Run here each queued task the second thread has not started, wait
-        for those it has, and raise the first error a task raised."""
+        """Settle every queued update task (autodiff._settle)."""
         _settle_fences(self.params)
 
     def state_dict(self) -> dict:

@@ -133,16 +133,13 @@ def train(model, cfg: TrainConfig, weights: LossWeights, hpa: HpaParams,
     the loss and of joint_loss's three terms, which are computed in both
     stages.  AdamW's decoupled weight decay is the only regulariser.
 
-    Two threads share each step.  The second thread (autodiff._worker) runs
+    Two threads share each step: the second thread (autodiff._worker) runs
     linear's weight gradients during backward, and each parameter's AdamW
     update from the moment backward has made its gradient final until the
-    next step's forward reads the parameter.  The calling thread runs the
-    rest, and each job the second thread has not started when it is
-    needed.  The second thread calls only numpy and private helpers, never
-    a function a profiler wraps, such as this module's names.  Each job does
-    the same arithmetic on either thread, so the run is deterministic for a
-    given seed.  Every update has ended when an epoch is logged and when
-    train() returns or raises.
+    next step's forward reads the parameter.  Each job does the same
+    arithmetic on either thread, so the run is deterministic for a given
+    seed.  Every update has ended when an epoch is logged and when train()
+    returns or raises.
 
     Every step runs in float32, as a built or loaded model already is: a
     model of another dtype is cast to float32 in place before the optimizer

@@ -8,7 +8,7 @@ import numpy as np
 import oracle_ops
 import pytest
 from gradcheck import numeric_grad, rel_error
-from workers import EagerWorker
+from workers import EagerWorker, IdleWorker
 
 from paprlab import autodiff as ad
 from paprlab.autodiff import Tensor
@@ -300,11 +300,12 @@ class TestLinearBackward:
 
         def fail(*args):
             raise err
-        worker = EagerWorker(swap={np.matmul: fail})
+        worker = EagerWorker()
         monkeypatch.setattr(ad, "_worker", worker)
         rng = np.random.default_rng(12)
         x, w, b = self._leaves(rng, 32, (60, 40))
         loss = self._loss([x.data], w, b)
+        monkeypatch.setattr(np, "matmul", fail)  # linear hands the thread np.matmul
         try:
             with pytest.raises(RuntimeError) as info:
                 loss.backward()
@@ -354,6 +355,80 @@ def test_a_settle_that_raises_waits_for_the_running_job(monkeypatch):
         release.set()
         timer.join()
         worker.shutdown()
+
+
+def _mixed_jobs(monkeypatch, eager, fns):
+    """One job per function, handed alternately to a worker that starts
+    every job at once and to one that starts none."""
+    jobs = []
+    for i, fn in enumerate(fns):
+        monkeypatch.setattr(ad, "_worker", eager if i % 2 == 0 else IdleWorker())
+        jobs.append(ad._submit(fn, i))
+    return jobs
+
+
+def test_settle_returns_the_results_in_order(monkeypatch):
+    """_settle returns each job's result at its place in the list, whether
+    the job ran on the second thread (even places) or here (odd places)."""
+    eager, ran = EagerWorker(), {}
+
+    def job(i):
+        ran[i] = threading.current_thread() is threading.main_thread()
+        return 10 * i
+    try:
+        assert ad._settle(_mixed_jobs(monkeypatch, eager, [job] * 4)) == [0, 10, 20, 30]
+    finally:
+        eager.shutdown()
+    assert ran == {0: False, 1: True, 2: False, 3: True}
+
+
+def test_an_error_raised_here_wins(monkeypatch):
+    """When a job raises on the second thread and a later one raises here,
+    _settle raises the error raised here."""
+    eager, errors = EagerWorker(), [RuntimeError("there"), RuntimeError("here")]
+
+    def fail(i):
+        raise errors[i]
+    try:
+        with pytest.raises(RuntimeError) as info:
+            ad._settle(_mixed_jobs(monkeypatch, eager, [fail, fail]))
+    finally:
+        eager.shutdown()
+    assert info.value is errors[1]
+
+
+def test_a_job_run_here_keeps_no_argument_alive():
+    """A job _settle runs here waits in the second thread's queue until the
+    thread reaches it, and meanwhile holds none of its arguments, so an eval
+    batch is freed before the next one transmits."""
+    release = threading.Event()
+    blocker = [ad._submit(release.wait, 10)]
+    arg = np.ones(4)
+    ref = weakref.ref(arg)
+    try:
+        assert ad._settle([ad._submit(np.sum, arg)]) == [4.0]
+        del arg
+        assert ref() is None
+    finally:
+        release.set()
+        ad._settle(blocker)
+
+
+def test_a_job_that_settles_its_own_job_cannot_deadlock():
+    """A job running on the second thread that submits and settles a job of
+    its own finds it queued behind itself, so runs it in place."""
+    started = threading.Event()
+
+    def outer():
+        started.set()
+        inner, = ad._settle([ad._submit(threading.current_thread)])
+        return threading.current_thread(), inner
+
+    jobs = [ad._submit(outer)]
+    assert started.wait(10)
+    worker_thread, inner_thread = jobs[0][0].result(timeout=10)
+    assert ad._settle(jobs) == [(worker_thread, inner_thread)]
+    assert inner_thread is worker_thread is not threading.main_thread()
 
 
 class TestActivations:

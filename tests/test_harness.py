@@ -6,11 +6,11 @@ import threading
 import time
 import weakref
 from collections import Counter
-from concurrent.futures import Future
 from pathlib import Path
 
 import numpy as np
 import pytest
+from workers import EagerWorker, IdleWorker, RecordingWorker
 
 from paprlab import autodiff as ad
 from paprlab import chain, harness
@@ -502,56 +502,55 @@ def test_results_do_not_depend_on_the_batch_size(tmp_path):
             np.testing.assert_allclose(other_values, values, rtol=1e-12, atol=0, err_msg=name)
 
 
-class _InlineExecutor:
-    """Runs each submitted task at once, on the submitting thread."""
-
-    def submit(self, fn, *args):
-        future = Future()
-        try:
-            future.set_result(fn(*args))
-        except BaseException as err:
-            future.set_exception(err)
-        return future
+@pytest.fixture
+def eager():
+    """A stand-in for autodiff's worker that starts every job at once."""
+    worker = EagerWorker()
+    yield worker
+    worker.shutdown()
 
 
-def test_the_baseline_thread_changes_no_bit(tmp_path, monkeypatch):
-    """The five commands write the same rows and summaries whether cf and slm
-    transmit on the baseline thread or inline, with a short last batch in
-    every command; on the thread, only cf and slm leave the calling thread."""
+def test_the_baseline_thread_changes_no_bit(tmp_path, monkeypatch, eager):
+    """The five commands write the same rows and summaries on autodiff's
+    worker, on one that starts every job at once and on one that starts
+    none, with a short last batch in every command.  none and cae always
+    transmit on the calling thread; cf and slm never do when every job is
+    started at once, and always do when none is."""
     methods = ["none", "cf", "slm", "cae"]
     untrained = tiny_config(tmp_path, methods=methods, train={"epochs": 0, "stage1_epochs": 0})
     checkpoints = {"cae": run_train(untrained, arch="cae")[0]}
     short = {"ber_symbols": 450, "ccdf_symbols": 650, "psd_symbols": 450,
              "table_symbols": 450}
-    threads = {}
+    here = {}
     transmit = harness._MethodBank.transmit
 
     def recording(bank, method, blocks, wave):
-        threads.setdefault(method, set()).add(threading.current_thread() is
-                                              threading.main_thread())
+        here.setdefault(method, set()).add(threading.current_thread() is
+                                           threading.main_thread())
         return transmit(bank, method, blocks, wave)
 
     monkeypatch.setattr(harness._MethodBank, "transmit", recording)
-    runs = []
-    for inline in (False, True):
-        if inline:
-            monkeypatch.setattr(harness, "_baseline_thread", _InlineExecutor())
-        cfg = tiny_config(tmp_path, methods=methods, eval=short,
-                          output_dir=str(tmp_path / f"inline-{inline}"))
+    runs, placed = {}, {}
+    for name, worker in (("real", ad._worker), ("eager", eager), ("idle", IdleWorker())):
+        monkeypatch.setattr(ad, "_worker", worker)
+        cfg = tiny_config(tmp_path, methods=methods, eval=short, output_dir=str(tmp_path / name))
         paths = [eval_ber(cfg, checkpoints), eval_ccdf(cfg, checkpoints),
                  eval_psd(cfg, checkpoints), eval_table(cfg, checkpoints)[1],
                  eval_obo_vs_acpr(cfg, checkpoints)]
         digests = {p.name: _data_digest(p) for p in paths}
         digests.update((p.name, _summary_digest(p.with_name(f"{p.stem}_summary.json")))
                        for p in paths)
-        runs.append(digests)
-        if not inline:
-            assert threads == {"none": {True}, "cf": {False}, "slm": {False}, "cae": {True}}
-    assert runs[0] == runs[1]
+        runs[name], placed[name] = digests, dict(here)
+        here.clear()
+    assert runs["real"] == runs["eager"] == runs["idle"]
+    for name, methods_here in placed.items():
+        assert methods_here["none"] == methods_here["cae"] == {True}, name
+    assert placed["eager"]["cf"] == placed["eager"]["slm"] == {False}
+    assert placed["idle"]["cf"] == placed["idle"]["slm"] == {True}
 
 
-def test_a_baseline_error_crosses_the_thread_unchanged(tmp_path, monkeypatch):
-    """An error raised by a transmit on the baseline thread reaches the eval
+def test_a_baseline_error_crosses_the_thread_unchanged(tmp_path, monkeypatch, eager):
+    """An error raised by a transmit on the second thread reaches the eval
     command's caller as the same exception, type and message."""
     raised = DegenerateInputError("an all-zero block has no PAPR")
     threads = []
@@ -561,6 +560,7 @@ def test_a_baseline_error_crosses_the_thread_unchanged(tmp_path, monkeypatch):
         raise raised
 
     monkeypatch.setattr(harness, "slm_select_batch", failing)
+    monkeypatch.setattr(ad, "_worker", eager)
     with pytest.raises(DegenerateInputError) as info:
         eval_ccdf(tiny_config(tmp_path))
     assert info.value is raised
@@ -568,10 +568,10 @@ def test_a_baseline_error_crosses_the_thread_unchanged(tmp_path, monkeypatch):
     assert threads and threading.main_thread() not in threads
 
 
-def test_a_neural_error_waits_for_the_baseline_thread(tmp_path, monkeypatch):
-    """When the neural transmit raises on the calling thread, the command
-    waits for the baseline thread's transmit before the error propagates, so
-    no transmit outlives its command."""
+def test_a_neural_error_waits_for_the_baseline_thread(tmp_path, monkeypatch, eager):
+    """When the neural transmit raises on the calling thread while the second
+    thread runs slm's transmit, the command waits for that transmit before
+    the error propagates, so no transmit outlives its command."""
     cfg = tiny_config(tmp_path, methods=["slm", "cae"], train={"epochs": 0, "stage1_epochs": 0})
     checkpoints = {"cae": run_train(cfg, arch="cae")[0]}
     raising, finished = threading.Event(), []
@@ -581,7 +581,7 @@ def test_a_neural_error_waits_for_the_baseline_thread(tmp_path, monkeypatch):
         assert raising.wait(10)
         time.sleep(0.1)  # the error is on its way up by now
         out = slm(*args)
-        finished.append(True)
+        finished.append(threading.current_thread())
         return out
 
     def failing(model, wave):
@@ -590,9 +590,63 @@ def test_a_neural_error_waits_for_the_baseline_thread(tmp_path, monkeypatch):
 
     monkeypatch.setattr(harness, "slm_select_batch", slow)
     monkeypatch.setattr(chain, "transmit", failing)
+    monkeypatch.setattr(ad, "_worker", eager)
     with pytest.raises(RuntimeError, match="encoder failed"):
         eval_ccdf(cfg, checkpoints)
-    assert finished == [True]
+    assert len(finished) == 1 and finished[0] is not threading.main_thread()
+
+
+@pytest.mark.parametrize("worker", ["real", "eager", "idle"])
+def test_when_both_threads_raise_the_baseline_error_wins(tmp_path, monkeypatch, eager, worker):
+    """When the neural transmit raises on the calling thread and the slm
+    transmit raises too, on either thread, the caller gets slm's error,
+    unchanged, with the neural error as its __context__."""
+    cfg = tiny_config(tmp_path, methods=["slm", "cae"], train={"epochs": 0, "stage1_epochs": 0})
+    checkpoints = {"cae": run_train(cfg, arch="cae")[0]}
+    baseline_error, neural_error = DegenerateInputError("slm failed"), RuntimeError("cae failed")
+
+    def raising(error):
+        def fail(*args):
+            raise error
+        return fail
+
+    monkeypatch.setattr(harness, "slm_select_batch", raising(baseline_error))
+    monkeypatch.setattr(chain, "transmit", raising(neural_error))
+    monkeypatch.setattr(ad, "_worker", {"real": ad._worker, "eager": eager,
+                                        "idle": IdleWorker()}[worker])
+    with pytest.raises(DegenerateInputError) as info:
+        eval_ccdf(cfg, checkpoints)
+    assert info.value is baseline_error
+    assert info.value.__context__ is neural_error
+
+
+def test_no_transmit_outlives_its_command(tmp_path, monkeypatch):
+    """Every job an eval command hands to the second thread has ended when
+    the command returns, and when it raises from the neural transmit or from
+    a baseline transmit."""
+    methods = ["none", "cf", "slm", "cae"]
+    cfg = tiny_config(tmp_path, methods=methods, train={"epochs": 0, "stage1_epochs": 0})
+    checkpoints = {"cae": run_train(cfg, arch="cae")[0]}
+    worker = RecordingWorker(ad._worker)
+    monkeypatch.setattr(ad, "_worker", worker)
+
+    def check():
+        assert worker.futures and all(future.done() for future in worker.futures)
+        worker.futures.clear()
+
+    for command in (eval_ber, eval_ccdf, eval_psd, eval_table, eval_obo_vs_acpr):
+        command(cfg, checkpoints)
+        check()
+
+    def failing(*args):
+        raise RuntimeError("transmit failed")
+
+    for name, owner in (("transmit", chain), ("slm_select_batch", harness)):
+        with monkeypatch.context() as patch:
+            patch.setattr(owner, name, failing)
+            with pytest.raises(RuntimeError, match="transmit failed"):
+                eval_ccdf(cfg, checkpoints)
+        check()
 
 
 @pytest.mark.parametrize("command", [

@@ -59,21 +59,37 @@ def _defined(tree: ast.Module) -> set[str]:
     return names
 
 
+def _unexported(tree: ast.Module) -> list[str]:
+    """Public names a module's top level defines but leaves out of its __all__."""
+    return sorted(name for name in _defined(tree) - set(_exports(tree))
+                  if not name.startswith("_"))
+
+
 def test_every_export_is_defined_in_its_module():
-    """A module exports only names it defines, so no module re-exports
-    another's names and a folded module cannot return as a shim."""
-    foreign = {}
+    """A module exports exactly the public names it defines, so no module
+    re-exports another's names, a folded module cannot return as a shim, and
+    every public name is checked for a reader by the test below."""
+    foreign, unexported = {}, {}
     for path in SOURCES:
         tree = ast.parse(path.read_text(encoding="utf-8"))
         if names := sorted(set(_exports(tree)) - _defined(tree)):
             foreign[path.stem] = names
+        if names := _unexported(tree):
+            unexported[path.stem] = names
     assert not foreign, foreign
+    assert not unexported, unexported
 
 
 def test_reexport_is_flagged():
     tree = ast.parse("from .x import a\nimport y as b\ndef c(): pass\nclass D: pass\n"
                      "e, f = 1, 2\ng: int = 3\n__all__ = ['a', 'b', 'c', 'D', 'e', 'f', 'g']\n")
     assert sorted(set(_exports(tree)) - _defined(tree)) == ["a", "b"]
+
+
+def test_unexported_public_name_is_flagged():
+    tree = ast.parse("def a(): pass\nclass B: pass\nC = 1\n_d = 2\ndef _e(): pass\n"
+                     "__all__ = ['a']\n")
+    assert _unexported(tree) == ["B", "C"]
 
 
 def _names_read(tree: ast.Module, module: str) -> set[str]:
@@ -170,6 +186,64 @@ def test_autodiff_use_is_found_both_ways():
     tree = ast.parse("from . import autodiff as ad\nfrom .autodiff import Tensor\n"
                      "import numpy as np\nad.selu(ad.linear)\nnp.reshape\n")
     assert _names_read(tree, "autodiff") == {"Tensor", "selu", "linear"}
+
+
+def _thread_builds(tree: ast.Module) -> list[int]:
+    """Lines that call ThreadPoolExecutor or threading.Thread, under any alias."""
+    makers = {"ThreadPoolExecutor", "Thread"}
+    makers.update(alias.asname for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                  for alias in node.names if alias.name in makers and alias.asname)
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) in makers]
+
+
+def test_only_autodiff_builds_a_thread():
+    """The package's one extra thread is autodiff._worker: no other module
+    builds a thread pool or a thread, so whether a process may use a second
+    core is decided in one place."""
+    builds = {path.stem: lines for path in SOURCES
+              if (lines := _thread_builds(ast.parse(path.read_text(encoding="utf-8"))))}
+    assert list(builds) == ["autodiff"] and len(builds["autodiff"]) == 1, builds
+
+
+def test_thread_build_is_flagged():
+    tree = ast.parse("import threading\nimport concurrent.futures as cf\n"
+                     "from concurrent.futures import ThreadPoolExecutor as Pool\n"
+                     "threading.Thread(target=print)\ncf.ThreadPoolExecutor(1)\nPool(2)\n"
+                     "threading.Event()\n")
+    assert _thread_builds(tree) == [4, 5, 6]
+
+
+_RUN_COMMANDS = """
+import json, sys, threading
+from paprlab import harness
+from paprlab.config import config_from_dict
+cfg = config_from_dict({
+    "system": {"n_subcarriers": 8, "oversampling": 4},
+    "model": {"enc_channels": [4, 3], "dec_channels": [3, 4], "fc_hidden": [24, 32]},
+    "train": {"epochs": 1, "batches_per_epoch": 2, "batch_size": 8, "stage1_epochs": 0},
+    "eval": {"p_snr_db": [8.0], "ber_symbols": 300, "ccdf_symbols": 300, "psd_symbols": 300,
+             "table_symbols": 300, "batch": 200, "obo_acpr_ibo_db": [2.0]},
+    "methods": ["none", "cf", "slm", "cae"], "slm": {"num_sequences": 4},
+    "output_dir": sys.argv[1],
+})
+checkpoints = {"cae": harness.run_train(cfg, arch="cae")[0]}
+for command in (harness.eval_ber, harness.eval_ccdf, harness.eval_psd, harness.eval_table,
+                harness.eval_obo_vs_acpr):
+    command(cfg, checkpoints)
+print(json.dumps(sorted(t.name for t in threading.enumerate())))
+"""
+
+
+def test_training_and_eval_leave_one_extra_thread(tmp_path):
+    """After a training run and the five eval commands a process holds its
+    main thread and autodiff's worker, and no other thread."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run([sys.executable, "-c", _RUN_COMMANDS, str(tmp_path)], cwd=root,
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == ["MainThread", "paprlab-worker_0"]
 
 
 def test_package_init_imports_nothing():

@@ -1,4 +1,4 @@
-"""Stand-ins for autodiff._worker, the second thread of a training step.
+"""Stand-ins for autodiff._worker, the extra thread of training and eval.
 
 Each has the one method the engine calls, submit(fn, *args) -> Future.
 """
@@ -17,18 +17,15 @@ class IdleWorker:
 
 class EagerWorker:
     """A second thread that has started each job before submit returns, so
-    no job runs on the calling thread.  swap maps a job's function to the
-    one the thread runs in its place; threads holds each thread a job ran
+    no job runs on the calling thread.  threads holds each thread a job ran
     on."""
 
-    def __init__(self, swap=None):
-        self.swap = swap or {}
+    def __init__(self):
         self.threads = set()
         self._pool = ThreadPoolExecutor(1, "eager-worker")
 
     def submit(self, fn, *args):
         started = threading.Event()
-        fn = self.swap.get(fn, fn)
 
         def run():
             self.threads.add(threading.current_thread())
