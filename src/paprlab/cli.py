@@ -16,6 +16,7 @@ import yaml
 
 from . import harness
 from .config import (
+    NEURAL_METHODS,
     ConfigLoader,
     config_from_dict,
     config_to_dict,
@@ -76,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_train = sub.add_parser("train", help="train a model and write its checkpoint")
-    p_train.add_argument("--arch", choices=("cae", "fc_ae"), default="cae")
+    p_train.add_argument("--arch", choices=NEURAL_METHODS, default="cae")
 
     for name, help_text in (
         ("eval-ber", "BER vs peak-SNR curves"),

@@ -51,7 +51,7 @@ from .config import (
 from .curvefile import write_curve, write_summary
 from .errors import ConfigError
 from .metrics import ACPR_FLOOR_DB, SpectralParams, acpr, ccdf, papr_db, psd
-from .models import CaeModel, FcAeModel, load_checkpoint, save_checkpoint
+from .models import build_model, load_checkpoint, save_checkpoint
 from .ofdm import band_bins, ml_detect, ofdm_modulate, qam4_map
 from .seeding import derive_rng, derive_seed
 from .training import train
@@ -100,18 +100,22 @@ def _write(config: ExperimentConfig, stem: str, command: str, meta: dict,
     return path
 
 
-def build_model_from_config(config: ExperimentConfig, arch: str):
-    sys_cfg = config.system
+def _descriptor(config: ExperimentConfig, arch: str) -> dict:
+    """The descriptor, less its seed, of the model config names for arch."""
     mdl = config.model
-    init_seed = derive_seed(config.seed, f"init/{arch}")
     if arch == "cae":
-        return CaeModel(n_subcarriers=sys_cfg.n_subcarriers, oversampling=sys_cfg.oversampling,
-                        enc_channels=mdl.enc_channels, dec_channels=mdl.dec_channels,
-                        seed=init_seed)
-    if arch == "fc_ae":
-        return FcAeModel(n_subcarriers=sys_cfg.n_subcarriers, oversampling=sys_cfg.oversampling,
-                         hidden=mdl.fc_hidden, seed=init_seed)
-    raise ConfigError(f"unknown architecture {arch!r} (expected 'cae' or 'fc_ae')")
+        sizes = {"enc_channels": list(mdl.enc_channels), "dec_channels": list(mdl.dec_channels)}
+    elif arch == "fc_ae":
+        sizes = {"hidden": list(mdl.fc_hidden)}
+    else:
+        raise ConfigError(f"unknown architecture {arch!r}, expected one of {NEURAL_METHODS}")
+    return {"kind": arch, "n_subcarriers": config.system.n_subcarriers,
+            "oversampling": config.system.oversampling, **sizes}
+
+
+def build_model_from_config(config: ExperimentConfig, arch: str):
+    seed = derive_seed(config.seed, f"init/{arch}")
+    return build_model({**_descriptor(config, arch), "seed": seed})
 
 
 def run_train(config: ExperimentConfig, arch: str = "cae", log_progress=None) -> tuple[Path, Path]:
@@ -143,7 +147,8 @@ def run_train(config: ExperimentConfig, arch: str = "cae", log_progress=None) ->
 
 
 class _MethodBank:
-    """Loaded models, cast once to the float64 evaluation precision (the one
+    """Loaded models, each checked to be the config's model by its
+    descriptor and cast once to the float64 evaluation precision (the one
     such cast), and the SLM phase bank for the configured method set."""
 
     def __init__(self, config: ExperimentConfig, checkpoints: dict[str, str | Path] | None):
@@ -165,25 +170,13 @@ class _MethodBank:
                     raise ConfigError(f"cannot read checkpoint {path}: {err.strerror}") from err
                 except (EOFError, KeyError, TypeError, ValueError, zipfile.BadZipFile) as err:
                     raise ConfigError(f"{path} is not a paprlab checkpoint") from err
-                if model.kind != method:
-                    raise ConfigError(f"checkpoint for {method!r} holds a {model.kind!r} model")
+                built = {k: v for k, v in model.descriptor().items() if k != "seed"}
+                if built != (wanted := _descriptor(config, method)):
+                    raise ConfigError(f"checkpoint for {method!r} holds model {built}, "
+                                      f"config wants {wanted}")
                 model.eval().astype(np.float64)
                 for param in model.parameters():
                     param.requires_grad = False  # inference records no autodiff tape
-                expected = (config.system.n_subcarriers, config.system.oversampling)
-                if (model.n, model.oversampling) != expected:
-                    raise ConfigError(
-                        f"checkpoint for {method!r} was built for system {model.n}x"
-                        f"{model.oversampling}, config wants {expected[0]}x{expected[1]}"
-                    )
-                mdl = config.model
-                wanted = ({"enc_channels": list(mdl.enc_channels),
-                           "dec_channels": list(mdl.dec_channels)} if method == "cae"
-                          else {"hidden": list(mdl.fc_hidden)})
-                built = {key: model.descriptor()[key] for key in wanted}
-                if built != wanted:
-                    raise ConfigError(f"checkpoint for {method!r} was built with model sizes "
-                                      f"{built}, config wants {wanted}")
                 self.models[method] = model
         self.slm_bank = slm_phase_bank(config.system.n_subcarriers, config.slm)
 
@@ -326,8 +319,8 @@ def _accumulate_spectra(config: ExperimentConfig, bank: _MethodBank, symbols: in
 def eval_psd(config: ExperimentConfig, checkpoints: dict | None = None) -> Path:
     """Averaged PSD of the transmitted (post-PA) signal per method, in dB.
 
-    Also emits the ideal reference: a linear amplifier would confine the same
-    transmit power to a flat in-band rectangle.  Every row, the reference's
+    Also emits the ideal reference: a linear amplifier of gain v would
+    confine its output power to a flat in-band rectangle.  Every row, the reference's
     included, is floored at ACPR_FLOOR_DB.
     """
     bank = _MethodBank(config, checkpoints)
@@ -339,7 +332,7 @@ def eval_psd(config: ExperimentConfig, checkpoints: dict | None = None) -> Path:
     freqs = (np.arange(total_bins) - total_bins // 2) / total_bins
     floor = 10.0 ** (ACPR_FLOOR_DB / 10.0)
     ideal = np.full(total_bins, floor)
-    ref_power = (config.hpa.a0 ** 2) * 10.0 ** (-config.hpa.ibo_db / 10.0)
+    ref_power = (config.hpa.v * config.hpa.a0) ** 2 * 10.0 ** (-config.hpa.ibo_db / 10.0)
     ideal[band_bins(n, total_bins)[0]] = ref_power / n
     ideal = np.fft.fftshift(ideal)
 

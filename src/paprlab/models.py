@@ -56,31 +56,30 @@ class Module:
     def __init__(self):
         self.training = True
 
-    def _children(self):
+    def _modules(self, prefix: str = ""):
+        """(prefix, module) for this module and each descendant, pre-order."""
+        yield prefix, self
         for name, value in vars(self).items():
             if isinstance(value, Module):
-                yield name, value
+                yield from value._modules(prefix + name + ".")
 
-    def named_parameters(self, prefix: str = ""):
-        for name, value in vars(self).items():
-            if isinstance(value, Tensor):
-                yield prefix + name, value
-        for name, child in self._children():
-            yield from child.named_parameters(prefix + name + ".")
+    def named_parameters(self):
+        for prefix, module in self._modules():
+            for name, value in vars(module).items():
+                if isinstance(value, Tensor):
+                    yield prefix + name, value
 
     def parameters(self) -> list[Tensor]:
         return [p for _, p in self.named_parameters()]
 
-    def named_buffers(self, prefix: str = ""):
-        for name in getattr(self, "_buffer_names", ()):
-            yield prefix + name, getattr(self, name)
-        for name, child in self._children():
-            yield from child.named_buffers(prefix + name + ".")
+    def named_buffers(self):
+        for prefix, module in self._modules():
+            for name in getattr(module, "_buffer_names", ()):
+                yield prefix + name, getattr(module, name)
 
     def train(self, mode: bool = True):
-        self.training = mode
-        for _, child in self._children():
-            child.train(mode)
+        for _, module in self._modules():
+            module.training = mode
         return self
 
     def eval(self):
@@ -124,13 +123,12 @@ class Module:
         """Cast every parameter and buffer to dtype in place: the parameter
         tensors keep their identity, so optimizers and callers holding them
         see the new arrays.  An array already of dtype is kept, not copied."""
-        for value in vars(self).values():
-            if isinstance(value, Tensor):
-                value.data = value.data.astype(dtype, copy=False)
-        for name in getattr(self, "_buffer_names", ()):
-            setattr(self, name, getattr(self, name).astype(dtype, copy=False))
-        for _, child in self._children():
-            child.astype(dtype)
+        for _, module in self._modules():
+            for value in vars(module).values():
+                if isinstance(value, Tensor):
+                    value.data = value.data.astype(dtype, copy=False)
+            for name in getattr(module, "_buffer_names", ()):
+                setattr(module, name, getattr(module, name).astype(dtype, copy=False))
         return self
 
 
@@ -237,11 +235,8 @@ class _FcCoder(Module):
 
 
 class _Autoencoder(Module):
-    """An encoder/decoder pair built from its descriptor arguments.
-
-    With rng None no weight is drawn: the weights stay unset until
-    load_state_dict fills them.
-    """
+    """An encoder/decoder pair built by :func:`build_model` from its
+    descriptor, less the kind; with rng None its weights stay unset."""
 
     def __init__(self, args: dict[str, Any], rng: np.random.Generator | None):
         super().__init__()
@@ -258,12 +253,6 @@ class CaeModel(_Autoencoder):
     """Convolutional autoencoder: waveform-domain encoder, symbol-domain decoder."""
 
     kind = "cae"
-
-    def __init__(self, n_subcarriers: int, oversampling: int, enc_channels: tuple[int, int],
-                 dec_channels: tuple[int, int], seed: int):
-        super().__init__(dict(n_subcarriers=n_subcarriers, oversampling=oversampling,
-                              enc_channels=list(enc_channels), dec_channels=list(dec_channels),
-                              seed=seed), np.random.default_rng(seed))
 
     def _coders(self, rng):
         return (_ConvCoder(self.n * self.oversampling, self._args["enc_channels"], rng),
@@ -284,11 +273,6 @@ class FcAeModel(_Autoencoder):
 
     kind = "fc_ae"
 
-    def __init__(self, n_subcarriers: int, oversampling: int, hidden: tuple[int, int],
-                 seed: int):
-        super().__init__(dict(n_subcarriers=n_subcarriers, oversampling=oversampling,
-                              hidden=list(hidden), seed=seed), np.random.default_rng(seed))
-
     def _coders(self, rng):
         return (_FcCoder(self.n * self.oversampling, self._args["hidden"], rng),
                 _FcCoder(self.n, self._args["hidden"], rng))
@@ -300,16 +284,16 @@ class FcAeModel(_Autoencoder):
         return self.decoder(z)
 
 
-def build_model(descriptor: dict[str, Any]):
-    """A model of a checkpoint descriptor, its weights unset for
-    load_state_dict to fill: no weight is drawn."""
+def build_model(descriptor: dict[str, Any], draw: bool = True):
+    """The model a descriptor (kind, system, sizes, seed) names, its weights
+    drawn from default_rng(seed); with draw False none is drawn, for
+    load_state_dict to fill."""
     kinds = {cls.kind: cls for cls in (CaeModel, FcAeModel)}
     cls = kinds.get(descriptor.get("kind"))
     if cls is None:
         raise ValueError(f"unknown model kind {descriptor.get('kind')!r}")
-    model = cls.__new__(cls)
-    _Autoencoder.__init__(model, {k: v for k, v in descriptor.items() if k != "kind"}, None)
-    return model
+    args = {k: v for k, v in descriptor.items() if k != "kind"}
+    return cls(args, np.random.default_rng(args["seed"]) if draw else None)
 
 
 # -- checkpointing -------------------------------------------------------------
@@ -369,7 +353,7 @@ def load_checkpoint(path) -> Checkpoint:
         meta = json.loads(bytes(data["meta"]).decode("utf-8"))
         if meta.get("format") != _CHECKPOINT_FORMAT:
             raise ValueError(f"unsupported checkpoint format {meta.get('format')!r}")
-        model = build_model(meta["arch"])
+        model = build_model(meta["arch"], draw=False)
         state = {key[len("state/"):]: data[key] for key in data.files if key.startswith("state/")}
         model.load_state_dict(state)
         optimizer_state = None

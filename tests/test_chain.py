@@ -7,7 +7,7 @@ from paprlab import chain
 from paprlab.chain import HpaParams, complex_noise, run_chain
 from paprlab.errors import DegenerateInputError
 from paprlab.metrics import SpectralParams
-from paprlab.models import CaeModel, Module
+from paprlab.models import Module, build_model
 from paprlab.ofdm import ofdm_modulate, qam4_map
 from paprlab.training import LossWeights, joint_loss
 
@@ -89,8 +89,9 @@ class TestToyGradientSweep:
         """Full forward+backward through the nonlinear noisy chain on a
         4-subcarrier toy system, checked against central differences."""
         n, oversampling = 4, 4
-        model = CaeModel(n_subcarriers=n, oversampling=oversampling,
-                         enc_channels=(2, 3), dec_channels=(3, 2), seed=11).astype(np.float64)
+        model = build_model({"kind": "cae", "n_subcarriers": n, "oversampling": oversampling,
+                             "enc_channels": [2, 3], "dec_channels": [3, 2],
+                             "seed": 11}).astype(np.float64)
         model.train()
         rng = np.random.default_rng(12)
         blocks = qam4_map(rng.integers(0, 2, (3, 2 * n)))

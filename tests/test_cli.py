@@ -8,8 +8,11 @@ import numpy as np
 import pytest
 import yaml
 
+from paprlab import harness
 from paprlab.cli import main
+from paprlab.config import load_config
 from paprlab.curvefile import read_curve
+from paprlab.models import load_checkpoint
 
 
 def write_tiny_config(tmp_path, **extra):
@@ -64,24 +67,36 @@ class TestCli:
         assert ("config error: --checkpoint gives method 'cae' twice"
                 in capsys.readouterr().err)
 
-    @pytest.mark.parametrize("arch, field, sizes, wanted", [
-        ("cae", "enc_channels", "[2, 2]", "{'enc_channels': [4, 3], 'dec_channels': [3, 4]}"),
-        ("cae", "dec_channels", "[2, 2]", "{'enc_channels': [4, 3], 'dec_channels': [3, 4]}"),
-        ("fc_ae", "fc_hidden", "[8, 8]", "{'hidden': [16, 24]}"),
-    ], ids=["cae-enc", "cae-dec", "fc_ae"])
-    def test_checkpoint_of_other_model_sizes_is_config_error(self, tmp_path, capsys, arch,
-                                                             field, sizes, wanted):
-        """A checkpoint whose model sizes are not config.model's would be
-        stamped with the hash of a model that did not run."""
-        cfg = write_tiny_config(tmp_path, methods=["none", arch])
-        assert main(["--config", str(cfg), "--set", f"model.{field}={sizes}",
-                     "train", "--arch", arch]) == 0
+    @pytest.mark.parametrize("method, arch, override, differs", [
+        ("cae", "cae", "model.enc_channels=[2, 2]", {"enc_channels"}),
+        ("cae", "cae", "model.dec_channels=[2, 2]", {"dec_channels"}),
+        ("fc_ae", "fc_ae", "model.fc_hidden=[8, 8]", {"hidden"}),
+        ("cae", "fc_ae", None, {"kind", "enc_channels", "dec_channels", "hidden"}),
+        ("cae", "cae", "system.n_subcarriers=16", {"n_subcarriers"}),
+        ("fc_ae", "fc_ae", "system.oversampling=5", {"oversampling"}),
+    ], ids=["cae-enc", "cae-dec", "fc_ae", "kind", "n_subcarriers", "oversampling"])
+    def test_checkpoint_of_other_model_sizes_is_config_error(self, tmp_path, capsys, method,
+                                                             arch, override, differs):
+        """A checkpoint whose descriptor differs from the config's in one
+        field (the kind, with its sizes, the system or a size) would be
+        stamped with the hash of a model that did not run: exit 2, naming
+        both descriptors, and no output."""
+        cfg = write_tiny_config(tmp_path, methods=["none", method])
+        args = ["--config", str(cfg), "--set", "train.epochs=0"]
+        if override:
+            args += ["--set", override]
+        assert main([*args, "train", "--arch", arch]) == 0
         ckpt = tmp_path / "out" / f"{arch}.npz"
-        assert main(["--config", str(cfg), "eval-ccdf", "--checkpoint", f"{arch}={ckpt}"]) == 2
-        err = capsys.readouterr().err
-        assert f"config error: checkpoint for '{arch}' was built with model sizes" in err
-        assert sizes in err and err.rstrip().endswith(f"config wants {wanted}")
-        assert not (tmp_path / "out" / "ccdf.csv").exists()
+        built = load_checkpoint(ckpt).model.descriptor()
+        del built["seed"]
+        wanted = harness._descriptor(load_config(cfg), method)
+        assert {k for k in {*built, *wanted} if built.get(k) != wanted.get(k)} == differs
+        assert main(["--config", str(cfg), "eval-ccdf", "--checkpoint", f"{method}={ckpt}"]) == 2
+        assert capsys.readouterr().err.endswith(
+            f"config error: checkpoint for {method!r} holds model {built}, "
+            f"config wants {wanted}\n")
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+            f"{arch}.npz", f"train_{arch}.csv", f"train_{arch}_summary.json"]
 
     def test_set_override(self, tmp_path):
         cfg = write_tiny_config(tmp_path)

@@ -18,10 +18,10 @@ from oracle_ops import conv1d as oracle_conv1d
 from oracle_ops import selu as oracle_selu
 
 from paprlab import autodiff as ad
-from paprlab import chain, models
+from paprlab import chain, harness, models
 from paprlab.autodiff import Tensor
 from paprlab.config import default_config
-from paprlab.models import CaeModel, FcAeModel
+from paprlab.models import CaeModel, build_model
 from paprlab.ofdm import ofdm_modulate, qam4_map
 
 RNG = np.random.default_rng(77)
@@ -250,11 +250,12 @@ class TestBatchSplitInvariance:
             joined = np.concatenate([stage(x[lo:hi]) for lo, hi in zip(edges[:-1], edges[1:])])
             np.testing.assert_array_equal(joined, whole, err_msg=f"{sizes}")
 
-    @pytest.mark.parametrize("model", [CaeModel(n_subcarriers=8, oversampling=4,
-                                                enc_channels=(13, 11), dec_channels=(11, 13),
-                                                seed=3),
-                                       FcAeModel(n_subcarriers=8, oversampling=4,
-                                                 hidden=(32, 48), seed=3)],
+    @pytest.mark.parametrize("model", [build_model({"kind": "cae", "n_subcarriers": 8,
+                                                    "oversampling": 4, "enc_channels": [13, 11],
+                                                    "dec_channels": [11, 13], "seed": 3}),
+                                       build_model({"kind": "fc_ae", "n_subcarriers": 8,
+                                                    "oversampling": 4, "hidden": [32, 48],
+                                                    "seed": 3})],
                              ids=["cae", "fc_ae"])
     def test_transmit_does_not_depend_on_the_split(self, model):
         """chain.transmit of an eval-mode model on a batch of 500 equals the
@@ -276,9 +277,7 @@ class TestBatchSplitInvariance:
 def stock_cae() -> CaeModel:
     """The stock CAE in eval mode, float64 and frozen, as the eval commands
     run it, with batch-norm running statistics away from 0 and 1."""
-    sys_cfg, mdl = default_config().system, default_config().model
-    model = CaeModel(n_subcarriers=sys_cfg.n_subcarriers, oversampling=sys_cfg.oversampling,
-                     enc_channels=mdl.enc_channels, dec_channels=mdl.dec_channels, seed=4)
+    model = build_model({**harness._descriptor(default_config(), "cae"), "seed": 4})
     model.eval().astype(np.float64)
     rng = np.random.default_rng(8)
     for p in model.parameters():

@@ -214,6 +214,17 @@ class TestEvals:
                   for m in ("none", "cf", "slm", "ideal")}
         assert lowest == dict.fromkeys(lowest, -200.0)
 
+    def test_psd_ideal_reference_has_the_amplifier_gain(self, tmp_path):
+        """At 40 dB of back-off the amplifier is linear with gain v, so the
+        in-band power of `none` is the ideal reference's, v^2 a0^2 10^(-ibo/10)."""
+        cfg = tiny_config(tmp_path, hpa={"ibo_db": 40.0, "v": 2.0})
+        _, _, rows = read_curve(eval_psd(cfg))
+        ideal = {r[0]: 10.0 ** (float(r[1]) / 10.0)
+                 for r in rows if r[2] == "ideal" and float(r[1]) > -200.0}
+        none = sum(10.0 ** (float(r[1]) / 10.0) for r in rows if r[2] == "none" and r[0] in ideal)
+        assert len(ideal) == cfg.system.n_subcarriers
+        assert none == pytest.approx(sum(ideal.values()), rel=1e-6, abs=0)
+
     def test_table_values_reasonable(self, tmp_path):
         cfg = tiny_config(tmp_path, eval={"table_symbols": 1000})
         table, path = eval_table(cfg)
@@ -286,7 +297,8 @@ class TestEvals:
         ckpt, _ = run_train(cfg, arch="cae")
         cfg16 = tiny_config(tmp_path, methods=["none", "cae"],
                             system={"n_subcarriers": 16})
-        with pytest.raises(ConfigError, match="built for system"):
+        with pytest.raises(ConfigError, match="'cae' holds model .*'n_subcarriers': 8.*"
+                                              "config wants .*'n_subcarriers': 16"):
             eval_ccdf(cfg16, {"cae": ckpt})
 
     def test_eval_outputs_are_reproducible(self, tmp_path):

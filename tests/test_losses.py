@@ -5,7 +5,7 @@ import pytest
 
 from paprlab.chain import HpaParams, complex_noise, run_chain
 from paprlab.metrics import SpectralParams, acpr, papr, psd
-from paprlab.models import CaeModel
+from paprlab.models import build_model
 from paprlab.ofdm import ofdm_modulate, qam4_map
 from paprlab.training import LossWeights, joint_loss
 
@@ -14,14 +14,17 @@ SPECTRAL = SpectralParams(bw_bins=N, acpr_req_db=-45.0)
 HPA = HpaParams(ibo_db=3.0)
 
 
+def toy_cae(seed):
+    return build_model({"kind": "cae", "n_subcarriers": N, "oversampling": L,
+                        "enc_channels": [3, 2], "dec_channels": [2, 3], "seed": seed})
+
+
 def make_taps(seed=0, batch=2, model=None, p_snr_db=math.inf):
     rng = np.random.default_rng(seed)
     blocks = qam4_map(rng.integers(0, 2, (batch, 2 * N)))
     x = ofdm_modulate(blocks, L)
     if model is None:
-        model = CaeModel(n_subcarriers=N, oversampling=L, enc_channels=(3, 2),
-                         dec_channels=(2, 3), seed=seed)
-        model.train()
+        model = toy_cae(seed).train()
     noise = complex_noise(x.shape, p_snr_db, HPA, np.random.default_rng(seed + 1))
     taps = run_chain(model, x, HPA, noise)
     return taps, blocks, model
@@ -67,8 +70,7 @@ class TestJointLoss:
 
     def test_term_by_term_oracle(self):
         """Stage-2 loss equals an independent term-by-term computation."""
-        model = CaeModel(n_subcarriers=N, oversampling=L, enc_channels=(3, 2),
-                         dec_channels=(2, 3), seed=3).astype(np.float64)
+        model = toy_cae(3).astype(np.float64)
         taps, blocks, _ = make_taps(seed=3, model=model.train())
         w = LossWeights(lambda2=0.004, lambda3=0.001)
         loss, parts = joint_loss(taps, blocks, w, SPECTRAL, stage=2)

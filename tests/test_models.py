@@ -4,12 +4,11 @@ import json
 import numpy as np
 import pytest
 
-from paprlab import chain, models
+from paprlab import chain, harness, models
 from paprlab.autodiff import Tensor
-from paprlab.config import default_config
+from paprlab.config import config_from_dict, default_config
 from paprlab.harness import build_model_from_config
 from paprlab.models import (
-    CaeModel,
     FcAeModel,
     build_model,
     load_checkpoint,
@@ -17,13 +16,17 @@ from paprlab.models import (
 )
 from paprlab.ofdm import ofdm_modulate, qam4_map
 from paprlab.optim import AdamW
+from paprlab.seeding import derive_seed
 
 
-def small_cae(**kw):
-    args = dict(n_subcarriers=8, oversampling=4, enc_channels=(13, 11),
-                dec_channels=(11, 13), seed=1)
-    args.update(kw)
-    return CaeModel(**args)
+def small_cae(seed=1):
+    return build_model({"kind": "cae", "n_subcarriers": 8, "oversampling": 4,
+                        "enc_channels": [13, 11], "dec_channels": [11, 13], "seed": seed})
+
+
+def small_fc_ae(hidden, seed):
+    return build_model({"kind": "fc_ae", "n_subcarriers": 8, "oversampling": 4,
+                        "hidden": hidden, "seed": seed})
 
 
 def stock(arch):
@@ -59,12 +62,20 @@ class TestArchitecture:
         assert rx.data.shape == (4, 8)
 
     def test_fc_ae_forward(self):
-        model = FcAeModel(n_subcarriers=8, oversampling=4, hidden=(32, 48), seed=2)
+        model = small_fc_ae([32, 48], seed=2)
         model.eval()
         rng = np.random.default_rng(2)
         x = ofdm_modulate(qam4_map(rng.integers(0, 2, (4, 16))), 4)
         assert model.encode(Tensor(x)).data.shape == (4, 32)
         assert model.decode(Tensor(np.zeros((4, 8), complex))).data.shape == (4, 8)
+
+    @pytest.mark.parametrize("arch", ["cae", "fc_ae"])
+    def test_built_model_has_the_config_descriptor(self, arch):
+        cfg = config_from_dict({"system": {"n_subcarriers": 8},
+                                "model": {"fc_hidden": [16, 24]}, "seed": 3})
+        descriptor = build_model_from_config(cfg, arch).descriptor()
+        assert descriptor.pop("seed") == derive_seed(3, f"init/{arch}")
+        assert descriptor == harness._descriptor(cfg, arch)
 
     def test_construction_is_seeded(self):
         a = small_cae(seed=7)
@@ -216,16 +227,14 @@ class TestCheckpoint:
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_fc_ae_roundtrip(self, tmp_path):
-        model = FcAeModel(n_subcarriers=8, oversampling=4, hidden=(16, 24), seed=6)
+        model = small_fc_ae([16, 24], seed=6)
         path = tmp_path / "fc.npz"
         save_checkpoint(path, model)
         ck = load_checkpoint(path)
         assert isinstance(ck.model, FcAeModel)
         assert ck.model.descriptor() == model.descriptor()
 
-    @pytest.mark.parametrize("model", [small_cae(seed=4),
-                                       FcAeModel(n_subcarriers=8, oversampling=4,
-                                                 hidden=(16, 24), seed=4)],
+    @pytest.mark.parametrize("model", [small_cae(seed=4), small_fc_ae([16, 24], seed=4)],
                              ids=["cae", "fc_ae"])
     def test_load_draws_no_weights(self, tmp_path, monkeypatch, model):
         path = tmp_path / "m.npz"

@@ -13,6 +13,8 @@ import pytest
 import paprlab
 import paprlab.config
 from paprlab.cli import build_parser
+from paprlab.config import NEURAL_METHODS
+from paprlab.models import CaeModel, FcAeModel
 
 SOURCES = sorted(Path(paprlab.__file__).parent.glob("*.py"))
 
@@ -272,14 +274,25 @@ def _readme_commands(text: str) -> list[str]:
     return rows
 
 
+def _subcommands() -> dict[str, argparse.ArgumentParser]:
+    return next(action for action in build_parser()._actions
+                if isinstance(action, argparse._SubParsersAction)).choices
+
+
 def test_readme_lists_every_command():
     """The README's command table has one row per subcommand of the CLI."""
-    subparsers = next(action for action in build_parser()._actions
-                      if isinstance(action, argparse._SubParsersAction))
     readme = Path(__file__).resolve().parents[1] / "README.md"
     listed = _readme_commands(readme.read_text(encoding="utf-8"))
-    assert sorted(listed) == sorted(subparsers.choices)
+    assert sorted(listed) == sorted(_subcommands())
     assert len(listed) == len(set(listed))
+
+
+def test_model_kinds_are_the_neural_methods():
+    """The model classes, the config's neural methods and train --arch name
+    the same kinds."""
+    assert {cls.kind for cls in (CaeModel, FcAeModel)} == set(NEURAL_METHODS)
+    arch = next(action for action in _subcommands()["train"]._actions if action.dest == "arch")
+    assert arch.choices == NEURAL_METHODS
 
 
 def test_readme_lists_every_module():

@@ -15,7 +15,7 @@ from paprlab.config import default_config
 from paprlab.errors import TrainingDivergedError
 from paprlab.harness import build_model_from_config
 from paprlab.metrics import SpectralParams, papr_db
-from paprlab.models import CaeModel, FcAeModel
+from paprlab.models import build_model
 from paprlab.ofdm import ofdm_modulate, qam4_map
 from paprlab.optim import BETA1, BETA2, EPS, _TASK, AdamW
 from paprlab.training import LossWeights, TrainConfig, joint_loss, train
@@ -39,8 +39,13 @@ SINGLE = {np.dtype(np.float32), np.dtype(np.complex64)}
 
 
 def toy_model(seed=0):
-    return CaeModel(n_subcarriers=N, oversampling=L, enc_channels=(4, 3),
-                    dec_channels=(3, 4), seed=seed)
+    return build_model({"kind": "cae", "n_subcarriers": N, "oversampling": L,
+                        "enc_channels": [4, 3], "dec_channels": [3, 4], "seed": seed})
+
+
+def toy_fc_ae(hidden, seed):
+    return build_model({"kind": "fc_ae", "n_subcarriers": N, "oversampling": L,
+                        "hidden": hidden, "seed": seed})
 
 
 def toy_config(**kw):
@@ -182,7 +187,7 @@ class TestOverlappedUpdate:
     @pytest.mark.parametrize("build, tasks", [
         (lambda: toy_model(seed=22), 1),
         # the hidden FC weight, 600 x 600, spans a whole task and a short one
-        (lambda: FcAeModel(n_subcarriers=N, oversampling=L, hidden=(600, 600), seed=22), 2),
+        (lambda: toy_fc_ae([600, 600], seed=22), 2),
     ], ids=["cae", "fc_ae"])
     def test_matches_sequential_reference(self, monkeypatch, build, tasks):
         """Weights, buffers, moments and the train log equal those of the
@@ -221,7 +226,7 @@ class TestOverlappedUpdate:
             args = (STOCK.loss, STOCK.hpa, STOCK_SPECTRAL)
         else:
             def build():
-                return FcAeModel(n_subcarriers=N, oversampling=L, hidden=(600, 600), seed=29)
+                return toy_fc_ae([600, 600], seed=29)
             cfg = toy_config(epochs=2, batches_per_epoch=2)
             args = (LossWeights(), HPA, SPECTRAL)
         losses = []
@@ -447,8 +452,7 @@ GOLDEN_TRAINING = {
 
 @pytest.mark.parametrize("arch", sorted(GOLDEN_TRAINING))
 def test_golden_training_run(arch):
-    model = (toy_model(seed=27) if arch == "cae" else
-             FcAeModel(n_subcarriers=N, oversampling=L, hidden=(24, 32), seed=27))
+    model = toy_model(seed=27) if arch == "cae" else toy_fc_ae([24, 32], seed=27)
     result = train(model, toy_config(epochs=2, batches_per_epoch=4, batch_size=8),
                    LossWeights(), HPA, SPECTRAL, seed=28)
     terms = [(r.loss, r.l1, r.l2, r.l3) for r in result.records]
