@@ -24,7 +24,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import DegenerateInputError
+from .ofdm import DegenerateInputError
 
 __all__ = ["HpaParams", "ibo_scale", "rapp_gain", "bussgang_alpha", "noise_std",
            "complex_noise", "ChainTaps", "transmit", "front_end", "receive", "run_chain"]

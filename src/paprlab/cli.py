@@ -2,7 +2,7 @@
 
     paprlab [--config FILE] [--set key=value]... COMMAND
 
-Commands: train, eval-ber, eval-ccdf, eval-psd, eval-table, eval-obo-acpr.
+Commands: train and the eval commands of _EVAL_COMMANDS.
 --set overrides config-file fields, e.g. --set seed=7 --set output_dir=runs2.
 """
 
@@ -17,15 +17,25 @@ import yaml
 from . import harness
 from .config import (
     NEURAL_METHODS,
+    ConfigError,
     ConfigLoader,
     config_from_dict,
     config_to_dict,
     default_config,
     load_config,
 )
-from .errors import ConfigError, TrainingDivergedError
+from .training import TrainingDivergedError
 
 __all__ = ["build_parser", "main"]
+
+# Each eval command's harness function and help line, in --help order.
+_EVAL_COMMANDS = {
+    "eval-ber": (harness.eval_ber, "BER vs peak-SNR curves"),
+    "eval-ccdf": (harness.eval_ccdf, "CCDF of PAPR curves"),
+    "eval-psd": (harness.eval_psd, "averaged transmit PSD"),
+    "eval-table": (harness.eval_table, "ACPR/OBO operating-point table"),
+    "eval-obo-acpr": (harness.eval_obo_vs_acpr, "OBO vs ACPR trade-off sweep"),
+}
 
 
 def _apply_override(data: dict, assignment: str):
@@ -79,13 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train = sub.add_parser("train", help="train a model and write its checkpoint")
     p_train.add_argument("--arch", choices=NEURAL_METHODS, default="cae")
 
-    for name, help_text in (
-        ("eval-ber", "BER vs peak-SNR curves"),
-        ("eval-ccdf", "CCDF of PAPR curves"),
-        ("eval-psd", "averaged transmit PSD"),
-        ("eval-table", "ACPR/OBO operating-point table"),
-        ("eval-obo-acpr", "OBO vs ACPR trade-off sweep"),
-    ):
+    for name, (_, help_text) in _EVAL_COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--checkpoint", action="append", metavar="METHOD=PATH",
                        help="checkpoint for a neural method (repeatable)")
@@ -108,20 +112,13 @@ def main(argv=None) -> int:
             print(f"log: {log}")
             return 0
 
-        checkpoints = _parse_checkpoints(args.checkpoint)
-        if args.command == "eval-ber":
-            path = harness.eval_ber(config, checkpoints)
-        elif args.command == "eval-ccdf":
-            path = harness.eval_ccdf(config, checkpoints)
-        elif args.command == "eval-psd":
-            path = harness.eval_psd(config, checkpoints)
-        elif args.command == "eval-table":
-            table, path = harness.eval_table(config, checkpoints)
+        run, _ = _EVAL_COMMANDS[args.command]
+        path = run(config, _parse_checkpoints(args.checkpoint))
+        if args.command == "eval-table":
+            table, path = path
             for method in sorted(table):
                 print(f"{method:12s} ACPR {table[method]['acpr_db']:8.2f} dB   "
                       f"OBO {table[method]['obo_db']:6.2f} dB")
-        else:
-            path = harness.eval_obo_vs_acpr(config, checkpoints)
         print(f"wrote {path}")
         return 0
     except ConfigError as err:

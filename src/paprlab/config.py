@@ -18,10 +18,10 @@ import yaml
 
 from .baselines import CfParams, SlmParams
 from .chain import HpaParams
-from .errors import ConfigError
 from .training import LossWeights, TrainConfig
 
 __all__ = [
+    "ConfigError",
     "ConfigLoader",
     "SystemConfig",
     "ModelConfig",
@@ -38,6 +38,10 @@ __all__ = [
 
 _VALID_METHODS = ("none", "cf", "slm", "cae", "fc_ae")
 NEURAL_METHODS = ("cae", "fc_ae")
+
+
+class ConfigError(ValueError):
+    """An experiment configuration field is missing, unknown or invalid."""
 
 
 class ConfigLoader(yaml.SafeLoader):

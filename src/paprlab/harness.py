@@ -43,13 +43,13 @@ from .baselines import clip_filter, slm_phase_bank, slm_select_batch
 from .chain import bussgang_alpha, complex_noise
 from .config import (
     NEURAL_METHODS,
+    ConfigError,
     ExperimentConfig,
     build_id,
     config_hash,
     config_to_dict,
 )
 from .curvefile import write_curve, write_summary
-from .errors import ConfigError
 from .metrics import ACPR_FLOOR_DB, SpectralParams, acpr, ccdf, papr_db, psd
 from .models import build_model, load_checkpoint, save_checkpoint
 from .ofdm import band_bins, ml_detect, ofdm_modulate, qam4_map

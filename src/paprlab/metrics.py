@@ -12,8 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInputError
-from .ofdm import band_bins
+from .ofdm import DegenerateInputError, band_bins
 
 __all__ = [
     "ACPR_FLOOR_DB",

@@ -91,12 +91,6 @@ class Module:
             yield name, p.data
         yield from self.named_buffers()
 
-    def state_dict(self) -> dict[str, np.ndarray]:
-        """Copies of the parameters and buffers.  AdamW updates parameters in
-        place and batch norm its running statistics, so live arrays would
-        not stay a snapshot."""
-        return {name: array.copy() for name, array in self.named_state()}
-
     def load_state_dict(self, state: dict[str, np.ndarray]):
         """Fill every parameter and buffer from state, cast to float32; a
         float32 parameter array is taken over, not copied.  ValueError if an
@@ -351,8 +345,12 @@ def load_checkpoint(path) -> Checkpoint:
     # the file is opened here, so it is closed also when np.load fails on it
     with open(path, "rb") as fh, np.load(fh) as data:
         meta = json.loads(bytes(data["meta"]).decode("utf-8"))
+        if not isinstance(meta, dict):
+            raise ValueError("checkpoint metadata is not a JSON object")
         if meta.get("format") != _CHECKPOINT_FORMAT:
             raise ValueError(f"unsupported checkpoint format {meta.get('format')!r}")
+        if not isinstance(meta.get("arch"), dict):
+            raise ValueError("checkpoint arch is not a JSON object")
         model = build_model(meta["arch"], draw=False)
         state = {key[len("state/"):]: data[key] for key in data.files if key.startswith("state/")}
         model.load_state_dict(state)

@@ -20,9 +20,8 @@ import math
 
 import numpy as np
 
-from .errors import DegenerateInputError
-
 __all__ = [
+    "DegenerateInputError",
     "QAM4_POINTS",
     "QAM4_LABELS",
     "qam4_map",
@@ -33,6 +32,11 @@ __all__ = [
     "bpf",
     "unit_power",
 ]
+
+
+class DegenerateInputError(ValueError):
+    """A signal or batch has no usable power (all-zero input, zero gain, ...)."""
+
 
 # Gray-labelled 4-QAM with unit mean energy:
 # 00->(1+j)/sqrt2, 01->(-1+j)/sqrt2, 11->(-1-j)/sqrt2, 10->(1-j)/sqrt2.

@@ -11,7 +11,7 @@ __all__ = ["adamw_update", "AdamW", "BETA1", "BETA2", "EPS"]
 # Elements per update block: 256 KiB per float32 array, so the six arrays a
 # block touches (parameter, gradient, both moments, two scratch) take 1.5 MiB
 # and stay in a 2 MiB L2.  Longer blocks mean fewer ufunc calls, between which
-# the calling thread and the update thread take the GIL in turn.  A plain
+# the calling thread and autodiff's worker take the GIL in turn.  A plain
 # step() over FC-AE's parameters, on both threads, read 63-64 ms against
 # 70-76 ms at 32768; 131072 (3 MiB) read 55-67 ms but made neither model's
 # whole training step faster.

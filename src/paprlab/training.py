@@ -16,13 +16,26 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .chain import ChainTaps, HpaParams, complex_noise, run_chain
-from .errors import TrainingDivergedError
 from .metrics import SpectralParams
 from .ofdm import ofdm_modulate, qam4_map
 from .optim import AdamW
 from .seeding import derive_rng
 
-__all__ = ["TrainConfig", "LossWeights", "joint_loss", "EpochRecord", "TrainResult", "train"]
+__all__ = ["TrainConfig", "LossWeights", "joint_loss", "EpochRecord", "TrainResult",
+           "TrainingDivergedError", "train"]
+
+
+class TrainingDivergedError(RuntimeError):
+    """Training produced a non-finite signal.
+
+    Carries the zero-based epoch index at which divergence was detected and
+    the name of the first non-finite signal ("x_f", "x_p", "alpha" or "loss").
+    """
+
+    def __init__(self, epoch: int, signal: str):
+        self.epoch = epoch
+        self.signal = signal
+        super().__init__(f"non-finite {signal} at epoch {epoch}")
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ at both.
 - AdamW.step over the stock CAE's parameter list (3.95M values) and over
   FC-AE's (21.8M values, larger than cache): the train-cae and train-fcae
   workloads' optimizers.  With nothing queued, step() splits the update
-  between the calling thread and the update thread.
+  between the calling thread and autodiff's worker.
 - A whole stage-2 training step of the stock CAE and of FC-AE at batch 32,
   as train() runs it: chain and loss forward, backward with AdamW.queue as
   its hook, so the update overlaps the backward pass, and step().  The
@@ -45,7 +45,7 @@ at both.
 - One eval batch (500 blocks, float64) through the eval commands' batch
   stream, for none, cf, slm and the stock CAE loaded from a freshly built
   checkpoint: the data draw and modulation, then every transmit, cf and slm
-  on the baseline thread while the calling thread runs the CAE.  This case
+  on autodiff's worker while the calling thread runs the CAE.  This case
   sees the overlap that the per-method cases cannot.
 """
 

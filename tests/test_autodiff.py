@@ -12,10 +12,9 @@ from workers import EagerWorker, IdleWorker
 
 from paprlab import autodiff as ad
 from paprlab.autodiff import Tensor
-from paprlab.errors import DegenerateInputError
 from paprlab.models import Conv1d, Linear
 from paprlab.metrics import ACPR_FLOOR_DB, acpr, acpr_powers, papr, psd
-from paprlab.ofdm import band_bins, bpf
+from paprlab.ofdm import DegenerateInputError, band_bins, bpf
 from paprlab.optim import AdamW
 
 RNG = np.random.default_rng(2024)

@@ -11,9 +11,15 @@ from paprlab.baselines import (
     slm_phase_bank,
     slm_select_batch,
 )
-from paprlab.errors import DegenerateInputError
 from paprlab.metrics import papr
-from paprlab.ofdm import band_bins, ml_detect, ofdm_demodulate, ofdm_modulate, qam4_map
+from paprlab.ofdm import (
+    DegenerateInputError,
+    band_bins,
+    ml_detect,
+    ofdm_demodulate,
+    ofdm_modulate,
+    qam4_map,
+)
 
 
 def oracle_clip_filter(wave, clip_ratio_db, iterations, oversampling):

@@ -5,10 +5,9 @@ from gradcheck import numeric_grad, rel_error
 from paprlab import autodiff as ad
 from paprlab import chain
 from paprlab.chain import HpaParams, complex_noise, run_chain
-from paprlab.errors import DegenerateInputError
 from paprlab.metrics import SpectralParams
 from paprlab.models import Module, build_model
-from paprlab.ofdm import ofdm_modulate, qam4_map
+from paprlab.ofdm import DegenerateInputError, ofdm_modulate, qam4_map
 from paprlab.training import LossWeights, joint_loss
 
 

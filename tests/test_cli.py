@@ -1,3 +1,4 @@
+import json
 import os
 import re
 import subprocess
@@ -12,7 +13,7 @@ from paprlab import harness
 from paprlab.cli import main
 from paprlab.config import load_config
 from paprlab.curvefile import read_curve
-from paprlab.models import load_checkpoint
+from paprlab.models import load_checkpoint, save_checkpoint
 
 
 def write_tiny_config(tmp_path, **extra):
@@ -195,6 +196,23 @@ class TestCli:
         save(path)
         assert main(["--config", str(cfg), "eval-ccdf", "--checkpoint", f"cae={path}"]) == 2
         assert "is not a paprlab checkpoint" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit", [lambda meta: [1, 2], lambda meta: None,
+                                      lambda meta: {**meta, "arch": "cae"}],
+                             ids=["list", "null", "arch-string"])
+    def test_metadata_not_a_record_is_config_error(self, tmp_path, capsys, edit):
+        """A checkpoint whose metadata, or whose arch in it, is not a JSON
+        object is not a paprlab checkpoint: exit 2, not a traceback."""
+        cfg = write_tiny_config(tmp_path, methods=["none", "cae"])
+        path = tmp_path / "edited.npz"
+        save_checkpoint(path, harness.build_model_from_config(load_config(cfg), "cae"))
+        with np.load(path) as data:
+            arrays = {key: data[key] for key in data.files}
+        meta = edit(json.loads(bytes(arrays["meta"]).decode("utf-8")))
+        arrays["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+        np.savez(path, **arrays)
+        assert main(["--config", str(cfg), "eval-ccdf", "--checkpoint", f"cae={path}"]) == 2
+        assert f"config error: {path} is not a paprlab checkpoint" in capsys.readouterr().err
 
     def test_unknown_config_field_reports_name(self, tmp_path, capsys):
         path = tmp_path / "bad.yaml"

@@ -4,6 +4,7 @@ import pytest
 import yaml
 
 from paprlab.config import (
+    ConfigError,
     ExperimentConfig,
     build_id,
     config_from_dict,
@@ -12,7 +13,6 @@ from paprlab.config import (
     default_config,
     load_config,
 )
-from paprlab.errors import ConfigError
 
 
 class TestDefaults:

@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 
 from paprlab import autodiff as ad
-from paprlab.errors import DegenerateInputError
 from paprlab.chain import HpaParams, bussgang_alpha, ibo_scale, rapp_gain
-from paprlab.ofdm import ofdm_modulate, qam4_map
+from paprlab.ofdm import DegenerateInputError, ofdm_modulate, qam4_map
 
 
 def amplify(wave, hpa):

@@ -16,9 +16,8 @@ from paprlab import autodiff as ad
 from paprlab import chain, harness
 from paprlab.autodiff import Tensor
 from paprlab.chain import bussgang_alpha, complex_noise
-from paprlab.config import build_id, config_from_dict, config_hash
+from paprlab.config import ConfigError, build_id, config_from_dict, config_hash
 from paprlab.curvefile import read_curve, write_curve, write_summary
-from paprlab.errors import ConfigError, DegenerateInputError
 from paprlab.harness import (
     eval_ber,
     eval_ccdf,
@@ -28,7 +27,7 @@ from paprlab.harness import (
     run_train,
 )
 from paprlab.models import load_checkpoint
-from paprlab.ofdm import ofdm_modulate, qam4_map
+from paprlab.ofdm import DegenerateInputError, ofdm_modulate, qam4_map
 
 
 def tiny_config(tmp_path, **overrides):

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from paprlab.errors import DegenerateInputError
 from paprlab.metrics import (
     ACPR_FLOOR_DB,
     acpr,
@@ -13,7 +12,7 @@ from paprlab.metrics import (
     papr_db,
     psd,
 )
-from paprlab.ofdm import band_bins, ofdm_modulate, qam4_map
+from paprlab.ofdm import DegenerateInputError, band_bins, ofdm_modulate, qam4_map
 
 
 def brute_force_papr(wave):

@@ -222,7 +222,7 @@ class TestAdamWClass:
 
     @pytest.mark.parametrize("call", ["step", "state_dict", "load_state_dict"])
     def test_blocking_calls_return_with_every_update_applied(self, monkeypatch, call):
-        """With an update thread that starts no task, step(), state_dict()
+        """With a worker that starts no task, step(), state_dict()
         and load_state_dict() each run the queued updates themselves: they
         return with theta, m and v those of plain steps, and no parameter
         carries a fence."""

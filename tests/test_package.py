@@ -12,6 +12,7 @@ import pytest
 
 import paprlab
 import paprlab.config
+from paprlab import cli, harness
 from paprlab.cli import build_parser
 from paprlab.config import NEURAL_METHODS
 from paprlab.models import CaeModel, FcAeModel
@@ -285,6 +286,17 @@ def test_readme_lists_every_command():
     listed = _readme_commands(readme.read_text(encoding="utf-8"))
     assert sorted(listed) == sorted(_subcommands())
     assert len(listed) == len(set(listed))
+
+
+def test_eval_commands_are_one_table_of_harness_functions():
+    """cli._EVAL_COMMANDS is the one list of eval commands: each runs its own
+    eval function of harness, each of those is run by exactly one command,
+    and the parser offers train and exactly the table's commands."""
+    runs = [run for run, _ in cli._EVAL_COMMANDS.values()]
+    assert all(run is getattr(harness, run.__name__) for run in runs)
+    assert sorted(run.__name__ for run in runs) == sorted(
+        name for name in harness.__all__ if name.startswith("eval_"))
+    assert list(_subcommands()) == ["train", *cli._EVAL_COMMANDS]
 
 
 def test_model_kinds_are_the_neural_methods():

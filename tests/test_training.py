@@ -12,13 +12,18 @@ from paprlab import optim, training
 from paprlab.autodiff import Tensor
 from paprlab.chain import HpaParams, complex_noise, run_chain
 from paprlab.config import default_config
-from paprlab.errors import TrainingDivergedError
 from paprlab.harness import build_model_from_config
 from paprlab.metrics import SpectralParams, papr_db
 from paprlab.models import build_model
 from paprlab.ofdm import ofdm_modulate, qam4_map
 from paprlab.optim import BETA1, BETA2, EPS, _TASK, AdamW
-from paprlab.training import LossWeights, TrainConfig, joint_loss, train
+from paprlab.training import (
+    LossWeights,
+    TrainConfig,
+    TrainingDivergedError,
+    joint_loss,
+    train,
+)
 
 N, L = 8, 4
 HPA = HpaParams(ibo_db=3.0)
@@ -89,11 +94,11 @@ class TestTrainConfig:
 class TestTrain:
     def test_zero_epochs_leaves_model_unchanged(self):
         model = toy_model()
-        before = {k: v.copy() for k, v in model.state_dict().items()}
+        before = {k: v.copy() for k, v in model.named_state()}
         result = train(model, toy_config(epochs=0, stage1_epochs=0), LossWeights(),
                        HPA, SPECTRAL, seed=1)
         assert result.records == []
-        for k, v in model.state_dict().items():
+        for k, v in model.named_state():
             np.testing.assert_array_equal(v, before[k])
 
     def test_training_reduces_papr(self):
@@ -127,8 +132,8 @@ class TestTrain:
         train(m1, **kwargs)
         m2 = toy_model(seed=8)
         train(m2, **kwargs)
-        for (ka, va), (kb, vb) in zip(sorted(m1.state_dict().items()),
-                                      sorted(m2.state_dict().items())):
+        for (ka, va), (kb, vb) in zip(sorted(m1.named_state()),
+                                      sorted(m2.named_state())):
             assert ka == kb
             np.testing.assert_array_equal(va, vb)
 
@@ -198,7 +203,7 @@ class TestOverlappedUpdate:
             monkeypatch.setattr(training, "AdamW", optimizer)
             model = build()
             result = train(model, cfg, LossWeights(), HPA, SPECTRAL, seed=23)
-            runs.append((model.state_dict(), result))
+            runs.append((dict(model.named_state()), result))
         (state, result), (ref_state, ref) = runs
         assert -(-max(p.data.size for p in result.optimizer.params) // _TASK) == tasks
         assert result.records == ref.records
@@ -251,7 +256,7 @@ class TestOverlappedUpdate:
                 model = build()
                 result = train(model, cfg, *args, seed=30)
                 assert all(p._fence is None for p in model.parameters())
-                runs.append((model.state_dict(), result.optimizer.m + result.optimizer.v))
+                runs.append((dict(model.named_state()), result.optimizer.m + result.optimizer.v))
         finally:
             sys.setswitchinterval(interval)
             eager.shutdown()
@@ -429,7 +434,7 @@ class TestFloat32Training:
 def _state_digest(model) -> str:
     """sha256 over every parameter and buffer, by name, of a model's state."""
     digest = hashlib.sha256()
-    for name, array in sorted(model.state_dict().items()):
+    for name, array in sorted(model.named_state()):
         digest.update(name.encode("utf-8"))
         digest.update(np.ascontiguousarray(array).tobytes())
     return digest.hexdigest()
